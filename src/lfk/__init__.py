@@ -28,11 +28,7 @@ from .extensions import (
     DegreePExtension,
     Line,
     attach_extension,
-    ext_val,
-    find_uniformizer,
-    galois_apply,
     line_of,
-    norm,
     ramification_break,
 )
 from .fp_linalg import (
@@ -96,12 +92,9 @@ __all__ = [
     "bp_index",
     "claims_for",
     "coordinates",
-    "ext_val",
     "filtration_dims",
-    "find_uniformizer",
     "first_trivial_level",
     "full_space",
-    "galois_apply",
     "hilbert_symbol_q2",
     "intersect",
     "left_kernel",
@@ -109,7 +102,6 @@ __all__ = [
     "line_of",
     "make_field",
     "member",
-    "norm",
     "norm_class_subgroup",
     "pairing_value",
     "pairs_trivially",

@@ -1,17 +1,25 @@
 """Normal forms in K*/(K*)^p and K+/wp(K+), and adapted bases for both.
 
+Adapted bases.  One generator per filtration slot: the uniformizer, the
+units 1 + tau(theta_s) pi^b at each obstruction level b (theta_s running
+over an F_p-basis of k), the boundary unit 1 + tau(a*) pi^pc when the p-th
+roots of unity are present; on the additive side the trace-one constant
+and the pole monomials theta_s t^(-b).  Independence is certified per
+level from the generators' leading digits (AdaptedBasis.certify), so no
+combination of classes is ever enumerated.
+
 Multiplicative side.  A nonzero x factors as pi^v * tau(r) * z with z a
-principal unit, and the class of x modulo p-th powers is carried by v mod p
-together with the image of z in the filtered quotient U_1 / (further p-th
-powers).  The reducer walks z down the filtration: at each level m it either
-divides out an explicit p-th power that cancels the leading digit, or
-certifies the digit as an obstruction and stops.  Which of the two happens
-is decided *empirically*: for each level the map "b -> level-m digit of
-(1 + tau(b) pi^s)^p" is evaluated on a k-basis and the resulting F_p-linear
-system is solved, so no closed-form case analysis of binomial valuations is
-trusted at runtime.  Obstructions can only appear at levels m < pe/(p-1)
-with p !| m, plus the single boundary level pe/(p-1) when the p-th roots of
-unity are present; the reducer checks its own output against that shape.
+principal unit.  The descent walks z down the filtration and cancels the
+digit at each level m against the adapted-basis generators of level m,
+whose exponents are the coordinates of the class, and against an explicit
+p-th power, which goes into the certificate y.  Which digits a p-th power
+can cancel is decided *empirically*: for each level the map "b -> level-m
+digit of (1 + tau(b) pi^s)^p" is evaluated on a k-basis and the resulting
+F_p-linear system is solved, so no closed-form case analysis of binomial
+valuations is trusted at runtime.  Char 0 walks to the triviality
+threshold, char p to a window; the levels, the representative
+pi^(v mod p) * prod g^c and the certificate x = y^p * prod g^c all derive
+from the coordinates of that one walk.
 
 Additive side (char p only).  The same walk for wp(y) = y^p - y: poles of
 order divisible by p are absorbed into the certificate, poles of order
@@ -19,8 +27,8 @@ prime to p survive into the normal form, the constant digit collapses onto
 a fixed trace-one line, and everything of positive valuation is killed by a
 telescoping series.
 
-On top of the two reducers sit adapted bases of the quotients (one basis
-vector per obstruction slot), coordinates relative to such a basis, and the
+coordinates() reads the class coordinates off a reduction and checks its
+certificate identity with multiplications only; filtration_dims() gives the
 codimension profile of the filtration.
 """
 
@@ -35,10 +43,6 @@ from .errors import (
 )
 from .fp_linalg import FpVector, member, rref, solve
 from .local_arith import INF, bp_index, val
-
-# Full-enumeration independence checks are skipped above this many classes
-# (p^dim combinations); pairwise products and sampled combinations run instead.
-_ENUMERATION_BUDGET = 4096
 
 _PRECISION_SLACK = 2  # extra known digits demanded beyond the last level read
 
@@ -72,14 +76,6 @@ def _kill_exponent(ctx, m):
     return m - ctx.e
 
 
-def _class_cache(ctx):
-    try:
-        return ctx._class_spaces_cache
-    except AttributeError:
-        ctx._class_spaces_cache = {}
-        return ctx._class_spaces_cache
-
-
 def _kill_columns(ctx, m):
     """The level-m digit of (1 + tau(theta_j) pi^s)^p for each basis theta_j.
 
@@ -87,9 +83,8 @@ def _kill_columns(ctx, m):
     actual p-th powers, so the linear system solved against these columns is
     correct by construction rather than by a binomial-valuation argument.
     """
-    cache = _class_cache(ctx)
     key = ("kill", m)
-    if key not in cache:
+    if key not in ctx.cache:
         s = _kill_exponent(ctx, m)
         if s is None:
             raise InternalError("no kill map exists at level %d" % m)
@@ -105,8 +100,8 @@ def _kill_columns(ctx, m):
                     % (m, val(diff))
                 )
             cols.append(diff.digit(m).fp_vector())
-        cache[key] = (s, cols)
-    return cache[key]
+        ctx.cache[key] = (s, cols)
+    return ctx.cache[key]
 
 
 def _boundary_data(ctx):
@@ -116,8 +111,7 @@ def _boundary_data(ctx):
     (its kernel is generated by the digit of zeta - 1); anything else means
     the mu_p decision and the descent disagree, which is a hard error.
     """
-    cache = _class_cache(ctx)
-    if "boundary" not in cache:
+    if "boundary" not in ctx.cache:
         _, cols = _kill_columns(ctx, ctx.pc)
         image = rref(cols, p=ctx.p, ambient_dim=ctx.f)
         corank = ctx.f - image.dim()
@@ -132,41 +126,120 @@ def _boundary_data(ctx):
                 if not member(image, cand.fp_vector()):
                     a_star = cand
                     break
-        cache["boundary"] = (cols, image, a_star)
-    return cache["boundary"]
-
-
-def _solve_kill(ctx, m, a):
-    """Find b with (1 + tau(b) pi^s)^p = 1 + tau(a) pi^m + (deeper), if any."""
-    s, cols = _kill_columns(ctx, m)
-    x = solve(cols, a.fp_vector())
-    if x is None:
-        return s, None
-    return s, ctx.k.elt(x)
+        ctx.cache["boundary"] = (cols, image, a_star)
+    return ctx.cache["boundary"]
 
 
 # ---------------------------------------------------------------- reductions
 
 
-class UnitClassReduction:
+def _cancel_digit(basis, z, m, a, kill_cols, coords):
+    """Cancel the level-m digit a of z against the level-m basis generators.
+
+    Solves a = (kill image of b) + sum c_i * lead_i over the generators g_i
+    of level m, records each c_i in coords and multiplies z by g_i^(p - c_i),
+    whose level-m digit is -c_i * lead_i.  Returns (z, b); b is the k-digit
+    of the p-th power the caller still has to divide out (None if zero).
+    """
+    ctx = basis.ctx
+    here = [i for i, lvl in enumerate(basis.levels()) if lvl == m]
+    sol = solve(list(kill_cols) + [basis.leads[i].fp_vector() for i in here], a.fp_vector())
+    if sol is None:
+        raise InternalError(
+            "level-%d digit is neither killed by a p-th power nor spanned by "
+            "the basis digits" % m
+        )
+    n = len(kill_cols)
+    for i, c in zip(here, sol[n:]):
+        if c:
+            coords[i] = c
+            z = z.mul(basis.vectors[i][1].powi(ctx.p - c))
+    return z, (ctx.k.elt(sol[:n]) if any(sol[:n]) else None)
+
+
+def _class_data(basis, coords, v):
+    """Everything a descent's coordinates determine.
+
+    Returns (coords as an FpVector, levels, rep, den): levels[m] is
+    sum c_i * lead_i over the generators of level m, rep is
+    pi^(v mod p) * prod g_i^c_i at working precision, and den is the
+    product of the g_i with c_i != 0.  The descent cancelled with
+    g_i^(p - c_i), so its p-th root divided by den is the certificate.
+    """
+    ctx = basis.ctx
+    p = ctx.p
+    rep = ctx.pi().powi(v % p) if v % p else ctx.one()
+    den = ctx.one()
+    levels = {}
+    for (_, g, lvl), lead, c in zip(basis.vectors[1:], basis.leads[1:], coords[1:]):
+        if c:
+            rep = rep.mul(g.powi(c))
+            den = den.mul(g)
+            digit = lead.scale(c)
+            levels[lvl] = levels[lvl].add(digit) if lvl in levels else digit
+    return FpVector(p, coords), levels, rep, den
+
+
+class _MultReduction:
+    """The certificate of both multiplicative descents, kept as root / den.
+
+    root is the p-th root the descent divided out (times pi^(v // p)) and
+    den the product of the generators it cancelled, so that
+    y = root / den satisfies y^p * normalized_rep = x up to the reduction's
+    depth, and checking that takes multiplications only.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, **kw):
+        for name in self.__slots__:
+            setattr(self, name, kw[name])
+
+    @property
+    def certificate(self):
+        """y with y^p * normalized_rep = x up to the reduction's depth."""
+        return self.root.mul(self.den.inv())
+
+    def _holds(self, x, depth):
+        """x * den^p = root^p * rep up to U_depth, by multiplications only.
+
+        Raises PrecisionError when fewer than `depth` digits past the
+        valuation of x are known on both sides: the identity cannot be
+        decided then.
+        """
+        p = x.ctx.p
+        v = val(x)
+        diff = x.mul(self.den.powi(p)).sub(self.root.powi(p).mul(self.normalized_rep))
+        if diff.P - v < depth:
+            raise PrecisionError(
+                "certificate identity reads %d digits past the valuation; %s are known"
+                % (depth, diff.P - v)
+            )
+        return val(diff) - v >= depth
+
+
+class UnitClassReduction(_MultReduction):
     """Outcome of reducing x in K* modulo p-th powers (char 0).
 
     status          "trivial" or "nontrivial"
+    coords          FpVector of the class in adapted_basis(ctx)
     level_index     first obstruction level j (0 when the valuation is prime
                     to p); None for trivial classes
-    levels          {m: k-digit} for every obstruction level that survives
-    normalized_rep  pi^(v mod p) * prod_m (1 + tau(a_m) pi^m): a canonical
-                    representative of the whole class, not just its leading
-                    term; the one() of the field for trivial classes
-    certificate     y with y^p * normalized_rep = x up to U_depth
+    levels          {m: k-digit} for every level with a nonzero coordinate
+    normalized_rep  pi^(v mod p) * prod g_i^c_i at working precision: a
+                    canonical representative of the whole class; the one()
+                    of the field for trivial classes
+    certificate     y = root / den with y^p * normalized_rep = x up to U_depth
     """
 
     __slots__ = (
         "status",
+        "coords",
         "level_index",
         "levels",
         "normalized_rep",
-        "certificate",
+        "root",
+        "den",
         "pi_exponent",
         "unit_level",
         "unit_leading",
@@ -174,18 +247,12 @@ class UnitClassReduction:
         "depth",
     )
 
-    def __init__(self, **kw):
-        for name in self.__slots__:
-            setattr(self, name, kw[name])
-
     def is_trivial(self):
         return self.status == "trivial"
 
     def verify_against(self, x):
         """Check y^p * rep = x up to U_depth against the original element."""
-        w = x.mul(self.certificate.powi(x.ctx.p).inv()).mul(self.normalized_rep.inv())
-        d = val(w.sub(x.ctx.one(w.P)))
-        return d == INF or d >= min(self.depth, w.P)
+        return self._holds(x, self.depth)
 
     def __repr__(self):
         if self.status == "trivial":
@@ -196,13 +263,13 @@ class UnitClassReduction:
         )
 
 
-def unit_class_reduce(x, target=None):
+def unit_class_reduce(x):
     """Reduce x modulo (K*)^p by explicit descent through the unit filtration.
 
-    Divides out p-th powers level by level until an obstruction is hit or
-    the triviality threshold is passed.  `target` (default: the threshold)
-    caps how deep the trivial-case certificate reaches; it is lowered to the
-    element's precision when necessary.
+    Cancels the digit at each level against p-th powers and the adapted-basis
+    generators of that level (at pc: the kill image plus a multiple of a*)
+    until the triviality threshold is passed.  The generator exponents are
+    the coordinates of the class.
 
     Raises PrecisionError when the input does not carry enough known digits
     to see the whole filtration (the threshold plus two digits of slack
@@ -226,100 +293,78 @@ def unit_class_reduce(x, target=None):
             "precision >= %d beyond the valuation; element has %d"
             % (stop - 1, stop + _PRECISION_SLACK, z.P)
         )
-    if target is None:
-        target = stop
-    target = min(target, z.P - 1)
-    hi = target + ctx.e + 4
+    basis = adapted_basis(ctx)
+    hi = stop + ctx.e + 4
 
     r = z.residue()
     y = ctx.teichmuller(r.pth_root(), hi)
     z = z.mul(ctx.teichmuller(r.inv(), hi))
     one = ctx.one(hi)
 
-    levels = {}
+    coords = [v % ctx.p] + [0] * (basis.dim() - 1)
     steps = 0
     prev = 0
     while True:
         diff = z.sub(ctx.one(z.P))
         m = diff.valuation()
-        if m == INF or m >= target:
+        if m == INF or m >= stop:
             break
         m = int(m)
         if m <= prev:
             raise InternalError("descent failed to advance past level %d" % m)
         prev = m
-        a = diff.digit(m)
-        obstruction = _kill_exponent(ctx, m) is None
-        if not obstruction:
-            s, b = _solve_kill(ctx, m, a)
-            if b is None:
-                if not (ctx.pc is not None and m == ctx.pc):
-                    raise InternalError(
-                        "kill system unsolvable at non-boundary level %d" % m
-                    )
-                obstruction = True
-            else:
-                factor = one.add(ctx.teichmuller(b, hi).shift(s))
-                z = z.mul(factor.powi(ctx.p).inv())
-                y = y.mul(factor)
-                steps += 1
-        if obstruction:
-            # record the digit and divide out its monomial so the walk can
-            # continue: the class may have components at deeper levels too
-            if m % ctx.p == 0 and m != ctx.pc:
-                raise InternalError("obstruction at an absorbable level %d" % m)
-            levels[m] = a
-            z = z.mul(one.add(ctx.teichmuller(a, hi).shift(m)).inv())
-        if steps + len(levels) > 2 * stop + 4:
-            raise InternalError("descent exceeded its step budget")
+        s, kill_cols = (None, ()) if _kill_exponent(ctx, m) is None else _kill_columns(ctx, m)
+        z, b = _cancel_digit(basis, z, m, diff.digit(m), kill_cols, coords)
+        if b is not None:
+            factor = one.add(ctx.teichmuller(b, hi).shift(s))
+            z = z.mul(factor.powi(ctx.p).inv())
+            y = y.mul(factor)
+            steps += 1
 
-    pi_rem, pi_quot = v % ctx.p, v // ctx.p
-    if pi_quot:
-        y = y.mul(ctx.pi(hi).powi(pi_quot))
-    rep = ctx.one(hi)
-    if pi_rem:
-        rep = rep.mul(ctx.pi(hi).powi(pi_rem))
-    for m in sorted(levels):
-        rep = rep.mul(one.add(ctx.teichmuller(levels[m], hi).shift(m)))
-
+    vec, levels, rep, den = _class_data(basis, coords, v)
     first = min(levels) if levels else None
-    trivial = pi_rem == 0 and not levels
+    trivial = vec.is_zero()
     return UnitClassReduction(
         status="trivial" if trivial else "nontrivial",
-        level_index=None if trivial else (0 if pi_rem else first),
+        coords=vec,
+        level_index=None if trivial else (0 if v % ctx.p else first),
         levels=levels,
         normalized_rep=rep,
-        certificate=y,
+        root=y.shift(v // ctx.p),
+        den=den,
         pi_exponent=v,
         unit_level=first,
-        unit_leading=levels.get(first) if first is not None else None,
+        unit_leading=levels.get(first),
         kill_steps=steps,
-        depth=target,
+        depth=stop,
     )
 
 
-class WindowedUnitReduction:
+class WindowedUnitReduction(_MultReduction):
     """Multiplicative normal form modulo p-th powers *and* U_(window+1).
 
     Char-p fields have no triviality threshold, so reduction is only
     meaningful relative to a window: the class is pinned down by the
-    t-exponent mod p and one k-digit per prime-to-p level up to the window.
+    t-exponent mod p and one k-digit per prime-to-p level up to the window,
+    i.e. by its coordinates in adapted_basis(ctx, "mult", window).
     """
 
     __slots__ = (
         "window",
         "t_exponent",
+        "coords",
         "levels",
         "normalized_rep",
-        "certificate",
+        "root",
+        "den",
     )
-
-    def __init__(self, **kw):
-        for name in self.__slots__:
-            setattr(self, name, kw[name])
 
     def trivial_in_window(self):
         return self.t_exponent == 0 and not self.levels
+
+    def verify_against(self, x):
+        """Check y^p * rep = x modulo U_(window+1) against the original element."""
+        return self._holds(x, self.window + 1)
 
     def __repr__(self):
         return "WindowedUnitReduction(W=%d, t^%d, levels=%r)" % (
@@ -330,7 +375,12 @@ class WindowedUnitReduction:
 
 
 def windowed_unit_reduce(x, window):
-    """Reduce x in K* modulo p-th powers down to level `window` (char p)."""
+    """Reduce x in K* modulo p-th powers down to level `window` (char p).
+
+    A digit at a level divisible by p is divided out as the p-th power of
+    an explicit monomial; any other digit is cancelled by the generators of
+    its level in adapted_basis(ctx, "mult", window).
+    """
     ctx = x.ctx
     if ctx.characteristic != ctx.p:
         raise UnsupportedCaseError("windowed reduction is the char-p path")
@@ -352,12 +402,13 @@ def windowed_unit_reduce(x, window):
             "window %d exceeds the field's working precision %d"
             % (window, ctx.default_precision)
         )
+    basis = adapted_basis(ctx, "mult", window)
 
     r = z.residue()
     y = ctx.from_digits([(0, r.pth_root())])
     z = z.mul(ctx.from_digits([(0, r.inv())]))
     one = ctx.one()
-    levels = {}
+    coords = [v % ctx.p] + [0] * (basis.dim() - 1)
     prev = 0
     while True:
         diff = z.sub(one)
@@ -374,23 +425,18 @@ def windowed_unit_reduce(x, window):
             z = z.mul(factor.powi(ctx.p).inv())
             y = y.mul(factor)
         else:
-            levels[m] = a
-            z = z.mul(one.add(ctx.from_digits([(m, a)])).inv())
+            z, _ = _cancel_digit(basis, z, m, a, (), coords)
 
-    t_rem, t_quot = v % ctx.p, v // ctx.p
-    if t_quot:
-        y = y.mul(ctx.pi().powi(t_quot))
-    rep = ctx.pi().powi(t_rem) if t_rem else ctx.one()
-    for m in sorted(levels):
-        rep = rep.mul(one.add(ctx.from_digits([(m, levels[m])])))
-    out = WindowedUnitReduction(
+    vec, levels, rep, den = _class_data(basis, coords, v)
+    return WindowedUnitReduction(
         window=window,
-        t_exponent=t_rem,
+        t_exponent=v % ctx.p,
+        coords=vec,
         levels=levels,
         normalized_rep=rep,
-        certificate=y,
+        root=y.shift(v // ctx.p),
+        den=den,
     )
-    return out
 
 
 class ASClassReduction:
@@ -541,16 +587,18 @@ class AdaptedBasis:
 
     vectors is a tuple of (label, element, level) sorted by level; mult
     bases start with the uniformizer line at level 0, additive bases with
-    the trace line.  Independence of the classes is checked at build time.
+    the trace line.  leads holds each generator's leading digit, read by
+    certify(), which adapted_basis runs before it returns a basis.
     """
 
-    __slots__ = ("ctx", "space", "window", "vectors")
+    __slots__ = ("ctx", "space", "window", "vectors", "leads")
 
     def __init__(self, ctx, space, window, vectors):
         self.ctx = ctx
         self.space = space
         self.window = window
         self.vectors = tuple(vectors)
+        self.leads = None
 
     def dim(self):
         return len(self.vectors)
@@ -563,6 +611,60 @@ class AdaptedBasis:
 
     def levels(self):
         return [lvl for _, _, lvl in self.vectors]
+
+    def certify(self):
+        """Prove the classes independent by a graded certificate.
+
+        Reads one leading digit per generator and checks:
+          - each generator's leading digit sits at its own level: valuation
+            1 for the uniformizer, v(g - 1) = b for a level-b unit, v(g) = -b
+            for a pole of order b, v(g) = 0 for the trace line;
+          - only the first vector sits at level 0, and the trace line has
+            trace 1;
+          - every other level is an obstruction level (nothing there is the
+            leading digit of a p-th power resp. of a wp-image: prime to p,
+            and below pe/(p-1) in char 0) whose digits have rank f, or it is
+            the char-0 boundary pc, whose one digit a* lies outside the image
+            of the level-pc kill map.
+        Then a nonzero combination is never trivial: if its valuation (resp.
+        trace) coefficient is zero, its least level with a nonzero
+        coefficient carries a nonzero leading digit that no p-th power
+        (resp. wp-image) has.  The digits are kept in self.leads; any failed
+        check raises InternalError.
+        """
+        ctx = self.ctx
+        leads = []
+        by_level = {}
+        for idx, (label, g, lvl) in enumerate(self.vectors):
+            if (lvl == 0) != (idx == 0):
+                raise InternalError(
+                    "basis vector %s: exactly the first vector sits at level 0" % label
+                )
+            if self.space == "mult":
+                w, at = (g, 1) if lvl == 0 else (g.sub(ctx.one(g.P)), lvl)
+            else:
+                w, at = g, -lvl
+            if val(w) != at:
+                raise InternalError(
+                    "basis vector %s leads at %s instead of %d" % (label, val(w), at)
+                )
+            leads.append(w.digit(at))
+            if lvl:
+                by_level.setdefault(lvl, []).append(leads[-1].fp_vector())
+        if self.space == "add" and leads[0].trace() != 1:
+            raise InternalError("the trace line has trace %d, not 1" % leads[0].trace())
+        for lvl, digits in sorted(by_level.items()):
+            if ctx.characteristic == 0 and lvl == ctx.pc:
+                ok = len(digits) == 1 and not member(_boundary_data(ctx)[1], digits[0])
+            else:
+                free = lvl % ctx.p if ctx.characteristic else _kill_exponent(ctx, lvl) is None
+                ok = free and len(digits) == rref(digits).dim() == ctx.f
+            if not ok:
+                raise InternalError(
+                    "adapted basis classes are dependent: the level-%d digits "
+                    "fail the graded certificate" % lvl
+                )
+        self.leads = leads
 
     def __repr__(self):
         return "AdaptedBasis(%s, %s, dim=%d%s)" % (
@@ -578,9 +680,8 @@ def adapted_basis(ctx, space="mult", window=None):
 
     Char 0: the full multiplicative quotient, no window.  Char p: both
     quotients are infinite-dimensional, so a window (deepest level kept) is
-    required.  Basis classes are verified independent before the basis is
-    returned: exhaustively when p^dim is small, otherwise pairwise plus a
-    seeded random sample of longer combinations.
+    required.  Independence is certified before the basis is returned, by
+    d digit reads and one rank check per level (AdaptedBasis.certify).
     """
     if space not in ("mult", "add"):
         raise DomainError("space must be 'mult' or 'add', got %r" % (space,))
@@ -598,10 +699,9 @@ def adapted_basis(ctx, space="mult", window=None):
         if window < 1:
             raise DomainError("window must be >= 1, got %d" % window)
 
-    cache = _class_cache(ctx)
     key = ("basis", space, window)
-    if key in cache:
-        return cache[key]
+    if key in ctx.cache:
+        return ctx.cache[key]
 
     vectors = []
     if ctx.characteristic == 0:
@@ -643,73 +743,9 @@ def adapted_basis(ctx, space="mult", window=None):
             i += 1
 
     basis = AdaptedBasis(ctx, space, window, vectors)
-    _check_independent(basis)
-    cache[key] = basis
+    basis.certify()
+    ctx.cache[key] = basis
     return basis
-
-
-def _combo_is_trivial(basis, coeffs):
-    """Reduce the coefficient combination of basis classes; True if trivial."""
-    ctx = basis.ctx
-    if basis.space == "mult":
-        acc = ctx.one()
-        for c, g in zip(coeffs, basis.elements()):
-            if c:
-                acc = acc.mul(g.powi(c))
-        if ctx.characteristic == 0:
-            return unit_class_reduce(acc).is_trivial()
-        return windowed_unit_reduce(acc, basis.window).trivial_in_window()
-    acc = ctx.zero()
-    for c, g in zip(coeffs, basis.elements()):
-        if c:
-            acc = acc.add(g.scale_int(c))
-    return as_class_reduce(acc).is_trivial()
-
-
-def _check_independent(basis):
-    p, d = basis.ctx.p, basis.dim()
-    if p**d <= _ENUMERATION_BUDGET:
-        combos = _all_nonzero_tuples(p, d)
-    else:
-        combos = _sampled_tuples(p, d)
-    for coeffs in combos:
-        if _combo_is_trivial(basis, coeffs):
-            raise InternalError(
-                "adapted basis classes are dependent: combination %r is trivial"
-                % (coeffs,)
-            )
-
-
-def _all_nonzero_tuples(p, d):
-    out = []
-    for n in range(1, p**d):
-        coeffs = []
-        for _ in range(d):
-            coeffs.append(n % p)
-            n //= p
-        out.append(tuple(coeffs))
-    return out
-
-
-def _sampled_tuples(p, d):
-    # singles, pairs, and a fixed-seed sample of dense combinations
-    combos = set()
-    for i in range(d):
-        for a in range(1, p):
-            one = [0] * d
-            one[i] = a
-            combos.add(tuple(one))
-            for j in range(i + 1, d):
-                for b in range(1, p):
-                    two = list(one)
-                    two[j] = b
-                    combos.add(tuple(two))
-    rng = random.Random(0xADA)
-    while len(combos) < d * d * (p - 1) * (p - 1) + 60:
-        cand = tuple(rng.randrange(p) for _ in range(d))
-        if any(cand):
-            combos.add(cand)
-    return sorted(combos)
 
 
 # ---------------------------------------------------------------- coordinates
@@ -718,23 +754,34 @@ def _sampled_tuples(p, d):
 def coordinates(basis, x):
     """Coordinates of the class of x in the adapted basis, as an FpVector.
 
-    Multiplicative coordinates are taken modulo U_(window+1) in char p (the
-    quotient the basis actually spans).  Additive input whose normal form
-    has a pole deeper than the window is rejected with OutOfWindowError.
-    The result is verified by cancelling it against x and reducing the
-    remainder to trivial.
+    Multiplicative coordinates are read off the one descent, which cancels
+    against these very generators: unit_class_reduce in char 0, and in
+    char p windowed_unit_reduce at the basis window (coordinates modulo
+    U_(window+1), the quotient the basis spans).  Additive coordinates are
+    read off the normal form, which already equals sum c_i * g_i; input
+    whose normal form has a pole deeper than the window is rejected with
+    OutOfWindowError.
+
+    The answer is checked by its certificate, with multiplications and no
+    second descent: x = y^p * prod g_i^c_i up to U_stop in char 0 and up to
+    U_(window+1) in char p, resp. x - wp(y) = sum c_i * g_i.  A failed
+    identity raises InternalError; an element with too few digits to decide
+    it raises PrecisionError.
     """
     ctx = basis.ctx
     if x.ctx is not ctx:
         raise DomainError("element and basis live over different fields")
-    p = ctx.p
-    slots = {}
-    if basis.space == "mult" and ctx.characteristic == 0:
-        slots = _char0_mult_coordinates(basis, x)
-    elif basis.space == "mult":
-        slots = _charp_mult_coordinates(basis, x)
+    if basis.space == "mult":
+        if basis is not adapted_basis(ctx, "mult", basis.window):
+            raise DomainError("mult coordinates are taken in the field's own adapted basis")
+        if ctx.characteristic == 0:
+            red = unit_class_reduce(x)
+        else:
+            red = windowed_unit_reduce(x, basis.window)
+        coords = red.coords
     else:
         red = as_class_reduce(x)
+        slots = {"c": red.trace_coeff}
         for m, a in red.poles.items():
             if m > basis.window:
                 raise OutOfWindowError(
@@ -743,152 +790,10 @@ def coordinates(basis, x):
                 )
             for sidx, c in enumerate(a.fp_vector().coords):
                 slots["a%d_%d" % (m, sidx)] = c
-        slots["c"] = red.trace_coeff
-
-    coords = FpVector(p, [slots.get(lbl, 0) for lbl in basis.labels()])
-    _verify_coordinates(basis, x, coords)
+        coords = FpVector(ctx.p, [slots.get(lbl, 0) for lbl in basis.labels()])
+    if not red.verify_against(x):
+        raise InternalError("coordinate vector failed its certificate identity")
     return coords
-
-
-def _char0_mult_coordinates(basis, x):
-    """Descent that records basis coefficients instead of only killing."""
-    ctx = basis.ctx
-    v = val(x)
-    if v == INF:
-        raise DomainError("zero has no class")
-    v = int(v)
-    stop = first_trivial_level(ctx)
-    z = x.shift(-v) if v else x
-    if z.P < stop + _PRECISION_SLACK:
-        raise PrecisionError(
-            "coordinates need precision >= %d beyond the valuation, have %d"
-            % (stop + _PRECISION_SLACK, z.P)
-        )
-    hi = stop + ctx.e + 4
-    slots = {"pi": v % ctx.p}
-    r = z.residue()
-    z = z.mul(ctx.teichmuller(r.inv(), hi))
-    one = ctx.one(hi)
-    gens = {(lbl, lvl): g for lbl, g, lvl in basis.vectors}
-
-    guard = 0
-    while True:
-        diff = z.sub(ctx.one(z.P))
-        m = diff.valuation()
-        if m == INF or m >= stop:
-            break
-        m = int(m)
-        a = diff.digit(m)
-        s = _kill_exponent(ctx, m)
-        if s is None:
-            # a basis level: cancel with the basis vectors themselves
-            for sidx, c in enumerate(a.fp_vector().coords):
-                if c:
-                    slots["u%d_%d" % (m, sidx)] = c
-                    z = z.mul(gens[("u%d_%d" % (m, sidx), m)].powi(p_minus(ctx, c)))
-        else:
-            if ctx.pc is not None and m == ctx.pc and ctx.mu_p_present:
-                cols, _, a_star = _boundary_data(ctx)
-                lam, b = None, None
-                for cand in range(ctx.p):
-                    sol = solve(cols, a.sub(a_star.scale(cand)).fp_vector())
-                    if sol is not None:
-                        lam, b = cand, ctx.k.elt(sol)
-                        break
-                if lam is None:
-                    raise InternalError(
-                        "boundary digit falls outside span(image, a*)"
-                    )
-                if lam:
-                    slots["u%d_*" % ctx.pc] = lam
-                    z = z.mul(gens[("u%d_*" % ctx.pc, ctx.pc)].powi(p_minus(ctx, lam)))
-                if not b.is_zero():
-                    factor = one.add(ctx.teichmuller(b, hi).shift(ctx.c))
-                    z = z.mul(factor.powi(ctx.p).inv())
-            else:
-                _, b = _solve_kill(ctx, m, a)
-                if b is None:
-                    raise InternalError("kill system unsolvable at level %d" % m)
-                factor = one.add(ctx.teichmuller(b, hi).shift(s))
-                z = z.mul(factor.powi(ctx.p).inv())
-        guard += 1
-        if guard > 3 * stop + 6:
-            raise InternalError("coordinate descent exceeded its step budget")
-    return slots
-
-
-def _charp_mult_coordinates(basis, x):
-    """Descent against the basis generators themselves (char p, windowed).
-
-    Normal-form digits cannot be converted to coordinates level by level
-    when f >= 2 or p > 2: products of same-level generators leave cross
-    terms at deeper levels.  Cancelling with actual generator powers pushes
-    those cross terms down to where they are counted correctly.
-    """
-    ctx = basis.ctx
-    window = basis.window
-    v = val(x)
-    if v == INF:
-        raise DomainError("zero has no class")
-    v = int(v)
-    z = x.shift(-v) if v else x
-    if z.prec <= window + 1:
-        raise PrecisionError(
-            "window %d needs more than %d known digits past the valuation"
-            % (window, window + 1)
-        )
-    slots = {"t": v % ctx.p}
-    r = z.residue()
-    z = z.mul(ctx.from_digits([(0, r.inv())]))
-    one = ctx.one()
-    gens = {(lbl, lvl): g for lbl, g, lvl in basis.vectors}
-
-    guard = 0
-    while True:
-        diff = z.sub(one)
-        m = diff.valuation()
-        if m == INF or m > window:
-            break
-        m = int(m)
-        a = diff.digit(m)
-        if m % ctx.p == 0:
-            factor = one.add(ctx.from_digits([(m // ctx.p, a.pth_root())]))
-            z = z.mul(factor.powi(ctx.p).inv())
-        else:
-            for sidx, c in enumerate(a.fp_vector().coords):
-                if c:
-                    slots["u%d_%d" % (m, sidx)] = c
-                    z = z.mul(gens[("u%d_%d" % (m, sidx), m)].powi(p_minus(ctx, c)))
-        guard += 1
-        if guard > (ctx.p + 1) * (window + 2):
-            raise InternalError("windowed coordinate descent exceeded its budget")
-    return slots
-
-
-def p_minus(ctx, c):
-    """The exponent -c represented in [1, p): gen^(p-c) cancels gen^c mod p-th powers."""
-    return (ctx.p - c) % ctx.p
-
-
-def _verify_coordinates(basis, x, coords):
-    ctx = basis.ctx
-    if basis.space == "mult":
-        acc = x
-        for c, g in zip(coords.coords, basis.elements()):
-            if c:
-                acc = acc.mul(g.powi(p_minus(ctx, c)))
-        if ctx.characteristic == 0:
-            ok = unit_class_reduce(acc).is_trivial()
-        else:
-            ok = windowed_unit_reduce(acc, basis.window).trivial_in_window()
-    else:
-        acc = x
-        for c, g in zip(coords.coords, basis.elements()):
-            if c:
-                acc = acc.sub(g.scale_int(c))
-        ok = as_class_reduce(acc).is_trivial()
-    if not ok:
-        raise InternalError("coordinate vector failed its cancellation check")
 
 
 # ---------------------------------------------------------------- filtration
@@ -952,6 +857,10 @@ def _crosscheck_mult_dims(ctx, profile):
         if ctx.characteristic == 0:
             if i + _PRECISION_SLACK + 1 > ctx.default_precision:
                 continue
+            if i == ctx.pc and ctx.mu_p_present:
+                # a random boundary digit may lie in the kill image and reduce
+                # away; the basis digit a* is the one that must survive
+                a = _boundary_data(ctx)[2]
             u = ctx.one().add(ctx.teichmuller(a).shift(i))
             red = unit_class_reduce(u)
             lvl = red.unit_level

@@ -326,6 +326,9 @@ def main(argv=None):
     except LfkError as exc:  # pragma: no cover - future error classes
         print("error: %s" % exc, file=sys.stderr)
         return 4
+    except Exception as exc:  # anything else is a bug: one line, no traceback
+        print("internal error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

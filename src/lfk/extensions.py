@@ -292,9 +292,10 @@ def attach_extension(line, representative=None):
     """Construct the degree-p cyclic extension attached to a nontrivial line.
 
     The defining constant is the line's normalized class representative
-    (rebuilt at working precision), so equal lines give identical defining
-    polynomials.  An explicit `representative` may be supplied instead; it
-    must generate the same line, which is checked.
+    pi^(v mod p) * prod g_i^c_i over the adapted basis, at working
+    precision, so equal classes give identical defining polynomials.  An
+    explicit `representative` may be supplied instead; it must generate the
+    same line, which is checked.
     """
     ctx = line.ctx
     if line.space == "mult":
@@ -303,7 +304,7 @@ def attach_extension(line, representative=None):
                 "Kummer extensions need the p-th roots of unity in the base field"
             )
         kind = "kummer"
-        a = _canonical_mult_rep(ctx, line.reduction)
+        a = line.reduction.normalized_rep
         if line.level == 0:
             # the only unramified mult line is the boundary line
             if line.reduction.pi_exponent % ctx.p or set(line.reduction.levels) != {ctx.pc}:
@@ -317,32 +318,6 @@ def attach_extension(line, representative=None):
         _check_same_line(line, representative)
         a = representative
     return DegreePExtension(ctx, kind, line, a)
-
-
-def _canonical_mult_rep(ctx, red):
-    """Rebuild pi^(v mod p) * prod (1 + tau(a_m) pi^m) at full working precision."""
-    out = ctx.one()
-    if red.pi_exponent % ctx.p:
-        out = out.mul(ctx.pi().powi(red.pi_exponent % ctx.p))
-    for m in sorted(red.levels):
-        out = out.mul(ctx.one().add(ctx.teichmuller(red.levels[m]).shift(m)))
-    return out
-
-
-def norm(ext, z):
-    return ext.norm(z)
-
-
-def ext_val(ext, z):
-    return ext.ext_val(z)
-
-
-def find_uniformizer(ext):
-    return ext.uniformizer
-
-
-def galois_apply(ext, z, s=1):
-    return ext.galois_apply(z, s)
 
 
 def ramification_break(ext):

@@ -119,7 +119,8 @@ class FieldContext:
         self.default_precision = d.default_precision
         self.characteristic = d.characteristic
         self._teich_cache = {}
-        self._basis_cache = {}
+        # derived data (kill maps, bases, extensions, norm groups), keyed by kind
+        self.cache = {}
         if d.characteristic == 0:
             self.e = len(d.eisenstein_poly) - 1
             # coefficient arithmetic is exact modulo p^coeff_prec throughout
@@ -844,28 +845,6 @@ def val(x):
     return x.valuation()
 
 
-def arith(x, y, op):
-    """Dispatcher kept for symmetry with the operation catalogue."""
-    if op == "add":
-        return x.add(y)
-    if op == "mul":
-        return x.mul(y)
-    if op == "inv":
-        return x.inv()
-    if op == "pow":
-        return x.powi(y)
-    raise MalformedInputError("unknown op %r" % (op,))
-
-
-def teichmuller(ctx, r, prec=None):
-    return ctx.teichmuller(r, prec)
-
-
-def residue_trace(r):
-    """Trace of a residue element down to F_p, as an integer in [0, p)."""
-    return r.trace()
-
-
 def series_residue_and_dlog(x, u):
     """S(res(x * du/u)) in F_p, for char-p fields (the Schmid pairing kernel)."""
     ctx = x.ctx
@@ -909,11 +888,11 @@ def parse_field(text, prec_override=None):
     try:
         p = int(kv.pop("p"))
         f = int(kv.pop("f", "1"))
+        prec = int(kv.pop("prec", DEFAULT_PRECISION))
     except KeyError as exc:
         raise MalformedInputError("field descriptor is missing key %s" % exc) from None
     except ValueError as exc:
         raise MalformedInputError("field descriptor: %s" % exc) from None
-    prec = int(kv.pop("prec", DEFAULT_PRECISION))
     if prec_override is not None:
         prec = prec_override
 

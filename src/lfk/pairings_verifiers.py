@@ -56,23 +56,28 @@ _DEFAULT_WINDOW = 9
 _MAX_CHARP_INDEX = 9
 
 
-def _cache(ctx):
-    store = getattr(ctx, "_pairing_cache", None)
-    if store is None:
-        store = {}
-        ctx._pairing_cache = store
-    return store
+def _window(window):
+    """The char-p working window: 9 when unset, DomainError unless positive."""
+    if window is None:
+        return _DEFAULT_WINDOW
+    if window <= 0:
+        raise DomainError("window must be a positive level, got %d" % window)
+    return window
 
 
 def _line_key(line):
+    """Mult lines: the coordinate vector scaled to a leading 1, so every
+    class on the line shares one key; add lines: the normal form's data."""
     red = line.reduction
     if line.space == "mult":
-        return ("mult", red.pi_exponent % line.ctx.p, tuple(sorted(red.levels.items())))
+        coords = red.coords.coords
+        lead = next(c for c in coords if c)
+        return ("mult",) + red.coords.scale(pow(lead, -1, line.ctx.p)).coords
     return ("add", tuple(sorted(red.poles.items())), red.trace_coeff)
 
 
 def _attached(line):
-    cache = _cache(line.ctx)
+    cache = line.ctx.cache
     key = ("ext",) + _line_key(line)
     if key not in cache:
         cache[key] = attach_extension(line)
@@ -99,7 +104,7 @@ def norm_class_subgroup(E, window=None):
         if window is None:
             raise DomainError("char-p norm subgroups are windowed; pass window")
         basis = adapted_basis(ctx, "mult", window)
-    cache = _cache(ctx)
+    cache = ctx.cache
     key = ("normsub", window) + _line_key(E.line)
     if key in cache:
         return cache[key]
@@ -208,7 +213,7 @@ def pairing_value(a_line, b, window=None):
     if b.ctx is not ctx:
         raise DomainError("pairing arguments live over different fields")
     # the value only depends on b mod U_(level+1), so any window >= level works
-    w = max(window or _DEFAULT_WINDOW, a_line.level)
+    w = max(_window(window), a_line.level)
     value = series_residue_and_dlog(a_line.reduction.normal_form, b)
     E = _attached(a_line)
     vec = coordinates(adapted_basis(ctx, "mult", w), b)
@@ -374,7 +379,7 @@ def line_catalog(ctx):
     """All (p^d - 1)/(p - 1) lines of the char-0 multiplicative class space."""
     if ctx.characteristic != 0:
         raise UnsupportedCaseError("full line catalogs exist only in char 0; use add_line_catalog")
-    cache = _cache(ctx)
+    cache = ctx.cache
     if "catalog" not in cache:
         basis = adapted_basis(ctx)
         out = []
@@ -397,7 +402,7 @@ def add_line_catalog(ctx, window, seed=0):
     """
     if ctx.characteristic == 0:
         raise UnsupportedCaseError("additive catalogs exist only in char p")
-    cache = _cache(ctx)
+    cache = ctx.cache
     key = ("add_catalog", window, seed)
     if key not in cache:
         basis = adapted_basis(ctx, "add", window)
@@ -507,7 +512,7 @@ def verify_filtration(ctx, window=None, seed=0):
         window_out = None
     else:
         claim = "S3.16"
-        w = window or _DEFAULT_WINDOW
+        w = _window(window)
         idx = range(-w, 1)
         profile = filtration_dims(ctx, (-w, 0), "add")
         predicted = [(i, 1 if i == 0 else (ctx.f if (-i) % ctx.p else 0)) for i in idx]
@@ -544,7 +549,7 @@ def _break_entries(ctx, window, seed):
 
 
 def verify_breaks(ctx, window=None, seed=0):
-    w = None if ctx.characteristic == 0 else (window or _DEFAULT_WINDOW)
+    w = None if ctx.characteristic == 0 else _window(window)
     entries = _break_entries(ctx, w, seed)
     counterexample = None
     for label, level, eps in entries:
@@ -573,7 +578,7 @@ def verify_break_positions(ctx, window=None, seed=0):
         predicted = sorted({bp_index(ctx.p, i) for i in range(1, ctx.e + 1)} | {ctx.pc})
     else:
         claim = "S5.28"
-        w = window or _DEFAULT_WINDOW
+        w = _window(window)
         predicted = [m for m in range(1, w + 1) if m % ctx.p]
     entries = _break_entries(ctx, w, seed)
     observed = sorted({eps for _, _, eps in entries if eps > 0})
@@ -604,21 +609,27 @@ def _break_multiset(entries):
     return {str(k): counts[k] for k in sorted(counts)}
 
 
-def verify_norm_groups(ctx, window=None, seed=0):
+def _extension_setting(ctx, window, seed):
+    """(window, mult basis, line catalog) of an extension-backed verifier.
+
+    Char 0 works in the whole class space (window None) and needs the p-th
+    roots of unity; char p works in the window.
+    """
     if ctx.characteristic == 0:
         if not ctx.mu_p_present:
-            raise UnsupportedCaseError("norm-group verification needs Kummer extensions")
-        basis = adapted_basis(ctx)
-        catalog = line_catalog(ctx)
+            raise UnsupportedCaseError("extension-backed claims need Kummer extensions")
+        return None, adapted_basis(ctx), line_catalog(ctx)
+    w = _window(window)
+    return w, adapted_basis(ctx, "mult", w), add_line_catalog(ctx, w, seed)
+
+
+def verify_norm_groups(ctx, window=None, seed=0):
+    w, basis, catalog = _extension_setting(ctx, window, seed)
+    if ctx.characteristic == 0:
         i_range = range(0, ctx.pc + 2)
-        w = None
-        subgroup = lambda cl: norm_class_subgroup(_attached(cl.line))
     else:
-        w = window or _DEFAULT_WINDOW
-        basis = adapted_basis(ctx, "mult", w)
-        catalog = add_line_catalog(ctx, w, seed)
         i_range = range(0, min(w, _MAX_CHARP_INDEX) + 1)
-        subgroup = lambda cl: norm_class_subgroup(_attached(cl.line), w)
+    subgroup = lambda cl: norm_class_subgroup(_attached(cl.line), w)
     n = basis.dim()
     witnesses = [{"statement": _statement("S6.29")}]
     counterexample = None
@@ -658,58 +669,35 @@ def verify_reciprocity(ctx, window=None, seed=0):
     witnesses = [{"statement": _statement("S7.31")}]
     counterexample = None
 
-    if ctx.characteristic == 0:
-        if not ctx.mu_p_present:
-            raise UnsupportedCaseError("reciprocity verification needs Kummer extensions")
-        w = None
-        basis = adapted_basis(ctx)
-        catalog = line_catalog(ctx)
-        unram = [cl for cl in catalog if cl.line.level == 0]
-        if len(unram) != 1:
-            raise InternalError("expected exactly one unramified line, found %d" % len(unram))
-        unram_line = unram[0].line
-        g = ctx.k.gen() if ctx.f > 1 else ctx.k.elt(1)
-        units = [
-            ctx.one(),
-            ctx.one().add(ctx.pi()),
-            ctx.one().add(ctx.pi().shift(1)),
-            ctx.one().add(ctx.teichmuller(g).shift(1)),
-            ctx.one().add(ctx.pi()).mul(ctx.one().add(ctx.pi().shift(1))),
-        ]
-        uniformizers = [ctx.pi().mul(u) for u in units]
-        sample_b = [ctx.pi(), ctx.one().add(ctx.pi()), ctx.teichmuller(g) if ctx.f > 1 else ctx.one().add(ctx.pi().shift(1))]
-        i_top = ctx.pc + 1
-
-        def perturb(i):
-            d = _random_nonzero_digit(ctx, rng)
-            return ctx.one().add(ctx.teichmuller(d).shift(i + rng.randrange(0, 2)))
-
-        pair = lambda line, b: pairs_trivially(line, b)
-    else:
-        w = window or _DEFAULT_WINDOW
-        basis = adapted_basis(ctx, "mult", w)
-        catalog = add_line_catalog(ctx, w, seed)
-        unram = [cl for cl in catalog if cl.line.level == 0]
-        if not unram:
-            raise InternalError("windowed additive catalog lost the residue trace line")
-        unram_line = unram[0].line
-        g = ctx.k.gen() if ctx.f > 1 else ctx.k.elt(1)
-        units = [
-            ctx.one(),
-            ctx.one().add(ctx.pi()),
-            ctx.one().add(ctx.pi().shift(1)),
-            ctx.one().add(ctx.teichmuller(g).shift(1)),
-            ctx.one().add(ctx.pi()).mul(ctx.one().add(ctx.pi().shift(1))),
-        ]
-        uniformizers = [ctx.pi().mul(u) for u in units]
-        sample_b = [ctx.pi(), ctx.one().add(ctx.pi()), ctx.one().add(ctx.teichmuller(g).shift(2))]
+    w, basis, catalog = _extension_setting(ctx, window, seed)
+    unram = [cl for cl in catalog if cl.line.level == 0]
+    if ctx.characteristic == 0 and len(unram) != 1:
+        raise InternalError("expected exactly one unramified line, found %d" % len(unram))
+    if not unram:
+        raise InternalError("windowed additive catalog lost the residue trace line")
+    unram_line = unram[0].line
+    g = ctx.k.gen() if ctx.f > 1 else ctx.k.elt(1)
+    units = [
+        ctx.one(),
+        ctx.one().add(ctx.pi()),
+        ctx.one().add(ctx.pi().shift(1)),
+        ctx.one().add(ctx.teichmuller(g).shift(1)),
+        ctx.one().add(ctx.pi()).mul(ctx.one().add(ctx.pi().shift(1))),
+    ]
+    uniformizers = [ctx.pi().mul(u) for u in units]
+    if ctx.characteristic:
+        third_b = ctx.one().add(ctx.teichmuller(g).shift(2))
         i_top = min(w, _MAX_CHARP_INDEX)
+    else:
+        third_b = ctx.teichmuller(g) if ctx.f > 1 else ctx.one().add(ctx.pi().shift(1))
+        i_top = ctx.pc + 1
+    sample_b = [ctx.pi(), ctx.one().add(ctx.pi()), third_b]
 
-        def perturb(i):
-            d = _random_nonzero_digit(ctx, rng)
-            return ctx.one().add(ctx.teichmuller(d).shift(i + rng.randrange(0, 2)))
+    def perturb(i):
+        d = _random_nonzero_digit(ctx, rng)
+        return ctx.one().add(ctx.teichmuller(d).shift(i + rng.randrange(0, 2)))
 
-        pair = lambda line, b: pairs_trivially(line, b, w)
+    pair = lambda line, b: pairs_trivially(line, b, w)
 
     # (a) every uniformizer pairs nontrivially with the unramified line
     # (b) unit quotients of uniformizers pair trivially (well-definedness)
@@ -754,10 +742,7 @@ def verify_reciprocity(ctx, window=None, seed=0):
         for i in range(0, i_top + 1):
             ui = _unit_image_space(ctx, basis, i)
             for cl in catalog:
-                if ctx.characteristic == 0:
-                    sub = norm_class_subgroup(_attached(cl.line))
-                else:
-                    sub = norm_class_subgroup(_attached(cl.line), w)
+                sub = norm_class_subgroup(_attached(cl.line), w)
                 contained = all(member(sub, row) for row in ui.vectors())
                 if contained != (cl.line.level < i):
                     counterexample = {
@@ -888,7 +873,7 @@ def _coset_log_row(ctx, basis, row_line, gens, gen_coords):
 def verify_orthogonality_as(ctx, window=None, seed=0):
     if ctx.characteristic == 0:
         raise UnsupportedCaseError("additive orthogonality is a char-p statement")
-    w = window or _DEFAULT_WINDOW
+    w = _window(window)
     mb = adapted_basis(ctx, "mult", w)
     ab = adapted_basis(ctx, "add", w)
     dm, da = mb.dim(), ab.dim()

@@ -13,6 +13,7 @@ import random
 import pytest
 
 from lfk.class_spaces import (
+    AdaptedBasis,
     ASClassReduction,
     UnitClassReduction,
     adapted_basis,
@@ -527,6 +528,110 @@ def test_charp_mult_basis_window(f3t):
     b = adapted_basis(f3t, "mult", window=7)
     # prime-to-3 levels up to 7: 1, 2, 4, 5, 7
     assert b.levels() == [0, 1, 2, 4, 5, 7]
+
+
+# The bases of the bundled fields (verify defaults and benchmark windows)
+# small enough to enumerate: p^dim <= 4096.
+BUNDLED_CHAR0 = (
+    "Qp p=2 f=1",
+    "Qp p=2 f=2",
+    "Qp p=3 f=2",
+    "Qp p=3 f=1 eis=3,3,1",
+    "Qp p=2 f=1 eis=-2,0,0,1",
+    "Qp p=3 f=2 eis=3,3,1",
+)
+BUNDLED_CHARP = (("Fq((t)) p=2 f=1", 9), ("Fq((t)) p=3 f=1", 6), ("Fq((t)) p=2 f=2", 5))
+
+
+def bundled_bases():
+    for desc in BUNDLED_CHAR0:
+        yield adapted_basis(parse_field(desc))
+    for desc, window in BUNDLED_CHARP:
+        ctx = parse_field(desc)
+        yield adapted_basis(ctx, "mult", window)
+        yield adapted_basis(ctx, "add", window)
+
+
+def combination(basis, coeffs):
+    ctx = basis.ctx
+    acc = ctx.one() if basis.space == "mult" else ctx.zero()
+    for c, g in zip(coeffs, basis.elements()):
+        if c:
+            acc = acc.mul(g.powi(c)) if basis.space == "mult" else acc.add(g.scale_int(c))
+    return acc
+
+
+def reduces_trivial(basis, x):
+    if basis.space == "add":
+        return as_class_reduce(x).is_trivial()
+    if basis.ctx.characteristic == 0:
+        red = unit_class_reduce(x)
+        trivial = red.is_trivial()
+    else:
+        red = windowed_unit_reduce(x, basis.window)
+        trivial = red.trivial_in_window()
+    assert red.verify_against(x)
+    return trivial
+
+
+def test_bundled_bases_independent_exhaustively():
+    # the oracle for the graded certificate: all p^dim - 1 combinations
+    checked = 0
+    for basis in bundled_bases():
+        p, d = basis.ctx.p, basis.dim()
+        assert p**d <= 4096, basis
+        for coeffs in itertools.product(range(p), repeat=d):
+            if any(coeffs):
+                assert not reduces_trivial(basis, combination(basis, coeffs)), (basis, coeffs)
+                checked += 1
+    assert checked > 1500
+
+
+def test_coordinates_of_basis_products_sampled():
+    rng = random.Random(0xC0)
+    for basis in bundled_bases():
+        p, d = basis.ctx.p, basis.dim()
+        for _ in range(12):
+            coeffs = tuple(rng.randrange(p) for _ in range(d))
+            assert coordinates(basis, combination(basis, coeffs)).coords == coeffs, basis
+
+
+def test_tampered_basis_fails_certificate(q2e3, f3t):
+    for basis in (adapted_basis(q2e3), adapted_basis(f3t, "add", window=4)):
+        vectors = list(basis.vectors)
+        repeated = AdaptedBasis(basis.ctx, basis.space, basis.window, vectors + vectors[2:3])
+        with pytest.raises(InternalError):
+            repeated.certify()
+        uniformizer_twice = AdaptedBasis(
+            basis.ctx, basis.space, basis.window, vectors[:1] + vectors
+        )
+        with pytest.raises(InternalError):
+            uniformizer_twice.certify()
+
+
+def test_boundary_generator_must_leave_kill_image():
+    # over Q_4 = Q_2(sqrt 5) the boundary digit of 5 is a square's digit
+    ctx = parse_field("Qp p=2 f=2")
+    basis = adapted_basis(ctx)
+    assert basis.labels()[-1] == "u2_*"
+    fake = ("u2_*", ctx.from_int(5), 2)
+    tampered = AdaptedBasis(ctx, "mult", None, list(basis.vectors[:-1]) + [fake])
+    with pytest.raises(InternalError):
+        tampered.certify()
+
+
+def test_certificate_identity_and_its_precision_guard(q2, f2t):
+    r = unit_class_reduce(q2.from_int(5))
+    assert r.verify_against(q2.from_int(5))
+    assert not r.verify_against(q2.from_int(3))
+    with pytest.raises(PrecisionError):
+        r.verify_against(q2.from_int(5, prec=2))
+    x = f2t.one().add(f2t.pi().powi(3))
+    w = windowed_unit_reduce(x, 5)
+    assert w.verify_against(x)
+    assert not w.verify_against(x.mul(f2t.one().add(f2t.pi())))
+    with pytest.raises(PrecisionError):
+        w.verify_against(x.truncate(4))
 
 
 def test_basis_argument_errors(q2, f2t):

@@ -284,3 +284,40 @@ def test_bad_field_descriptor_exits_2(capsys):
 def test_argparse_errors_return_2(capsys):
     assert main(["compute", "frobnicate", "--field", Q2]) == 2
     assert main([]) == 2
+
+
+def test_window_zero_is_rejected(capsys):
+    code, _, err = run(capsys, "verify", "S3.16", "--field", F2T, "--window", "0")
+    assert code == 2
+    assert "window" in err
+    code, _, err = run(
+        capsys, "compute", "pair", "--field", F2T, "--mult", "1+t", "--add", "t^-1",
+        "--window", "0",
+    )
+    assert code == 2
+    assert "window" in err
+
+
+def test_bad_precision_in_descriptor_exits_2(capsys):
+    code, _, err = run(capsys, "describe", "--field", "Qp p=2 prec=abc")
+    assert code == 2
+    assert "field descriptor" in err and "Traceback" not in err
+
+
+def test_unexpected_exception_exits_4_with_one_line(capsys, monkeypatch):
+    import lfk.cli as cli_mod
+
+    def boom(*a, **kw):
+        raise ValueError("synthetic bug")
+
+    monkeypatch.setattr(cli_mod, "parse_field", boom)
+    code, _, err = run(capsys, "describe", "--field", Q2)
+    assert code == 4
+    assert err.count("\n") == 1 and "synthetic bug" in err
+
+
+def test_boundary_crosscheck_samples_a_surviving_digit(capsys):
+    # at f = 3 some boundary digits lie in the kill image and reduce away
+    code, out, err = run(capsys, "verify", "S2.10", "--field", "Qp p=2 f=3")
+    assert code == 0, err
+    assert "S2.10   pass" in out
