@@ -180,6 +180,11 @@ def _class_data(basis, coords, v):
     return FpVector(p, coords), levels, rep, den
 
 
+def _cut(z, rel):
+    """z known only to `rel` digits past its valuation (never more than it has)."""
+    return z.truncate(min(z.P, val(z) + rel))
+
+
 class _MultReduction:
     """The certificate of both multiplicative descents, kept as root / den.
 
@@ -209,7 +214,16 @@ class _MultReduction:
         """
         p = x.ctx.p
         v = val(x)
-        diff = x.mul(self.den.powi(p)).sub(self.root.powi(p).mul(self.normalized_rep))
+        # Both the verdict and the guard read diff below pi^(v + depth) only.
+        # Each factor is cut `depth` digits past its own valuation: a digit
+        # of a product at pi^m with m below the valuation of the product plus
+        # depth involves only factor digits within `depth` of their
+        # valuations, and the valuations add up to v on both sides.  A cut
+        # never raises precision, so the guard still sees what x carries.
+        x, den, root, rep = (
+            _cut(z, depth) for z in (x, self.den, self.root, self.normalized_rep)
+        )
+        diff = x.mul(den.powi(p)).sub(root.powi(p).mul(rep))
         if diff.P - v < depth:
             raise PrecisionError(
                 "certificate identity reads %d digits past the valuation; %s are known"
@@ -403,6 +417,14 @@ def windowed_unit_reduce(x, window):
             % (window, ctx.default_precision)
         )
     basis = adapted_basis(ctx, "mult", window)
+    # The descent reads digits of z - 1 at levels <= window only: it stops
+    # once none is left there.  Every factor z is multiplied by is a unit, so
+    # a digit of z at level >= window + 2 only ever reaches levels >=
+    # window + 2 of later z: cutting z there, where the guard above already
+    # demands known digits, changes no digit the descent reads and keeps one
+    # digit of slack.
+    cut = window + 2
+    z = z.truncate(cut)
 
     r = z.residue()
     y = ctx.from_digits([(0, r.pth_root())])
@@ -422,7 +444,7 @@ def windowed_unit_reduce(x, window):
         a = diff.digit(m)
         if m % ctx.p == 0:
             factor = one.add(ctx.from_digits([(m // ctx.p, a.pth_root())]))
-            z = z.mul(factor.powi(ctx.p).inv())
+            z = z.mul(factor.powi(ctx.p).truncate(cut).inv())
             y = y.mul(factor)
         else:
             z, _ = _cancel_digit(basis, z, m, a, (), coords)

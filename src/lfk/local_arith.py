@@ -17,7 +17,9 @@ Two implementations sit behind one interface:
 
 * characteristic p — K = k((t)); elements are sparse Laurent polynomials
   over k with a precision bound that is +infinity for exact values.
-  Inversion is the only operation that truncates.
+  Inversion is the only operation that truncates on its own; callers that
+  read a bounded number of digits cut their operands first.  Coefficients
+  are the interned, table-coded elements of residues.ResidueField.
 
 The class of a uniformizer is `pi` in both cases (x resp. t).
 """
@@ -149,7 +151,6 @@ class FieldContext:
             self.pc = None
             self.mu_p_present = False
             self.zeta = None
-            self._trace_one = self._find_trace_one()
 
     # ------------------------------------------------------------ basics
 
@@ -433,8 +434,13 @@ class FieldContext:
         raise InternalError("trace map has no value 1 on k")
 
     def trace_one(self):
-        """A fixed element of k with trace 1 (char p normal form at level 0)."""
-        return self._trace_one
+        """A fixed element of k with trace 1 (char p normal form at level 0).
+
+        Found on first use, so that making a field builds no residue tables.
+        """
+        if "trace_one" not in self.cache:
+            self.cache["trace_one"] = self._find_trace_one()
+        return self.cache["trace_one"]
 
 
 # ================================================================ char 0
@@ -470,7 +476,8 @@ class ZqElement:
     # -- ring operations
 
     def _aligned(self, other):
-        assert self.ctx is other.ctx, "elements from different fields"
+        if self.ctx is not other.ctx:
+            raise DomainError("elements from different fields")
         t = min(self.t, other.t)
         a = self.num if self.t == t else self.ctx._num_scale(self.num, self.ctx.p ** (self.t - t))
         b = other.num if other.t == t else self.ctx._num_scale(other.num, self.ctx.p ** (other.t - t))
@@ -491,6 +498,8 @@ class ZqElement:
 
     def mul(self, other):
         ctx = self.ctx
+        if ctx is not other.ctx:
+            raise DomainError("elements from different fields")
         v1 = min(self.valuation(), self.P)
         v2 = min(other.valuation(), other.P)
         P = min(self.P + v2, other.P + v1)
@@ -589,7 +598,8 @@ class ZqElement:
         K = -w.t
         if pv == INF or pv > ctx.e * K:
             return ctx.k.zero()
-        assert pv == ctx.e * K, "digit extraction misaligned (pv=%s, K=%s)" % (pv, K)
+        if pv != ctx.e * K:
+            raise InternalError("digit extraction misaligned (pv=%s, K=%s)" % (pv, K))
         if ctx.coeff_prec - K < 1:
             raise PrecisionError("coefficient budget exhausted reading digit %d" % m)
         pK = ctx.p**K
@@ -674,7 +684,7 @@ class LaurentElement:
 
     def __init__(self, ctx, coeffs, prec):
         self.ctx = ctx
-        self.coeffs = {i: c for i, c in coeffs.items() if not c.is_zero() and i < prec}
+        self.coeffs = {i: c for i, c in coeffs.items() if c.index and i < prec}
         self.prec = prec
 
     @property
@@ -690,7 +700,8 @@ class LaurentElement:
         return not self.coeffs
 
     def add(self, other):
-        assert self.ctx is other.ctx
+        if self.ctx is not other.ctx:
+            raise DomainError("elements from different fields")
         out = dict(self.coeffs)
         for i, c in other.coeffs.items():
             s = out.get(i)
@@ -711,6 +722,8 @@ class LaurentElement:
         return self.scale(self.ctx.k.elt(s % self.ctx.p))
 
     def mul(self, other):
+        if self.ctx is not other.ctx:
+            raise DomainError("elements from different fields")
         v1 = min(self.valuation(), self.prec)
         v2 = min(other.valuation(), other.prec)
         prec = min(self.prec + v2, other.prec + v1)
@@ -852,6 +865,15 @@ def series_residue_and_dlog(x, u):
         raise UnsupportedCaseError("series residue/dlog is defined in characteristic p only")
     if u.is_zero_to_precision():
         raise DomainError("dlog of zero")
+    # Only the t^-1 digit of x * du/u is read.  Let n = max(0, -low), low
+    # the lowest degree where x has a nonzero or unknown digit.  Writing
+    # u = t^v * e with e a unit, du/u = v/t + de/e, and the t^-1 digit of
+    # x * du/u reads du/u below t^n only; those digits of de/e depend on e
+    # mod t^(n+1).  So u is cut to relative precision n + 2, one digit of
+    # slack, and du/u still carries precision n + 1, which keeps the digit
+    # known whenever it was known before the cut.
+    low = min(val(x), x.prec)
+    u = u.truncate(val(u) + max(0, -low) + 2)
     w = x.mul(u.derivative().mul(u.inv()))
     if w.prec <= -1:
         raise PrecisionError("t^-1 coefficient of x * du/u is not determined")

@@ -234,6 +234,7 @@ def pairs_trivially(a_line, b, window=None):
     delegates to pairing_value (Schmid residue plus norm cross-check).
     """
     ctx = a_line.ctx
+    window = _window(window)  # char 0 has no use for it, but rejects a bad one too
     if ctx.characteristic == 0:
         if b.ctx is not ctx:
             raise DomainError("pairing arguments live over different fields")

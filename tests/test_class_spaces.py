@@ -596,6 +596,26 @@ def test_coordinates_of_basis_products_sampled():
             assert coordinates(basis, combination(basis, coeffs)).coords == coeffs, basis
 
 
+def test_charp_coordinates_ignore_digits_past_the_window():
+    # windowed_unit_reduce cuts its input past the window: a p-th power and
+    # a U_(window+1) factor, both with nonzero digits far past the cut,
+    # must leave the coordinates of prod g^c unchanged
+    rng = random.Random(0xC07)
+    for desc, window in BUNDLED_CHARP:
+        ctx = parse_field(desc)
+        basis = adapted_basis(ctx, "mult", window)
+        p, d = ctx.p, basis.dim()
+        nonzero = [a for a in ctx.k.elements() if not a.is_zero()]
+        for _ in range(8):
+            coeffs = tuple(rng.randrange(p) for _ in range(d))
+            y = ctx.from_digits([(j, rng.choice(nonzero)) for j in rng.sample(range(-3, 6), 3)])
+            h = ctx.from_digits([(j, rng.choice(nonzero)) for j in rng.sample(range(12), 4)])
+            tail = ctx.one().add(h.shift(window + 1))
+            x = combination(basis, coeffs).mul(y.powi(p)).mul(tail)
+            assert max(x.coeffs) > window + 2
+            assert coordinates(basis, x).coords == coeffs, (basis, coeffs)
+
+
 def test_tampered_basis_fails_certificate(q2e3, f3t):
     for basis in (adapted_basis(q2e3), adapted_basis(f3t, "add", window=4)):
         vectors = list(basis.vectors)

@@ -298,6 +298,26 @@ def test_window_zero_is_rejected(capsys):
     assert "window" in err
 
 
+def test_char0_pair_rejects_nonpositive_window(capsys):
+    # char 0 has no use for the window, but a bad one is still bad input
+    for window in ("0", "-5"):
+        code, _, err = run(
+            capsys, "compute", "pair", "--field", Q2, "--elt", "2", "--mult", "3",
+            "--window", window,
+        )
+        assert code == 2
+        assert "window" in err
+
+
+@pytest.mark.parametrize(
+    "field,q", [("Fq((t)) p=2 f=12", 4096), ("Qp p=101 f=3", 101**3)]
+)
+def test_describe_large_residue_field(capsys, field, q):
+    code, out, _ = run(capsys, "describe", "--field", field)
+    assert code == 0
+    assert "q = %d" % q in out
+
+
 def test_bad_precision_in_descriptor_exits_2(capsys):
     code, _, err = run(capsys, "describe", "--field", "Qp p=2 prec=abc")
     assert code == 2

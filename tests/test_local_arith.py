@@ -6,12 +6,16 @@ Q_p, and bp_index against a direct enumeration of integers prime to p.
 """
 
 import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lfk
 from lfk.errors import DomainError, MalformedInputError, PrecisionError
 from lfk.local_arith import (
     INF,
@@ -345,6 +349,67 @@ def test_dlog_multiplicative(f3t):
         lhs = series_residue_and_dlog(x, u.mul(w))
         rhs = (series_residue_and_dlog(x, u) + series_residue_and_dlog(x, w)) % 3
         assert lhs == rhs
+
+
+def test_dlog_residue_cut_matches_untruncated(f2t, f3t, f4t):
+    # series_residue_and_dlog cuts u to the digits the t^-1 coefficient
+    # reads; u carries exact nonzero digits past that cut, and the answer
+    # must equal the t^-1 digit of the uncut x * u' / u at default precision
+    seen = set()
+    for ctx in (f2t, f3t, f4t):
+        rng = random.Random(0xD106 + ctx.q)
+        nonzero = [a for a in ctx.k.elements() if not a.is_zero()]
+        for _ in range(60):
+            n = rng.randint(0, 6)
+            x = ctx.from_digits(
+                [(-n, rng.choice(nonzero))]
+                + [(rng.randint(-n, 4), rng.choice(nonzero)) for _ in range(3)]
+            )
+            v = rng.randint(-4, 4)
+            cut = v + max(0, -val(x)) + 2
+            u = ctx.from_digits(
+                [(v, rng.choice(nonzero))]
+                + [(rng.randint(v + 1, cut), rng.choice(nonzero)) for _ in range(3)]
+                + [(cut + j, rng.choice(nonzero)) for j in rng.sample(range(1, 9), 2)]
+            )
+            assert u.prec == INF and max(u.coeffs) > cut
+            w = x.mul(u.derivative().mul(u.inv()))
+            assert w.prec > -1
+            want = w.coeff_at(-1).trace()
+            assert series_residue_and_dlog(x, u) == want
+            seen.add(want)
+    assert len(seen) > 1
+
+
+def test_cross_field_arithmetic_raises_under_optimized_python():
+    # the field checks raise typed errors instead of asserting, so they
+    # survive python -O, which strips asserts (the first line shows it does)
+    script = "\n".join(
+        [
+            "assert False, 'asserts are live: not running under -O'",
+            "from lfk.errors import DomainError",
+            "from lfk.local_arith import parse_field",
+            "F2, F3 = parse_field('Fq((t)) p=2 f=1'), parse_field('Fq((t)) p=3 f=1')",
+            "Q2, Q3 = parse_field('Qp p=2 f=1'), parse_field('Qp p=3 f=1')",
+            "cases = [getattr(a.one(), op) for a in (F2, Q2) for op in ('add', 'mul')]",
+            "cases = list(zip(cases, (F3.pi(), F3.pi(), Q3.pi(), Q3.pi())))",
+            "cases.append((F2.k.elt, F3.k.one()))",
+            "for fn, arg in cases:",
+            "    try:",
+            "        fn(arg)",
+            "    except DomainError:",
+            "        print('refused')",
+            "    else:",
+            "        print('computed')",
+        ]
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lfk.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["refused"] * 5
 
 
 # ---------------------------------------------------------------- parsing

@@ -101,3 +101,95 @@ def test_wp_preimage_table():
                 assert got is not None and got in want
             else:
                 assert got is None and not want
+
+
+# ---------------------------------------------------------------- table oracle
+
+
+def _oracle_mul(a, b, poly, p):
+    """Schoolbook product of coefficient lists, reduced mod the monic poly."""
+    f = len(poly) - 1
+    prod = [0] * (2 * f - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    for d in range(2 * f - 2, f - 1, -1):
+        c = prod[d]
+        for i in range(f + 1):
+            prod[d - f + i] -= c * poly[i]
+    return tuple(c % p for c in prod[:f])
+
+
+def _oracle_pow(a, n, poly, p):
+    out = (1,) + (0,) * (len(poly) - 2)
+    for _ in range(n):
+        out = _oracle_mul(out, a, poly, p)
+    return out
+
+
+ORACLE_FIELDS = [(2, 2, None), (2, 3, None), (3, 2, None), (5, 2, None), (3, 3, None), (3, 2, (1, 0, 1))]
+
+
+@pytest.mark.parametrize("p,f,poly", ORACLE_FIELDS)
+def test_tables_against_polynomial_arithmetic(p, f, poly):
+    # every operation on every element (pair) against plain F_p[u]/(poly)
+    k = ResidueField(p, f, poly)
+    poly, q = k.poly, k.q
+    els = list(k.elements())
+    assert [x.coords for x in els] == list(itertools.product(range(p), repeat=f))
+    one = (1,) + (0,) * (f - 1)
+    for a in els:
+        A = a.coords
+        assert k.elt(A) is a and k.elt(list(A) + [0]) is a
+        assert a.neg().coords == tuple(-c % p for c in A)
+        for s in range(-1, p + 1):
+            assert a.scale(s).coords == tuple(s * c % p for c in A)
+        assert a.frobenius().coords == _oracle_pow(A, p, poly, p)
+        assert a.pth_root().frobenius() is a
+        for n in (0, 1, 2, p, q - 2, q - 1, q + 3):
+            assert a.pow(n).coords == _oracle_pow(A, n, poly, p)
+        frob, tr = A, [0] * f
+        for _ in range(f):
+            tr = [x + y for x, y in zip(tr, frob)]
+            frob = _oracle_pow(frob, p, poly, p)
+        assert tuple(c % p for c in tr[1:]) == (0,) * (f - 1)
+        assert a.trace() == tr[0] % p
+        for b in els:
+            B = b.coords
+            assert a.add(b).coords == tuple((x + y) % p for x, y in zip(A, B))
+            assert a.sub(b).coords == tuple((x - y) % p for x, y in zip(A, B))
+            assert a.mul(b).coords == _oracle_mul(A, B, poly, p)
+        if a.is_zero():
+            for n in (-1, -2):
+                with pytest.raises(DomainError):
+                    a.pow(n)
+            with pytest.raises(DomainError):
+                a.inv()
+        else:
+            assert _oracle_mul(A, a.inv().coords, poly, p) == one
+            assert a.pow(-2).coords == _oracle_pow(a.inv().coords, 2, poly, p)
+
+
+def test_primitive_element_search_skips_u_when_u_is_not_primitive():
+    # over F_3, u^2 + 1 is irreducible but u has order 4, not 8, so the
+    # tables must be built on another generator; the logs of all nonzero
+    # elements are then distinct and u^4 = 1 shows up as a log of 4
+    k = ResidueField(3, 2, poly=(1, 0, 1))
+    u = k.elt([0, 1])
+    assert _oracle_pow(u.coords, 4, k.poly, 3) == (1, 0)
+    logs = sorted(x.log for x in k.elements() if not x.is_zero())
+    assert logs == list(range(8))
+    assert u.log % 2 == 0 and u.pow(4) == k.one()
+
+
+def test_elements_are_interned_per_field():
+    k = ResidueField(2, 3)
+    assert k.elt([1, 0, 1]) is k.elt((1, 0, 1)) is k.elt([1, 0, 1, 0])
+    assert k.elt(3) is k.one()
+    other = ResidueField(2, 3)
+    assert other.elt([1, 1]) == k.elt([1, 1]) and other.elt([1, 1]) is not k.elt([1, 1])
+    assert hash(other.elt([1, 1])) == hash(k.elt([1, 1]))
+    # an element of an equal field is accepted as is; of another field, refused
+    assert k.elt(other.elt([1, 1])) == k.elt([1, 1])
+    with pytest.raises(DomainError):
+        k.elt(ResidueField(3, 1).one())
