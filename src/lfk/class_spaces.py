@@ -153,7 +153,7 @@ def _cancel_digit(basis, z, m, a, kill_cols, coords):
     for i, c in zip(here, sol[n:]):
         if c:
             coords[i] = c
-            z = z.mul(basis.vectors[i][1].powi(ctx.p - c))
+            z = z.mul(basis.power(i, ctx.p - c))
     return z, (ctx.k.elt(sol[:n]) if any(sol[:n]) else None)
 
 
@@ -168,14 +168,16 @@ def _class_data(basis, coords, v):
     """
     ctx = basis.ctx
     p = ctx.p
-    rep = ctx.pi().powi(v % p) if v % p else ctx.one()
+    rep = basis.power(0, v % p) if v % p else ctx.one()
     den = ctx.one()
     levels = {}
-    for (_, g, lvl), lead, c in zip(basis.vectors[1:], basis.leads[1:], coords[1:]):
+    for i in range(1, basis.dim()):
+        c = coords[i]
         if c:
-            rep = rep.mul(g.powi(c))
+            _, g, lvl = basis.vectors[i]
+            rep = rep.mul(basis.power(i, c))
             den = den.mul(g)
-            digit = lead.scale(c)
+            digit = basis.leads[i].scale(c)
             levels[lvl] = levels[lvl].add(digit) if lvl in levels else digit
     return FpVector(p, coords), levels, rep, den
 
@@ -315,11 +317,16 @@ def unit_class_reduce(x):
     z = z.mul(ctx.teichmuller(r.inv(), hi))
     one = ctx.one(hi)
 
+    # The p-th powers divided out so far are kept as their product D, a
+    # principal unit, and the descent walks z / D without dividing: since
+    # z - D = D * (z/D - 1) and D = 1 mod pi, both have the same valuation
+    # and the same leading digit, which is all a level reads.
+    D = one
     coords = [v % ctx.p] + [0] * (basis.dim() - 1)
     steps = 0
     prev = 0
     while True:
-        diff = z.sub(ctx.one(z.P))
+        diff = z.sub(D)
         m = diff.valuation()
         if m == INF or m >= stop:
             break
@@ -331,7 +338,7 @@ def unit_class_reduce(x):
         z, b = _cancel_digit(basis, z, m, diff.digit(m), kill_cols, coords)
         if b is not None:
             factor = one.add(ctx.teichmuller(b, hi).shift(s))
-            z = z.mul(factor.powi(ctx.p).inv())
+            D = D.mul(factor.powi(ctx.p))
             y = y.mul(factor)
             steps += 1
 
@@ -613,7 +620,7 @@ class AdaptedBasis:
     certify(), which adapted_basis runs before it returns a basis.
     """
 
-    __slots__ = ("ctx", "space", "window", "vectors", "leads")
+    __slots__ = ("ctx", "space", "window", "vectors", "leads", "_powers")
 
     def __init__(self, ctx, space, window, vectors):
         self.ctx = ctx
@@ -621,6 +628,14 @@ class AdaptedBasis:
         self.window = window
         self.vectors = tuple(vectors)
         self.leads = None
+        self._powers = {}
+
+    def power(self, i, c):
+        """g_i^c for 1 <= c < p, computed once per (i, c)."""
+        key = (i, c)
+        if key not in self._powers:
+            self._powers[key] = self.vectors[i][1].powi(c)
+        return self._powers[key]
 
     def dim(self):
         return len(self.vectors)

@@ -96,13 +96,19 @@ class ExtElement:
 
     def scale(self, c):
         """Multiply by a base-field element."""
-        return ExtElement(self.ext, [a.mul(c) for a in self.coeffs])
+        zero = self.ext.zero
+        return ExtElement(self.ext, [a if a is zero else a.mul(c) for a in self.coeffs])
 
     def mul(self, other):
         p = self.ext.base.p
+        zero = self.ext.zero
         prod = [None] * (2 * p - 1)
         for i, a in enumerate(self.coeffs):
+            if a is zero:
+                continue
             for j, b in enumerate(other.coeffs):
+                if b is zero:
+                    continue
                 term = a.mul(b)
                 prod[i + j] = term if prod[i + j] is None else prod[i + j].add(term)
         return ExtElement(self.ext, self.ext._reduce_poly(prod))
@@ -148,6 +154,7 @@ class DegreePExtension:
         "uniformizer",
         "ramification_break",
         "_zeta_pows",
+        "zero",
     )
 
     def __init__(self, base, kind, line, a):
@@ -156,6 +163,12 @@ class DegreePExtension:
         self.line = line
         self.a = a
         self.is_unramified = line.level == 0
+        # The one padding zero of generator coefficients that are zero by
+        # construction.  Arithmetic tells it apart by identity (an exact
+        # char-p zero has infinite precision too) and skips it: it stands
+        # for an exact 0, so products with it add nothing.  Its char-0
+        # precision tag is only the representation's cap.
+        self.zero = base.zero() if base.characteristic else base.zero(10**9)
         if kind == "kummer":
             zeta = base.zeta
             pows = [base.one()]
@@ -169,17 +182,11 @@ class DegreePExtension:
 
     # ------------------------------------------------------------ structure
 
-    def _pad_zero(self):
-        # char-p zeros are exact; char-0 zeros get a huge precision tag so
-        # padding never drags down the precision of real coefficients
-        ctx = self.base
-        return ctx.zero() if ctx.characteristic else ctx.zero(10**9)
-
     def embed(self, c):
-        return ExtElement(self, [c] + [self._pad_zero() for _ in range(self.base.p - 1)])
+        return ExtElement(self, [c] + [self.zero] * (self.base.p - 1))
 
     def gen(self):
-        coeffs = [self._pad_zero() for _ in range(self.base.p)]
+        coeffs = [self.zero] * self.base.p
         coeffs[1] = self.base.one()
         return ExtElement(self, coeffs)
 
@@ -197,7 +204,7 @@ class DegreePExtension:
             if self.kind == "artin_schreier":
                 # gen^p = gen + a, so gen^d picks up gen^(d-p+1) as well
                 prod[d - p + 1] = c if prod[d - p + 1] is None else prod[d - p + 1].add(c)
-        return [self._pad_zero() if c is None else c for c in prod[:p]]
+        return [self.zero if c is None else c for c in prod[:p]]
 
     def galois_apply(self, z, s=1):
         """The s-th power of the canonical generator sigma of Gal(E|K).
@@ -209,19 +216,27 @@ class DegreePExtension:
         s %= p
         if s == 0:
             return z
+        # coefficients that are multiplied by 1 (zeta^0, binomial weight 1)
+        # and padding zeros are left as they are
         if self.kind == "kummer":
             return ExtElement(
-                self, [c.mul(self._zeta_pows[(s * i) % p]) for i, c in enumerate(z.coeffs)]
+                self,
+                [
+                    c if i == 0 or c is self.zero else c.mul(self._zeta_pows[(s * i) % p])
+                    for i, c in enumerate(z.coeffs)
+                ],
             )
         out = [None] * p
         for i, c in enumerate(z.coeffs):
+            if c is self.zero:
+                continue
             for j in range(i + 1):
-                w = math.comb(i, j) * pow(s, i - j)
-                if w % ctx.p == 0:
+                w = math.comb(i, j) * pow(s, i - j) % p
+                if w == 0:
                     continue
-                term = c.scale_int(w)
+                term = c if w == 1 else c.scale_int(w)
                 out[j] = term if out[j] is None else out[j].add(term)
-        return ExtElement(self, [self._pad_zero() if c is None else c for c in out])
+        return ExtElement(self, [self.zero if c is None else c for c in out])
 
     def norm(self, z):
         """N_{E|K}(z) as the product of z over all conjugates."""

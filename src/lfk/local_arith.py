@@ -25,6 +25,7 @@ The class of a uniformizer is `pi` in both cases (x resp. t).
 """
 
 import math
+from itertools import chain
 
 from .errors import (
     DomainError,
@@ -45,6 +46,17 @@ def bp_index(p, i):
     if i < 1:
         raise DomainError("bp_index needs i >= 1, got %r" % (i,))
     return i + (i - 1) // (p - 1)
+
+
+def _powers_mod(poly, count):
+    """Integer coefficients of X^n modulo the monic poly (low first), n < count."""
+    cur = [1] + [0] * (len(poly) - 2)
+    out = []
+    for _ in range(count):
+        out.append(cur)
+        top = cur[-1]
+        cur = [c - top * m for c, m in zip([0] + cur[:-1], poly)]
+    return out
 
 
 def _is_prime(n):
@@ -130,6 +142,7 @@ class FieldContext:
             self.pmod = d.p**self.coeff_prec
             self._m_int = tuple(int(c) for c in self.k.poly)
             self._eis = d.eisenstein_poly
+            self._conv_pos, self._conv_low, self._conv_fold = self._build_fold()
             self._xinv_num = self._build_xinv()
             self._xinv_pow_cache = {0: self._const_num(1)}
             if (self.p - 1) and self.e % (self.p - 1) == 0:
@@ -203,37 +216,53 @@ class FieldContext:
         return [[(s * A[a][b]) % self.pmod for b in range(self.e)] for a in range(self.f)]
 
     def _num_mul(self, A, B):
-        f, e, mod = self.f, self.e, self.pmod
-        # convolve in both variables
-        big = [[0] * (2 * e - 1) for _ in range(2 * f - 1)]
-        for a1 in range(f):
-            row = A[a1]
-            for b1 in range(e):
-                c = row[b1]
-                if c:
-                    for a2 in range(f):
-                        row2 = B[a2]
-                        ta = a1 + a2
-                        for b2 in range(e):
-                            if row2[b2]:
-                                big[ta][b1 + b2] = (big[ta][b1 + b2] + c * row2[b2]) % mod
-        # reduce w-degree by m(w) (monic, integer coefficients)
-        for a in range(2 * f - 2, f - 1, -1):
-            for b in range(2 * e - 1):
-                c = big[a][b]
-                if c:
-                    big[a][b] = 0
-                    for j in range(f):
-                        big[a - f + j][b] = (big[a - f + j][b] - c * self._m_int[j]) % mod
-        # reduce x-degree by E(x) (monic, integer coefficients)
-        for b in range(2 * e - 2, e - 1, -1):
-            for a in range(f):
-                c = big[a][b]
-                if c:
-                    big[a][b] = 0
-                    for j in range(e):
-                        big[a][b - e + j] = (big[a][b - e + j] - c * self._eis[j]) % mod
-        return [[big[a][b] for b in range(e)] for a in range(f)]
+        # Convolve on unreduced integers, indexing w^a x^b by a*(2e-1) + b so
+        # that products add indices.  A monomial inside the f x e block goes
+        # straight to the output; an overflow monomial is reduced once and
+        # folded by its image modulo m(w) and E(x).  One reduction mod
+        # p^coeff_prec at the end.
+        mod, pos, low, fold = self.pmod, self._conv_pos, self._conv_low, self._conv_fold
+        terms = [(j, c) for j, c in zip(pos, chain.from_iterable(B)) if c]
+        acc = {}
+        for i, c1 in zip(pos, chain.from_iterable(A)):
+            if c1:
+                for j, c2 in terms:
+                    acc[i + j] = acc.get(i + j, 0) + c1 * c2
+        out = [0] * len(pos)
+        for k, c in acc.items():
+            if k in low:
+                out[low[k]] += c
+            else:
+                c %= mod
+                for i, coef in fold[k]:
+                    out[i] += c * coef
+        e = self.e
+        return [[c % mod for c in out[s:s + e]] for s in range(0, len(out), e)]
+
+    def _build_fold(self):
+        """Index tables for _num_mul: (slot of each block monomial in the
+        convolution, its output index by slot, overflow slot -> fold).
+
+        w^a x^b is congruent to (w^a mod m(w)) * (x^b mod E(x)), and the two
+        factors live in separate variables, so each overflow monomial folds
+        onto the f x e block by a product of two integer vectors.
+        """
+        f, e = self.f, self.e
+        width = 2 * e - 1
+        wpow = _powers_mod(self._m_int, 2 * f - 1)
+        xpow = _powers_mod(self._eis, 2 * e - 1)
+        pos = [a * width + b for a in range(f) for b in range(e)]
+        fold = {}
+        for a in range(2 * f - 1):
+            for b in range(width):
+                if a >= f or b >= e:
+                    fold[a * width + b] = tuple(
+                        (a2 * e + b2, wc * xc)
+                        for a2, wc in enumerate(wpow[a])
+                        for b2, xc in enumerate(xpow[b])
+                        if wc and xc
+                    )
+        return pos, {k: n for n, k in enumerate(pos)}, fold
 
     def _build_xinv(self):
         """num with x^(-1) = p^(-1) * xinv_num, from the Eisenstein relation."""
@@ -505,8 +534,12 @@ class ZqElement:
         P = min(self.P + v2, other.P + v1)
         if P == INF:
             P = min(self.P, other.P)  # both truncated zeros: keep a finite bound
-        num = ctx._num_mul(self.num, other.num)
-        return ZqElement(ctx, num, self.t + other.t, P)
+        out = ZqElement(ctx, ctx._num_mul(self.num, other.num), self.t + other.t, P)
+        # Below its precision a product's valuation is the sum: a truncated
+        # zero enters as its P, which puts the sum at or past out.P.
+        v = v1 + v2
+        out._val = v if v < out.P else INF
+        return out
 
     def inv(self):
         ctx = self.ctx

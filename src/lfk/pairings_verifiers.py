@@ -171,7 +171,7 @@ def _norm_generator_schedule(E, window):
         for m in range(1, ctx.p * (depth + 1) + 1):
             pim = cap(pim.mul(E.uniformizer))
             for theta in ctx.k.basis():
-                yield one.add(pim.mul(E.embed(ctx.teichmuller(theta))))
+                yield one.add(pim.scale(ctx.teichmuller(theta)))
 
 
 def _residue_generating_unit(E):

@@ -31,7 +31,7 @@ from lfk.errors import (
     PrecisionError,
     UnsupportedCaseError,
 )
-from lfk.local_arith import INF, parse_field, val
+from lfk.local_arith import INF, ZqElement, parse_field, val
 
 
 # ---------------------------------------------------------------- oracles
@@ -594,6 +594,35 @@ def test_coordinates_of_basis_products_sampled():
         for _ in range(12):
             coeffs = tuple(rng.randrange(p) for _ in range(d))
             assert coordinates(basis, combination(basis, coeffs)).coords == coeffs, basis
+
+
+def test_char0_descent_inverts_nothing(monkeypatch):
+    # unit_class_reduce keeps the p-th powers it cancels as one running
+    # product instead of dividing by each; its certificate still holds
+    rng = random.Random(0xD5)
+    samples = []
+    for desc in BUNDLED_CHAR0:
+        ctx = parse_field(desc)
+        basis = adapted_basis(ctx)
+        p, d = ctx.p, basis.dim()
+        nonzero = [a for a in ctx.k.elements() if not a.is_zero()]
+        for _ in range(6):
+            coeffs = tuple(rng.randrange(p) for _ in range(d))
+            y = ctx.from_digits([(j, rng.choice(nonzero)) for j in rng.sample(range(-2, 6), 3)])
+            samples.append(combination(basis, coeffs).mul(y.powi(p)))
+    calls = []
+    real_inv = ZqElement.inv
+
+    def counting_inv(self):
+        calls.append(self)
+        return real_inv(self)
+
+    monkeypatch.setattr(ZqElement, "inv", counting_inv)
+    reductions = [unit_class_reduce(x) for x in samples]
+    assert calls == []
+    assert sum(red.kill_steps for red in reductions) > 0
+    for x, red in zip(samples, reductions):
+        assert red.verify_against(x)
 
 
 def test_charp_coordinates_ignore_digits_past_the_window():

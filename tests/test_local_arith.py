@@ -2,7 +2,9 @@
 
 The oracles here avoid the library's own representation: valuations are
 cross-checked with plain integer arithmetic where the field embeds into
-Q_p, and bp_index against a direct enumeration of integers prime to p.
+Q_p, bp_index against a direct enumeration of integers prime to p, and
+the char-0 product kernel against a schoolbook convolution that reduces
+after every step.
 """
 
 import math
@@ -20,6 +22,7 @@ from lfk.errors import DomainError, MalformedInputError, PrecisionError
 from lfk.local_arith import (
     INF,
     FieldDescriptor,
+    ZqElement,
     bp_index,
     make_field,
     parse_element,
@@ -50,6 +53,30 @@ def oracle_vp(n, p):
         n //= p
         v += 1
     return v
+
+
+def oracle_num_mul(ctx, A, B):
+    """Product of two char-0 numerators: convolve, then fold by m(w) and
+    E(x), reducing mod p^coeff_prec after every step."""
+    f, e, mod = ctx.f, ctx.e, ctx.pmod
+    m, eis = ctx.k.poly, ctx.descriptor.eisenstein_poly
+    big = [[0] * (2 * e - 1) for _ in range(2 * f - 1)]
+    for a1 in range(f):
+        for b1 in range(e):
+            for a2 in range(f):
+                for b2 in range(e):
+                    big[a1 + a2][b1 + b2] = (big[a1 + a2][b1 + b2] + A[a1][b1] * B[a2][b2]) % mod
+    for a in range(2 * f - 2, f - 1, -1):
+        for b in range(2 * e - 1):
+            c, big[a][b] = big[a][b], 0
+            for j in range(f):
+                big[a - f + j][b] = (big[a - f + j][b] - c * m[j]) % mod
+    for b in range(2 * e - 2, e - 1, -1):
+        for a in range(f):
+            c, big[a][b] = big[a][b], 0
+            for j in range(e):
+                big[a][b - e + j] = (big[a][b - e + j] - c * eis[j]) % mod
+    return [row[:e] for row in big[:f]]
 
 
 # ---------------------------------------------------------------- fixtures
@@ -251,6 +278,92 @@ def test_distributivity_char_p_exact(f4t):
     for _ in range(40):
         a, b, c = (_random_element(f4t, rng) for _ in range(3))
         assert a.mul(b.add(c)).sub(a.mul(b).add(a.mul(c))).is_zero_to_precision()
+
+
+# Every (f, e) shape among the bundled char-0 fields, plus e = 4 and f = 3.
+KERNEL_FIELDS = [
+    "Qp p=2 f=1",
+    "Qp p=2 f=2",
+    "Qp p=3 f=2",
+    "Qp p=3 f=1 eis=3,3,1",
+    "Qp p=2 f=1 eis=-2,0,0,1",
+    "Qp p=3 f=2 eis=3,3,1",
+    "Qp p=5 f=1 eis=5,10,10,5,1",
+    "Qp p=2 f=3 eis=2,2,1",
+]
+
+
+@pytest.mark.parametrize("desc", KERNEL_FIELDS)
+def test_num_mul_matches_schoolbook(desc):
+    ctx = parse_field(desc)
+    rng = random.Random(desc)
+    mod = ctx.pmod
+
+    def operand(density):
+        return [
+            [
+                rng.choice((1, mod - 1, rng.randrange(mod))) if rng.random() < density else 0
+                for _ in range(ctx.e)
+            ]
+            for _ in range(ctx.f)
+        ]
+
+    for density in (1.0, 0.5, 0.25):
+        for _ in range(60):
+            A, B = operand(density), operand(density)
+            assert ctx._num_mul(A, B) == oracle_num_mul(ctx, A, B), (desc, A, B)
+
+
+def _fresh_val(z):
+    return ZqElement(z.ctx, z.num, z.t, z.P).valuation()
+
+
+@pytest.mark.parametrize(
+    "desc",
+    [
+        "Qp p=2 f=1",
+        "Qp p=2 f=2",
+        "Qp p=3 f=1 eis=3,3,1",
+        "Qp p=3 f=2 eis=3,3,1",
+        # zeta is stored with t = -63 and P = 42 here (ROADMAP item 4)
+        "Qp p=3 f=1 eis=3,0,1",
+    ],
+)
+def test_product_valuation_equals_recomputation(desc):
+    # ZqElement.mul derives the product's valuation from its operands';
+    # it must equal what _num_pival reads off the product's numerator
+    ctx = parse_field(desc)
+    rng = random.Random(desc)
+    pool = [_random_element(ctx, rng) for _ in range(6)]
+    pool += [x.shift(-7) for x in pool[:3]]  # negative t
+    pool += [x.inv() for x in pool[:3] if val(x) != INF]
+    pool += [ctx.zero(5), pool[0].sub(pool[0]), pool[1].truncate(int(val(pool[1])))]
+    if ctx.zeta is not None:
+        pool.append(ctx.zeta)
+    half = ctx.coeff_prec // 2
+    pool += [ctx.from_int(ctx.p**k, prec=10**9) for k in (half - 1, half, half + 1)]
+    assert any(z.t < 0 for z in pool)
+    assert sum(z.is_zero_to_precision() for z in pool) >= 3
+    for a in pool:
+        for b in pool:
+            prod = a.mul(b)
+            assert prod._val is not None
+            assert prod._val == _fresh_val(prod), (a, b)
+
+
+def test_product_valuation_at_the_precision_cap(q2u2):
+    # coefficients live mod p^coeff_prec, so P is capped at e * coeff_prec
+    # for t = 0: a product whose valuation reaches the cap is a truncated zero
+    ctx = q2u2
+    cap = ctx.e * ctx.coeff_prec
+    k = ctx.coeff_prec // 2
+    x = ctx.from_int(2**k, prec=10**9)
+    assert x.P == cap
+    below = x.mul(ctx.from_int(2 ** (ctx.coeff_prec - k - 1), prec=10**9))
+    at = x.mul(ctx.from_int(2 ** (ctx.coeff_prec - k), prec=10**9))
+    assert below.P == at.P == cap
+    assert below._val == _fresh_val(below) == cap - ctx.e
+    assert at._val == _fresh_val(at) == INF
 
 
 # ---------------------------------------------------------------- digits

@@ -19,7 +19,7 @@ import random
 import pytest
 
 from lfk.class_spaces import adapted_basis, as_class_reduce, coordinates
-from lfk.errors import DomainError, InternalError, UnsupportedCaseError
+from lfk.errors import DomainError, InternalError, PrecisionError, UnsupportedCaseError
 from lfk.extensions import attach_extension, line_of
 from lfk.fp_linalg import FpVector, member, rref
 from lfk.local_arith import parse_field, series_residue_and_dlog
@@ -498,6 +498,43 @@ def test_verify_all_deterministic():
         reports = verify_all(ctx, window=4, seed=7)
         runs.append(json.dumps([r.to_json() for r in reports], sort_keys=False))
     assert runs[0] == runs[1]
+
+
+def _reports_without_field(desc, prec):
+    out = []
+    for report in verify_all(parse_field("%s prec=%d" % (desc, prec))):
+        data = report.to_json()
+        del data["field"]
+        out.append(data)
+    return json.dumps(out)
+
+
+@pytest.mark.parametrize(
+    "desc",
+    ["Qp p=2 f=1", "Qp p=2 f=2", "Qp p=3 f=1 eis=3,3,1", "Qp p=2 f=1 eis=-2,0,0,1"],
+)
+def test_verify_all_reports_do_not_depend_on_precision(desc):
+    # one field at two working precisions: same verdicts, same witnesses
+    assert _reports_without_field(desc, 64) == _reports_without_field(desc, 128)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=PrecisionError,
+    reason="ROADMAP item 4: zeta of x^2 + 3 is stored with t = -63 (P = 42 at "
+    "prec 64) and a norm vanishes to working precision; the capped-relative "
+    "redesign is the fix",
+)
+@pytest.mark.parametrize("prec", [64, 128])
+def test_q3_zeta3_as_x2_plus_3_verifies_like_its_other_presentation(prec):
+    # Q_3(zeta_3) is given by x^2 + 3 as well as by x^2 + 3x + 3; the
+    # claims must hold on both presentations
+    try:
+        reports = verify_all(parse_field("Qp p=3 f=1 eis=3,0,1 prec=%d" % prec))
+    except PrecisionError as exc:
+        assert "norm vanished to working precision" in str(exc)
+        raise
+    assert [r.status for r in reports] == ["pass"] * 6
 
 
 def test_statement_text_present(q2_reports):
