@@ -620,10 +620,18 @@ class ZqElement:
 
     def digit(self, m):
         """The pi^m digit (coefficient in k of the Teichmuller expansion)."""
-        ctx = self.ctx
         v = self.valuation()
+        if v < m < self.P:
+            # the residue of z/pi^m is not the digit: peel the lower ones first
+            return self._peel(v, m)[1]._leading_digit(m)
+        return self._leading_digit(m)
+
+    def _leading_digit(self, m):
+        """The pi^m digit of an element of valuation >= m: the residue of z/pi^m."""
+        ctx = self.ctx
         if m >= self.P:
             raise PrecisionError("digit at pi^%d unknown: precision is %d" % (m, self.P))
+        v = self.valuation()
         if v == INF or m < v:
             return ctx.k.zero()
         w = self.shift(-m)  # valuation >= 0; digit is its residue column
@@ -639,21 +647,27 @@ class ZqElement:
         coords = [(w.num[a][0] // pK) % ctx.p for a in range(ctx.f)]
         return ctx.k.elt(coords)
 
+    def _peel(self, lo, hi):
+        """(nonzero digits on [lo, hi), the remainder of valuation >= hi).
+
+        lo must be at most the valuation, so each step reads a leading digit.
+        """
+        out = []
+        z = self
+        for i in range(lo, hi):
+            d = z._leading_digit(i)
+            if not d.is_zero():
+                out.append((i, d))
+                z = z.sub(self.ctx.teichmuller(d).shift(i))
+        return out, z
+
     def digits(self, lo=None, hi=None):
         """Teichmuller digit expansion on [lo, hi) as (i, k-element) pairs."""
         v = self.valuation()
         if v == INF:
             return []
-        lo = v if lo is None else lo
         hi = self.P if hi is None else min(hi, self.P)
-        out = []
-        z = self
-        for i in range(lo, hi):
-            d = z.digit(i)
-            if not d.is_zero():
-                out.append((i, d))
-                z = z.sub(self.ctx.teichmuller(d).shift(i))
-        return out
+        return [(i, d) for i, d in self._peel(v, hi)[0] if lo is None or i >= lo]
 
     # -- comparisons / misc
 
@@ -979,9 +993,10 @@ class _Tokens:
             ch = text[i]
             if ch.isspace():
                 i += 1
-            elif ch.isdigit():
+            elif "0" <= ch <= "9":
+                # not str.isdigit: it also admits characters int() rejects, like '²'
                 j = i
-                while j < len(text) and text[j].isdigit():
+                while j < len(text) and "0" <= text[j] <= "9":
                     j += 1
                 self.toks.append(("int", int(text[i:j])))
                 i = j

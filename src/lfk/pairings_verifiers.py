@@ -92,9 +92,10 @@ def norm_class_subgroup(E, window=None):
 
     Norms of a fixed generator schedule (the uniformizer of E, then units
     tau(theta) pi^j +/- the generator) are reduced to coordinates and
-    accumulated.  Char 0: stops at codimension 1 and certifies it (the
-    Galois group of E|K has order exactly p).  Char p: returns the
-    windowed span, codimension at most 1 inside the window.
+    accumulated until their span reaches the dimension that class field
+    theory fixes: codimension 1 in char 0 and in a char-p window that
+    holds the break, codimension 0 in a char-p window the break lies
+    past.  A schedule that ends short of it is an InternalError.
     """
     ctx = E.base
     if ctx.characteristic == 0:
@@ -109,6 +110,13 @@ def norm_class_subgroup(E, window=None):
     if key in cache:
         return cache[key]
     n = basis.dim()
+    # N(E*) has index p in K* and contains U_(b+1), b the ramification
+    # break (Serre, Local Fields, XIV).  Char 0 reads all of K*/(K*)^p, so
+    # the image has codimension 1.  Char p reads K*/(K*)^p U_(window+1):
+    # when b <= window, U_(window+1) lies in N(E*) and the image keeps
+    # index p; when b > window, U_(window+1) does not, so N(E*) U_(window+1)
+    # is all of K* and the image is the whole windowed space.
+    target = n - 1 if window is None or E.ramification_break <= window else n
     space = rref([], p=ctx.p, ambient_dim=n)
     rows = []
     for cand in _norm_generator_schedule(E, window):
@@ -117,18 +125,12 @@ def norm_class_subgroup(E, window=None):
             continue
         rows.append(vec)
         space = rref(rows)
-        if ctx.characteristic == 0:
-            if space.dim() == n:
-                raise InternalError(
-                    "norm classes filled the whole class space; the index-p "
-                    "structure of a degree-p norm group is violated"
-                )
-            if space.dim() == n - 1:
-                break
-    if ctx.characteristic == 0 and space.dim() != n - 1:
+        if space.dim() == target:
+            break
+    if space.dim() != target:
         raise InternalError(
-            "norm subgroup stuck at codimension %d > 1 after the full "
-            "generator schedule" % (n - space.dim())
+            "norm subgroup stuck at codimension %d > %d after the full "
+            "generator schedule" % (n - space.dim(), n - target)
         )
     cache[key] = space
     return space

@@ -5,9 +5,14 @@ real argv path.  Table output is checked loosely (it carries no stability
 promise); json output is checked for schema and byte determinism.
 """
 
+import contextlib
+import io
 import json
+from datetime import timedelta
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lfk.cli import main
 from lfk.errors import MalformedInputError
@@ -103,6 +108,8 @@ def test_parse_element_rejects_garbage():
         parse_element(ctx, "")
     with pytest.raises(MalformedInputError):
         parse_element(ctx, "1 +")
+    with pytest.raises(MalformedInputError):
+        parse_element(ctx, "2²")  # a digit to str.isdigit, not to int()
 
 
 # ------------------------------------------------------------ compute
@@ -341,3 +348,97 @@ def test_boundary_crosscheck_samples_a_surviving_digit(capsys):
     code, out, err = run(capsys, "verify", "S2.10", "--field", "Qp p=2 f=3")
     assert code == 0, err
     assert "S2.10   pass" in out
+
+
+# ------------------------------------------------------------ fuzz
+
+
+@st.composite
+def eisenstein_list(draw, p):
+    """c0,...,c(e-1),1 with p | c_i and p^2 not dividing c0."""
+    e = draw(st.integers(min_value=2, max_value=3))
+    c0 = p * draw(st.sampled_from([u for u in range(-4, 5) if u % p]))
+    middle = [p * draw(st.integers(min_value=-2, max_value=2)) for _ in range(e - 1)]
+    return ",".join(str(c) for c in [c0] + middle + [1])
+
+
+@st.composite
+def field_descriptor(draw):
+    p = draw(st.sampled_from([2, 3, 5]))
+    if draw(st.booleans()):
+        f = draw(st.integers(min_value=1, max_value=3))
+        words = ["Qp", "p=%d" % p, "f=%d" % f]
+        if draw(st.booleans()):
+            words.append("eis=" + draw(eisenstein_list(p)))
+    else:
+        f = draw(st.integers(min_value=1, max_value=2))
+        words = ["Fq((t))", "p=%d" % p, "f=%d" % f]
+    if draw(st.booleans()):
+        words.append("prec=%d" % draw(st.sampled_from([8, 24])))
+    # malformed variants: a dropped word, a bad value, a stray or repeated key
+    broken = draw(st.sampled_from([None, None, "drop", "value", "key", "repeat"]))
+    if broken == "drop":
+        del words[draw(st.integers(min_value=0, max_value=len(words) - 1))]
+    elif broken == "value":
+        i = draw(st.integers(min_value=1, max_value=len(words) - 1))
+        key = words[i].partition("=")[0]
+        words[i] = key + "=" + draw(st.sampled_from(["", "x", "-3", "0", "4", "1,2", "2,,1"]))
+    elif broken == "key":
+        words.append(draw(st.sampled_from(["q=2", "eis", "resf=1", "=", "p"])))
+    elif broken == "repeat":
+        words.append(words[1])
+    return " ".join(words)
+
+
+def element_literal():
+    atom = st.one_of(
+        st.integers(min_value=0, max_value=30).map(str),
+        st.sampled_from(["pi", "p", "w", "t", "g"]),
+    )
+    power = st.builds(
+        lambda a, k: "%s^%d" % (a, k) if k != 1 else a,
+        atom,
+        st.integers(min_value=-4, max_value=6),
+    )
+    term = st.lists(power, min_size=1, max_size=3).map("*".join)
+    expr = st.builds(
+        lambda sign, terms: sign + " + ".join(terms),
+        st.sampled_from(["", "-"]),
+        st.lists(term, min_size=1, max_size=3),
+    )
+    # no ASCII digits in free text: an exponent like (1+t)^99999 is a real
+    # but slow computation, not a malformed literal
+    garbage = st.text(
+        alphabet=st.one_of(
+            st.sampled_from("+-*^() pitgw²٣½"),
+            st.characters(blacklist_characters="0123456789", blacklist_categories=("Cs",)),
+        ),
+        max_size=8,
+    )
+    wrapped = expr.map(lambda x: "(" + x + ")")
+    return st.one_of(expr, expr, wrapped, garbage, expr.map(lambda x: x + " +"))
+
+
+@settings(max_examples=120, deadline=timedelta(seconds=5), derandomize=True)
+@given(
+    field=field_descriptor(),
+    command=st.sampled_from(["describe", "level", "break", "pair", "norm-group", "class"]),
+    left=element_literal(),
+    right=element_literal(),
+    window=st.sampled_from([None, "-1", "0", "1", "3", "6"]),
+    fmt=st.sampled_from(["table", "json"]),
+)
+def test_fuzz_describe_and_compute_never_break(field, command, left, right, window, fmt):
+    argv = ["describe"] if command == "describe" else ["compute", command]
+    argv += ["--field", field, "--format", fmt]
+    if command != "describe":
+        argv += ["--elt", left, "--line", left, "--add", left, "--mult", right]
+    if window is not None:
+        argv += ["--window", window]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if fmt == "json" and out.getvalue():
+        json.loads(out.getvalue())

@@ -391,6 +391,28 @@ def test_digit_precision_guard(q2):
         z.digit(7)
 
 
+@pytest.mark.parametrize(
+    "desc",
+    [
+        "Qp p=2 f=1",
+        "Qp p=2 f=2",
+        "Qp p=3 f=2",
+        "Qp p=3 f=1 eis=3,3,1",
+        "Qp p=2 f=1 eis=-2,0,0,1",
+        "Qp p=3 f=2 eis=3,3,1",
+    ],
+)
+def test_digit_agrees_with_digits_past_the_valuation(desc):
+    # digit(m) for v < m < P once raised "digit extraction misaligned":
+    # Q2's 3 = 1 + 2 has digits() [(0, 1), (1, 1)] but digit(1) failed
+    ctx = parse_field(desc)
+    rng = random.Random(desc)
+    for z in (ctx.from_int(3), ctx.from_int(-5).mul(ctx.pi()), _random_element(ctx, rng)):
+        expansion = dict(z.digits())
+        for m in range(z.valuation(), z.P):
+            assert z.digit(m) == expansion.get(m, ctx.k.zero()), (desc, z, m)
+
+
 def test_teichmuller_is_root_of_unity(q2u2, q3z):
     for ctx in (q2u2, q3z):
         for r in ctx.k.elements():

@@ -10,9 +10,12 @@ Independent oracles:
 * hand-computed Schmid residues for one-term series, e.g.
   res(t^-1 * d(1+t)/(1+t)) = 1;
 * the vanishing S(res(wp(z) db/b)) = 0, which is what makes the residue
-  pairing well defined on classes.
+  pairing well defined on classes;
+* the span of the norm classes of the whole generator schedule, walked to
+  its end, which norm_class_subgroup must reproduce when it stops early.
 """
 
+import itertools
 import json
 import random
 
@@ -21,8 +24,9 @@ import pytest
 from lfk.class_spaces import adapted_basis, as_class_reduce, coordinates
 from lfk.errors import DomainError, InternalError, PrecisionError, UnsupportedCaseError
 from lfk.extensions import attach_extension, line_of
-from lfk.fp_linalg import FpVector, member, rref
-from lfk.local_arith import parse_field, series_residue_and_dlog
+from lfk.fp_linalg import FpVector, full_space, member, rref
+from lfk.local_arith import parse_element, parse_field, series_residue_and_dlog
+from lfk import pairings_verifiers
 from lfk.pairings_verifiers import (
     PairingReport,
     VerificationReport,
@@ -328,6 +332,75 @@ def test_unramified_norm_subgroup_char_p(f2t):
     for g, label in zip(basis.elements(), basis.labels()):
         if label != "t":
             assert member(sub, coordinates(basis, g))
+
+
+def full_schedule_span(E, window=None):
+    """Oracle: the span of the norm classes of the whole generator schedule.
+
+    Every candidate is normed and reduced, with no stopping rule and no
+    target dimension, so it shows what the early stop in
+    norm_class_subgroup must leave unchanged.
+    """
+    ctx = E.base
+    basis = adapted_basis(ctx) if window is None else adapted_basis(ctx, "mult", window)
+    rows = []
+    for cand in pairings_verifiers._norm_generator_schedule(E, window):
+        rows.append(coordinates(basis, E.norm(cand)))
+    return rref(rows, p=ctx.p, ambient_dim=basis.dim())
+
+
+@pytest.mark.parametrize(
+    "desc, window",
+    [
+        ("Fq((t)) p=2 f=1", 9),
+        ("Fq((t)) p=3 f=1", 6),
+        ("Fq((t)) p=2 f=2", 5),
+        ("Qp p=2 f=1", None),
+        ("Qp p=3 f=1 eis=3,3,1", None),
+    ],
+)
+def test_norm_subgroup_stop_matches_full_schedule(desc, window):
+    ctx = parse_field(desc)
+    if window is None:
+        catalog = line_catalog(ctx)
+        n = adapted_basis(ctx).dim()
+    else:
+        catalog = add_line_catalog(ctx, window)
+        n = adapted_basis(ctx, "mult", window).dim()
+    for cl in catalog:
+        E = attach_extension(cl.line)
+        sub = norm_class_subgroup(E, window)
+        assert sub == full_schedule_span(E, window), (desc, cl.label)
+        assert sub.dim() == n - 1, (desc, cl.label)
+
+
+def test_norm_subgroup_break_past_window_is_whole_space():
+    # U_10 is not in N(E*) when the break is 11, so N(E*) U_10 = K* and
+    # the image in K*/(K*)^2 U_10 is everything
+    ctx = parse_field("Fq((t)) p=2 f=1")
+    E = attach_extension(line_of(parse_element(ctx, "t^-11")))
+    assert E.ramification_break == 11
+    n = adapted_basis(ctx, "mult", 9).dim()
+    sub = norm_class_subgroup(E, 9)
+    assert sub == full_space(2, n)
+    assert sub == full_schedule_span(E, 9)
+
+
+@pytest.mark.parametrize(
+    "desc, elt, window",
+    [("Fq((t)) p=2 f=1", "t^-1", 5), ("Fq((t)) p=3 f=1", "t^-2", 4), ("Qp p=2 f=1", "5", None)],
+)
+def test_norm_subgroup_short_schedule_is_an_internal_error(monkeypatch, desc, elt, window):
+    schedule = pairings_verifiers._norm_generator_schedule
+    monkeypatch.setattr(
+        pairings_verifiers,
+        "_norm_generator_schedule",
+        lambda E, w: itertools.islice(schedule(E, w), 1),
+    )
+    ctx = parse_field(desc)
+    E = attach_extension(line_of(parse_element(ctx, elt)))
+    with pytest.raises(InternalError, match="stuck at codimension"):
+        norm_class_subgroup(E, window)
 
 
 # ---------------------------------------------------------------- catalogs
