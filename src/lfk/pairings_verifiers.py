@@ -14,14 +14,13 @@ reciprocity kernels, and the two orthogonality tables.  Reports carry a
 stable JSON layout for golden-file comparison; runtime_ms is always null
 so identical inputs give byte-identical reports.
 
-A note on linearity.  In the second (multiplicative) argument the kernel
-is a subgroup by construction — norm groups are groups — so spanning-set
-arguments are exact.  In the first argument, char p is again exact (the
-Schmid formula is additive in x), while char 0 relies on the norm group
-of a compositum being the intersection of the constituents' norm groups;
-the kummer orthogonality verifier therefore re-derives its complements
-by brute-force line enumeration whenever the class space is small enough,
-which it is for every bundled field.
+A note on linearity.  The pairing is bilinear and nondegenerate, and the
+norm group of the line of a is a's orthogonal (Serre, Local Fields, XIV
+2).  So one matrix G per field (_pairing_matrix) answers every norm-group
+question of the verifiers as a kernel of G.  In char p, G holds the Schmid
+values; in char 0 it is read off 2d - 1 norm groups and certified when it
+is built.  The tests compare ker(x.G) with the walked norm group of every
+line of the bundled fields.
 """
 
 import itertools
@@ -43,17 +42,16 @@ from .extensions import attach_extension, line_of
 from .fp_linalg import (
     FpVector,
     full_space,
-    intersect,
     left_kernel,
     member,
     rref,
+    solve,
 )
 from .local_arith import bp_index, series_residue_and_dlog, val
 
-_ENUMERATION_BUDGET = 4096
 _ADD_CATALOG_BUDGET = 128
 _DEFAULT_WINDOW = 9
-_MAX_CHARP_INDEX = 9
+_SAMPLE_SEED = 0x6A11
 
 
 def _window(window):
@@ -231,19 +229,114 @@ def pairing_value(a_line, b, window=None):
 def pairs_trivially(a_line, b, window=None):
     """True iff the hilbertian pairing of a_line's class with b is trivial.
 
-    Char 0: norm membership in the extension attached to a_line.  Char p:
-    a_line lives in the additive quotient and b in the multiplicative one;
-    delegates to pairing_value (Schmid residue plus norm cross-check).
+    Char 0: (x.G).y == 0 for the coordinates x of a_line and y of b, with G
+    the field's certified pairing matrix; this is norm membership in the
+    extension attached to a_line, without building that extension.  Char
+    p: a_line lives in the additive quotient and b in the multiplicative
+    one; delegates to pairing_value (Schmid residue plus norm cross-check).
     """
     ctx = a_line.ctx
     window = _window(window)  # char 0 has no use for it, but rejects a bad one too
     if ctx.characteristic == 0:
         if b.ctx is not ctx:
             raise DomainError("pairing arguments live over different fields")
-        E = _attached(a_line)
-        vec = coordinates(adapted_basis(ctx), b)
-        return member(norm_class_subgroup(E), vec)
+        row = _row_times(a_line.reduction.coords.coords, _pairing_matrix(ctx), ctx.p)
+        y = coordinates(adapted_basis(ctx), b).coords
+        return sum(r * c for r, c in zip(row, y)) % ctx.p == 0
     return pairing_value(a_line, b, window) == 0
+
+
+def _pairing_matrix(ctx, window=None):
+    """The pairing over the adapted bases as one matrix G, cached in ctx.cache.
+
+    Rows index the first-argument basis, columns the mult basis; the norm
+    group of the line with coordinates x is the kernel of y -> (x.G).y.
+    Char p: the Schmid values pairing_value(g_r, h_c), each cross-checked
+    against norm membership.  Char 0 fixes no normalization, so G is known
+    up to one global factor, which no kernel sees: row i is c_i n_i, n_i
+    the normal of the norm group of the line of g_i, and the normal of the
+    line of g_0 g_j, proportional to n_0 + c_j n_j, fixes c_j (c_0 = 1).
+    That takes 2d - 1 norm groups; _certify_pairing_matrix checks the result.
+    """
+    cache = ctx.cache
+    key = ("pairing", window)
+    if key in cache:
+        return cache[key]
+    if ctx.characteristic:
+        mult = adapted_basis(ctx, "mult", window).elements()
+        G = [
+            [pairing_value(line_of(g), h, window) for h in mult]
+            for g in adapted_basis(ctx, "add", window).elements()
+        ]
+    else:
+        gens = adapted_basis(ctx).elements()
+        d = len(gens)
+
+        def normal(x):  # norm_class_subgroup certifies codimension 1
+            sub = norm_class_subgroup(_attached(line_of(x)))
+            return _perp(sub.basis, ctx.p, d).vectors()[0]
+
+        n = [normal(g) for g in gens]
+        G = [list(n[0].coords)]
+        for j in range(1, d):
+            if rref([n[0], n[j]]).dim() < 2:
+                raise InternalError(
+                    "the norm groups of generators 0 and %d have parallel "
+                    "normals; the pairing would be degenerate" % j
+                )
+            ab = solve([n[0], n[j]], normal(gens[0].mul(gens[j])))
+            if ab is None or 0 in ab:
+                raise InternalError(
+                    "the norm group of g_0 g_%d is not the orthogonal of the "
+                    "sum of the generators' rows; the pairing is not bilinear" % j
+                )
+            G.append(list(n[j].scale(ab[1] * pow(ab[0], -1, ctx.p)).coords))
+        _certify_pairing_matrix(ctx, G)
+    cache[key] = G
+    return G
+
+
+def _certify_pairing_matrix(ctx, G):
+    """Check a char-0 pairing matrix against facts its construction never used.
+
+    (a, b)(b, a) = 1 makes G skew-symmetric (symmetric at p = 2); the
+    pairing is nondegenerate, so G has full rank; and d lines off the
+    construction's, from a fixed-seed sample, must have the directly walked
+    norm group ker(x.G).  Any failure is an InternalError.
+    """
+    p, d = ctx.p, len(G)
+    if any((G[r][c] + G[c][r]) % p for r in range(d) for c in range(d)):
+        kind = "symmetric" if p == 2 else "skew-symmetric"
+        raise InternalError("pairing matrix is not %s" % kind)
+    if rref([FpVector(p, row) for row in G]).dim() != d:
+        raise InternalError("pairing matrix is singular")
+    basis = adapted_basis(ctx)
+    for vec in _sample_lines(p, d):
+        walked = norm_class_subgroup(_attached(line_of(_combination(basis, vec))))
+        if walked != _perp([_row_times(vec, G, p)], p, d):
+            raise InternalError(
+                "pairing matrix disagrees with the walked norm group of line %s"
+                % "".join(map(str, vec))
+            )
+
+
+def _sample_lines(p, d):
+    """d normalized coordinate vectors off the construction's lines (each g_i
+    and each g_0 g_j), drawn with a fixed seed; all of them when fewer are left."""
+    used = {tuple(int(k == i) for k in range(d)) for i in range(d)}
+    used |= {tuple(int(k in (0, j)) for k in range(d)) for j in range(1, d)}
+    size = min(d, (p**d - 1) // (p - 1) - len(used))
+    return _draw_lines(p, d, used, size, random.Random(_SAMPLE_SEED))
+
+
+def _row_times(x, G, p):
+    """The row vector x.G over F_p."""
+    return [sum(a * row[c] for a, row in zip(x, G)) % p for c in range(len(G[0]))]
+
+
+def _perp(rows, p, n):
+    """{y in F_p^n : r . y == 0 for every r in rows}, as an FpSubspace."""
+    return left_kernel([[r[k] for r in rows] for k in range(n)], p, full_space(p, n))
 
 
 def hilbert_symbol_q2(a, b):
@@ -352,6 +445,21 @@ class PairingReport(VerificationReport):
         return out
 
 
+def _report(ctx, claim_id, window, seed, witnesses, counterexample,
+            cls=VerificationReport, **tables):
+    """A report that passes exactly when no counterexample was found."""
+    return cls(
+        claim_id=claim_id,
+        field=ctx.field_label(),
+        window=window,
+        seed=seed,
+        status="pass" if counterexample is None else "fail",
+        witnesses=witnesses,
+        counterexample=counterexample,
+        **tables,
+    )
+
+
 # ================================================================ line catalogs
 
 
@@ -378,6 +486,36 @@ def _normalized_tuples(p, dim):
         yield vec
 
 
+def _draw_lines(p, d, seen, count, rng):
+    """count normalized tuples not in seen, drawn from rng; seen takes them too."""
+    out = []
+    while len(out) < count:
+        v = [rng.randrange(p) for _ in range(d)]
+        if any(v):
+            inv = pow(next(c for c in v if c), -1, p)
+            v = tuple((inv * c) % p for c in v)
+            if v not in seen:
+                seen.add(v)
+                out.append(v)
+    return out
+
+
+def _combination(basis, vec):
+    """The element with coordinates vec: prod g_i^c_i (mult) or sum c_i g_i (add)."""
+    ctx = basis.ctx
+    if basis.space == "mult":
+        x = ctx.one()
+        for i, c in enumerate(vec):
+            if c:
+                x = x.mul(basis.power(i, c))
+        return x
+    x = ctx.zero()
+    for c, g in zip(vec, basis.elements()):
+        if c:
+            x = x.add(g.scale_int(c))
+    return x
+
+
 def line_catalog(ctx):
     """All (p^d - 1)/(p - 1) lines of the char-0 multiplicative class space."""
     if ctx.characteristic != 0:
@@ -387,12 +525,8 @@ def line_catalog(ctx):
         basis = adapted_basis(ctx)
         out = []
         for vec in _normalized_tuples(ctx.p, basis.dim()):
-            x = ctx.one()
-            for c, g in zip(vec, basis.elements()):
-                if c:
-                    x = x.mul(g.powi(c))
-            label = "".join(str(c) for c in vec)
-            out.append(CatalogLine(label, vec, x, line_of(x)))
+            x = _combination(basis, vec)
+            out.append(CatalogLine("".join(map(str, vec)), vec, x, line_of(x)))
         cache["catalog"] = out
     return cache["catalog"]
 
@@ -413,55 +547,48 @@ def add_line_catalog(ctx, window, seed=0):
         if ctx.p**d <= _ADD_CATALOG_BUDGET:
             vecs = list(_normalized_tuples(ctx.p, d))
         else:
-            seen = set()
-            for i in range(d):
-                seen.add(tuple(1 if j == i else 0 for j in range(d)))
-            for i in range(d):
-                for j in range(i + 1, d):
-                    seen.add(tuple(1 if m in (i, j) else 0 for m in range(d)))
-            rng = random.Random((seed << 16) ^ 0xAD5C)
-            target = len(seen) + 40
-            while len(seen) < target:
-                v = tuple(rng.randrange(ctx.p) for _ in range(d))
-                if any(v):
-                    lead = next(i for i, c in enumerate(v) if c)
-                    inv = pow(v[lead], -1, ctx.p)
-                    seen.add(tuple((inv * c) % ctx.p for c in v))
+            seen = {tuple(int(k == i) for k in range(d)) for i in range(d)}
+            pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+            seen |= {tuple(int(k in ij) for k in range(d)) for ij in pairs}
+            _draw_lines(ctx.p, d, seen, 40, random.Random((seed << 16) ^ 0xAD5C))
             vecs = sorted(seen)
         out = []
         for vec in vecs:
-            x = ctx.zero()
-            for c, g in zip(vec, basis.elements()):
-                if c:
-                    x = x.add(g.scale_int(c))
-            label = "".join(str(c) for c in vec)
-            out.append(CatalogLine(label, vec, x, line_of(x)))
+            x = _combination(basis, vec)
+            out.append(CatalogLine("".join(map(str, vec)), vec, x, line_of(x)))
         cache[key] = out
     return cache[key]
 
 
-def _unit_image_space(ctx, basis, i):
-    """Coordinates of the image of U_i in the class space (U_0 = all of K*)."""
-    n = basis.dim()
-    if i <= 0:
-        return full_space(ctx.p, n)
-    rows = []
-    for idx, (label, lvl) in enumerate(zip(basis.labels(), basis.levels())):
-        if label in ("pi", "t"):
-            continue
-        if lvl >= i:
-            rows.append(FpVector(ctx.p, [1 if j == idx else 0 for j in range(n)]))
-    return rref(rows, p=ctx.p, ambient_dim=n)
+def _slice(p, n, idx):
+    """The span of the basis vectors idx in F_p^n."""
+    rows = [FpVector(p, [int(j == i) for j in range(n)]) for i in idx]
+    return rref(rows, p=p, ambient_dim=n)
 
 
-def _add_slice_space(ctx, basis, i):
-    """Coordinates of the classes of p^(-i+1) inside the window (pole order < i)."""
-    n = basis.dim()
-    rows = []
-    for idx, lvl in enumerate(basis.levels()):
-        if lvl <= i - 1:
-            rows.append(FpVector(ctx.p, [1 if j == idx else 0 for j in range(n)]))
-    return rref(rows, p=ctx.p, ambient_dim=n)
+def _complement(ctx, window, i, side):
+    """(complement, predicted slice) of one side's level slice under G.
+
+    side "mult": the mult classes orthogonal to the first-argument basis
+    lines of level < i; predicted: the U_i classes.  side "first": the
+    first-argument classes orthogonal to the U_i classes; predicted: the
+    basis lines of level < i.  A char-0 generator of unit level b spans a
+    line of level pc - b (the uniformizer's unit level is 0).
+    """
+    G = _pairing_matrix(ctx, window)
+    if ctx.characteristic == 0:
+        col_levels = adapted_basis(ctx).levels()
+        row_levels = [ctx.pc - lvl for lvl in col_levels]
+    else:
+        col_levels = adapted_basis(ctx, "mult", window).levels()
+        row_levels = adapted_basis(ctx, "add", window).levels()
+    low = [r for r, lvl in enumerate(row_levels) if lvl < i]
+    deep = [c for c, lvl in enumerate(col_levels) if lvl >= i]
+    if side == "mult":
+        orth, keep, n = [G[r] for r in low], deep, len(col_levels)
+    else:
+        orth, keep, n = [[row[c] for row in G] for c in deep], low, len(G)
+    return _perp(orth, ctx.p, n), _slice(ctx.p, n, keep)
 
 
 # ================================================================ verifiers
@@ -528,15 +655,7 @@ def verify_filtration(ctx, window=None, seed=0):
         if got != want:
             counterexample = {"index": got[0], "dim": got[1], "expected": want[1]}
             break
-    return VerificationReport(
-        claim_id=claim,
-        field=ctx.field_label(),
-        window=window_out,
-        seed=seed,
-        status="pass" if counterexample is None else "fail",
-        witnesses=witnesses,
-        counterexample=counterexample,
-    )
+    return _report(ctx, claim, window_out, seed, witnesses, counterexample)
 
 
 def _break_entries(ctx, window, seed):
@@ -563,15 +682,7 @@ def verify_breaks(ctx, window=None, seed=0):
     witnesses = [{"statement": _statement("S4.22")}, {"lines": len(entries)}] + [
         {"line": lbl, "level": lv, "break": ep} for lbl, lv, ep in entries
     ]
-    return VerificationReport(
-        claim_id="S4.22",
-        field=ctx.field_label(),
-        window=w,
-        seed=seed,
-        status="pass" if counterexample is None else "fail",
-        witnesses=witnesses,
-        counterexample=counterexample,
-    )
+    return _report(ctx, "S4.22", w, seed, witnesses, counterexample)
 
 
 def verify_break_positions(ctx, window=None, seed=0):
@@ -594,15 +705,7 @@ def verify_break_positions(ctx, window=None, seed=0):
         {"expected_breaks": predicted},
         {"multiset": _break_multiset(entries)},
     ]
-    return VerificationReport(
-        claim_id=claim,
-        field=ctx.field_label(),
-        window=w,
-        seed=seed,
-        status="pass" if counterexample is None else "fail",
-        witnesses=witnesses,
-        counterexample=counterexample,
-    )
+    return _report(ctx, claim, w, seed, witnesses, counterexample)
 
 
 def _break_multiset(entries):
@@ -613,37 +716,31 @@ def _break_multiset(entries):
 
 
 def _extension_setting(ctx, window, seed):
-    """(window, mult basis, line catalog) of an extension-backed verifier.
+    """(window, mult basis, line catalog, last level index i) of an
+    extension-backed verifier.
 
     Char 0 works in the whole class space (window None) and needs the p-th
-    roots of unity; char p works in the window.
+    roots of unity; its indices i run to pc + 1.  Char p works in the
+    window, and i runs to the window.
     """
     if ctx.characteristic == 0:
         if not ctx.mu_p_present:
             raise UnsupportedCaseError("extension-backed claims need Kummer extensions")
-        return None, adapted_basis(ctx), line_catalog(ctx)
+        return None, adapted_basis(ctx), line_catalog(ctx), ctx.pc + 1
     w = _window(window)
-    return w, adapted_basis(ctx, "mult", w), add_line_catalog(ctx, w, seed)
+    return w, adapted_basis(ctx, "mult", w), add_line_catalog(ctx, w, seed), w
 
 
 def verify_norm_groups(ctx, window=None, seed=0):
-    w, basis, catalog = _extension_setting(ctx, window, seed)
-    if ctx.characteristic == 0:
-        i_range = range(0, ctx.pc + 2)
-    else:
-        i_range = range(0, min(w, _MAX_CHARP_INDEX) + 1)
-    subgroup = lambda cl: norm_class_subgroup(_attached(cl.line), w)
+    w, basis, catalog, i_top = _extension_setting(ctx, window, seed)
     n = basis.dim()
     witnesses = [{"statement": _statement("S6.29")}]
     counterexample = None
-    for i in i_range:
-        inter = full_space(ctx.p, n)
-        used = 0
-        for cl in catalog:
-            if cl.line.level < i:
-                inter = intersect(inter, subgroup(cl))
-                used += 1
-        predicted = _unit_image_space(ctx, basis, i)
+    for i in range(0, i_top + 1):
+        # the lines of level < i span what the basis lines of level < i
+        # span, so their norm groups meet in that span's complement
+        inter, predicted = _complement(ctx, w, i, "mult")
+        used = sum(cl.line.level < i for cl in catalog)
         ok = inter == predicted
         witnesses.append({"i": i, "lines": used, "dim": inter.dim(), "pass": ok})
         if not ok and counterexample is None:
@@ -656,15 +753,7 @@ def verify_norm_groups(ctx, window=None, seed=0):
             pi_vec = coordinates(basis, ctx.pi())
             if inter.dim() != n - 1 or member(inter, pi_vec):
                 counterexample = {"i": 1, "detail": "valuation line not the quotient"}
-    return VerificationReport(
-        claim_id="S6.29",
-        field=ctx.field_label(),
-        window=w,
-        seed=seed,
-        status="pass" if counterexample is None else "fail",
-        witnesses=witnesses,
-        counterexample=counterexample,
-    )
+    return _report(ctx, "S6.29", w, seed, witnesses, counterexample)
 
 
 def verify_reciprocity(ctx, window=None, seed=0):
@@ -672,7 +761,7 @@ def verify_reciprocity(ctx, window=None, seed=0):
     witnesses = [{"statement": _statement("S7.31")}]
     counterexample = None
 
-    w, basis, catalog = _extension_setting(ctx, window, seed)
+    w, _, catalog, i_top = _extension_setting(ctx, window, seed)
     unram = [cl for cl in catalog if cl.line.level == 0]
     if ctx.characteristic == 0 and len(unram) != 1:
         raise InternalError("expected exactly one unramified line, found %d" % len(unram))
@@ -690,10 +779,8 @@ def verify_reciprocity(ctx, window=None, seed=0):
     uniformizers = [ctx.pi().mul(u) for u in units]
     if ctx.characteristic:
         third_b = ctx.one().add(ctx.teichmuller(g).shift(2))
-        i_top = min(w, _MAX_CHARP_INDEX)
     else:
         third_b = ctx.teichmuller(g) if ctx.f > 1 else ctx.one().add(ctx.pi().shift(1))
-        i_top = ctx.pc + 1
     sample_b = [ctx.pi(), ctx.one().add(ctx.pi()), third_b]
 
     def perturb(i):
@@ -743,10 +830,10 @@ def verify_reciprocity(ctx, window=None, seed=0):
     if counterexample is None:
         checked = 0
         for i in range(0, i_top + 1):
-            ui = _unit_image_space(ctx, basis, i)
+            # a line's norm group holds the U_i classes iff the line is in their complement
+            ui_perp, _ = _complement(ctx, w, i, "first")
             for cl in catalog:
-                sub = norm_class_subgroup(_attached(cl.line), w)
-                contained = all(member(sub, row) for row in ui.vectors())
+                contained = member(ui_perp, FpVector(ctx.p, cl.vec))
                 if contained != (cl.line.level < i):
                     counterexample = {
                         "part": "kernel-filtration",
@@ -760,15 +847,7 @@ def verify_reciprocity(ctx, window=None, seed=0):
                 break
         witnesses.append({"containments_checked": checked})
 
-    return VerificationReport(
-        claim_id="S7.31",
-        field=ctx.field_label(),
-        window=w,
-        seed=seed,
-        status="pass" if counterexample is None else "fail",
-        witnesses=witnesses,
-        counterexample=counterexample,
-    )
+    return _report(ctx, "S7.31", w, seed, witnesses, counterexample)
 
 
 def _random_nonzero_digit(ctx, rng):
@@ -779,49 +858,30 @@ def _random_nonzero_digit(ctx, rng):
 
 
 def verify_orthogonality_kummer(ctx, window=None, seed=0):
-    """Complements are intersections of norm-class groups — membership only.
+    """Complements of the U_i classes under the char-0 pairing matrix G.
 
-    Absolute pairing values in char 0 would need a fixed reciprocity
-    normalization, so nothing here combines pairing results across
-    different first arguments.  The Gram table in the report stores coset
-    logs of each column against a per-row reference column; each row is
-    therefore scaled by an arbitrary nonzero factor (at p=2 the values
-    are absolute and the table must come out symmetric).
+    The complement of the U_i classes is the intersection of the norm
+    groups of the lines of level <= pc - i, which is the kernel of their
+    rows of G.  Char 0 fixes no normalization, so G is known up to one
+    global factor; the Gram table in the report scales each row of G to a
+    1 in its first nonzero column (the coset log of each column generator
+    against the first one outside the row's norm group).  At p=2 the values
+    are absolute and the table must come out symmetric.
     """
     if ctx.characteristic != 0 or not ctx.mu_p_present:
         raise UnsupportedCaseError("kummer orthogonality needs char 0 with the p-th roots of unity")
-    basis = adapted_basis(ctx)
-    n = basis.dim()
-    labels = basis.labels()
-    gens = basis.elements()
-    gen_lines = [line_of(g) for g in gens]
-    gen_coords = [coordinates(basis, g) for g in gens]
-    gram = [_coset_log_row(ctx, basis, gen_lines[r], gens, gen_coords) for r in range(n)]
-    catalog = line_catalog(ctx)
+    labels = adapted_basis(ctx).labels()
+    n = len(labels)
+    gram = []
+    for row in _pairing_matrix(ctx):
+        inv = pow(next(v for v in row if v), -1, ctx.p)
+        gram.append([(inv * v) % ctx.p for v in row])
     orthogonals = []
     counterexample = None
     for i in range(0, ctx.pc + 2):
-        inside = [cl for cl in catalog if cl.line.level <= ctx.pc - i]
-        perp = full_space(ctx.p, n)
-        for cl in inside:
-            perp = intersect(perp, norm_class_subgroup(_attached(cl.line)))
         expected_i = ctx.pc - i + 1
-        expected = _unit_image_space(ctx, basis, expected_i)
+        perp, expected = _complement(ctx, None, expected_i, "mult")
         ok = perp == expected
-        # brute-force cross-check from the very definition, over every vector
-        if ctx.p**n <= _ENUMERATION_BUDGET:
-            survivors = []
-            for vec in itertools.product(range(ctx.p), repeat=n):
-                v = FpVector(ctx.p, vec)
-                if all(member(norm_class_subgroup(_attached(cl.line)), v) for cl in inside):
-                    survivors.append(v)
-            brute = rref(survivors, p=ctx.p, ambient_dim=n)
-            if brute != perp:
-                ok = False
-                counterexample = counterexample or {
-                    "i": i,
-                    "detail": "subgroup intersection disagrees with brute-force complement",
-                }
         orthogonals.append(
             {"i": i, "expected": "U_%d" % max(expected_i, 0), "dim": perp.dim(), "pass": ok}
         )
@@ -837,40 +897,10 @@ def verify_orthogonality_kummer(ctx, window=None, seed=0):
         witnesses.append({"gram_symmetric": sym})
         if not sym and counterexample is None:
             counterexample = {"detail": "gram not symmetric at p=2"}
-    status = "pass" if counterexample is None else "fail"
-    return PairingReport(
-        row_labels=labels,
-        col_labels=labels,
-        gram=gram,
-        claimed_orthogonals=orthogonals,
-        claim_id="S8.33",
-        field=ctx.field_label(),
-        window=None,
-        seed=seed,
-        status=status,
-        witnesses=witnesses,
-        counterexample=counterexample,
+    return _report(
+        ctx, "S8.33", None, seed, witnesses, counterexample, PairingReport,
+        row_labels=labels, col_labels=labels, gram=gram, claimed_orthogonals=orthogonals,
     )
-
-
-def _coset_log_row(ctx, basis, row_line, gens, gen_coords):
-    """Coset logs of every column generator modulo the row's norm group.
-
-    The reference column is the first generator outside the norm group
-    (one exists: the group is certified to have codimension 1), and the
-    entry for column c is the k in [0, p) with g_c = ref^k modulo norms.
-    """
-    sub = norm_class_subgroup(_attached(row_line))
-    ref = next(g for g, v in zip(gens, gen_coords) if not member(sub, v))
-    row = []
-    for g in gens:
-        for k in range(ctx.p):
-            if member(sub, coordinates(basis, g.mul(ref.powi((ctx.p - k) % ctx.p)))):
-                row.append(k)
-                break
-        else:
-            raise InternalError("column generator missing from every norm coset")
-    return row
 
 
 def verify_orthogonality_as(ctx, window=None, seed=0):
@@ -880,28 +910,17 @@ def verify_orthogonality_as(ctx, window=None, seed=0):
     mb = adapted_basis(ctx, "mult", w)
     ab = adapted_basis(ctx, "add", w)
     dm, da = mb.dim(), ab.dim()
-    add_lines = [line_of(g) for g in ab.elements()]
-    # true F_p values: the Schmid residue is exactly bilinear, so kernels
-    # on either side are plain left kernels of this table
-    gram = [
-        [pairing_value(add_lines[r], mb.elements()[c], w) for c in range(dm)]
-        for r in range(da)
-    ]
+    # true F_p values: the Schmid residue is exactly bilinear
+    gram = _pairing_matrix(ctx, w)
     orthogonals = []
     counterexample = None
     rng = random.Random((seed << 4) ^ 0x5E34)
-    for i in range(0, min(w, _MAX_CHARP_INDEX) + 1):
+    for i in range(0, w + 1):
         # additive side: complement of the U_i window slice
-        mcols = [c for c in range(dm) if (i == 0) or (mb.labels()[c] != "t" and mb.levels()[c] >= i)]
-        table_a = [[gram[r][c] for c in mcols] for r in range(da)]
-        perp_add = left_kernel(table_a, ctx.p, full_space(ctx.p, da))
-        expected_add = _add_slice_space(ctx, ab, i)
+        perp_add, expected_add = _complement(ctx, w, i, "first")
         ok_add = perp_add == expected_add
         # multiplicative side ("vice versa"): complement of the p^(-i+1) slice
-        arows = [r for r in range(da) if ab.levels()[r] <= i - 1]
-        table_m = [[gram[r][c] for r in arows] for c in range(dm)]
-        perp_mult = left_kernel(table_m, ctx.p, full_space(ctx.p, dm))
-        expected_mult = _unit_image_space(ctx, mb, i)
+        perp_mult, expected_mult = _complement(ctx, w, i, "mult")
         ok_mult = perp_mult == expected_mult
         orthogonals.append(
             {
@@ -928,18 +947,8 @@ def verify_orthogonality_as(ctx, window=None, seed=0):
             mv = [rng.randrange(ctx.p) for _ in range(dm)]
             if not any(av) or not any(mv):
                 continue
-            x = ctx.zero()
-            for c, g in zip(av, ab.elements()):
-                if c:
-                    x = x.add(g.scale_int(c))
-            b = ctx.one()
-            for c, g in zip(mv, mb.elements()):
-                if c:
-                    b = b.mul(g.powi(c))
-            predicted = (
-                sum(av[r] * mv[c] * gram[r][c] for r in range(da) for c in range(dm)) % ctx.p
-            )
-            got = pairing_value(line_of(x), b, w)
+            predicted = sum(r * c for r, c in zip(_row_times(av, gram, ctx.p), mv)) % ctx.p
+            got = pairing_value(line_of(_combination(ab, av)), _combination(mb, mv), w)
             if got != predicted:
                 counterexample = {
                     "part": "bilinearity-spot-check",
@@ -951,19 +960,9 @@ def verify_orthogonality_as(ctx, window=None, seed=0):
                 break
             spots += 1
     witnesses = [{"statement": _statement("S8.34")}, {"spot_checks": spots}]
-    status = "pass" if counterexample is None else "fail"
-    return PairingReport(
-        row_labels=ab.labels(),
-        col_labels=mb.labels(),
-        gram=gram,
-        claimed_orthogonals=orthogonals,
-        claim_id="S8.34",
-        field=ctx.field_label(),
-        window=w,
-        seed=seed,
-        status=status,
-        witnesses=witnesses,
-        counterexample=counterexample,
+    return _report(
+        ctx, "S8.34", w, seed, witnesses, counterexample, PairingReport,
+        row_labels=ab.labels(), col_labels=mb.labels(), gram=gram, claimed_orthogonals=orthogonals,
     )
 
 

@@ -12,7 +12,10 @@ Independent oracles:
 * the vanishing S(res(wp(z) db/b)) = 0, which is what makes the residue
   pairing well defined on classes;
 * the span of the norm classes of the whole generator schedule, walked to
-  its end, which norm_class_subgroup must reproduce when it stops early.
+  its end, which norm_class_subgroup must reproduce when it stops early;
+* the walked norm group of every line, which must be the kernel of that
+  line's row of the pairing matrix, and the U_i complements of S8.33
+  re-derived from the walked norm groups over all p^n vectors.
 """
 
 import itertools
@@ -401,6 +404,144 @@ def test_norm_subgroup_short_schedule_is_an_internal_error(monkeypatch, desc, el
     E = attach_extension(line_of(parse_element(ctx, elt)))
     with pytest.raises(InternalError, match="stuck at codimension"):
         norm_class_subgroup(E, window)
+
+
+# ---------------------------------------------------------------- pairing matrix
+
+# The char-0 fields with the p-th roots of unity among the bundled ones:
+# Q2, Q2 f=2, Q3(zeta3), Q2 e=3 and Q3f2e2, with 7, 15, 40, 31 and 364 lines.
+CHAR0_MU_P = (
+    "Qp p=2 f=1",
+    "Qp p=2 f=2",
+    "Qp p=3 f=1 eis=3,3,1",
+    "Qp p=2 f=1 eis=-2,0,0,1",
+    "Qp p=3 f=2 eis=3,3,1",
+)
+
+
+def assert_kernels_match_walked_norm_groups(desc):
+    """Oracle: for every catalog line x, the norm group walked from its own
+    extension is ker(x.G), i.e. it has codimension 1 and x.G kills it."""
+    ctx = parse_field(desc)
+    G = pairings_verifiers._pairing_matrix(ctx)
+    p, d = ctx.p, len(G)
+    for cl in line_catalog(ctx):
+        row = [sum(x * G[r][c] for r, x in enumerate(cl.vec)) % p for c in range(d)]
+        walked = norm_class_subgroup(attach_extension(cl.line))
+        assert any(row) and walked.dim() == d - 1, (desc, cl.label)
+        for h in walked.basis:
+            assert sum(a * b for a, b in zip(row, h)) % p == 0, (desc, cl.label)
+
+
+@pytest.mark.parametrize("desc", CHAR0_MU_P)
+def test_pairing_matrix_kernels_are_the_walked_norm_groups(desc):
+    assert_kernels_match_walked_norm_groups(desc)
+
+
+@pytest.mark.slow
+def test_pairing_matrix_kernels_are_the_walked_norm_groups_q5_zeta5():
+    # 3906 lines, each with its own extension: about a minute
+    assert_kernels_match_walked_norm_groups("Qp p=5 f=1 eis=5,10,10,5,1")
+
+
+@pytest.mark.parametrize("desc", CHAR0_MU_P)
+def test_kummer_complements_match_brute_force(desc):
+    # the U_i complement of S8.33, from the definition: every vector of
+    # F_p^n lying in the walked norm group of every line of level <= pc - i
+    ctx = parse_field(desc)
+    n = adapted_basis(ctx).dim()
+    levels = adapted_basis(ctx).levels()
+    report = verify_claim(ctx, "S8.33")
+    claimed = {entry["i"]: entry for entry in report.claimed_orthogonals}
+    walked = [(cl.line.level, norm_class_subgroup(attach_extension(cl.line)))
+              for cl in line_catalog(ctx)]
+    for i in range(0, ctx.pc + 2):
+        groups = [sub for level, sub in walked if level <= ctx.pc - i]
+        survivors = [
+            FpVector(ctx.p, vec)
+            for vec in itertools.product(range(ctx.p), repeat=n)
+            if all(member(sub, FpVector(ctx.p, vec)) for sub in groups)
+        ]
+        brute = rref(survivors, p=ctx.p, ambient_dim=n)
+        deep = [FpVector(ctx.p, [int(j == c) for j in range(n)])
+                for c, lvl in enumerate(levels) if lvl >= ctx.pc - i + 1]
+        assert brute == rref(deep, p=ctx.p, ambient_dim=n), (desc, i)
+        assert claimed[i]["dim"] == brute.dim() and claimed[i]["pass"], (desc, i)
+
+
+@pytest.mark.parametrize(
+    "desc, window", [("Fq((t)) p=2 f=1", 9), ("Fq((t)) p=3 f=1", 6), ("Fq((t)) p=2 f=2", 5)]
+)
+def test_char_p_pairing_matrix_is_the_schmid_table(desc, window):
+    ctx = parse_field(desc)
+    G = pairings_verifiers._pairing_matrix(ctx, window)
+    fresh = parse_field(desc)
+    mult = adapted_basis(fresh, "mult", window).elements()
+    table = [
+        [pairing_value(line_of(g), h, window) for h in mult]
+        for g in adapted_basis(fresh, "add", window).elements()
+    ]
+    assert G == table
+    assert verify_claim(ctx, "S8.34", window=window).gram == table
+
+
+@pytest.mark.parametrize("desc", ["Qp p=2 f=1", "Qp p=3 f=1 eis=3,3,1"])
+def test_pairing_matrix_certificate_catches_every_flipped_entry(desc):
+    ctx = parse_field(desc)
+    G = pairings_verifiers._pairing_matrix(ctx)
+    pairings_verifiers._certify_pairing_matrix(ctx, G)
+    d = len(G)
+    for r, c in itertools.product(range(d), repeat=2):
+        bad = [list(row) for row in G]
+        bad[r][c] = (bad[r][c] + 1) % ctx.p
+        with pytest.raises(InternalError):
+            pairings_verifiers._certify_pairing_matrix(ctx, bad)
+
+
+def _patch_generator_norm_group(monkeypatch, ctx, k, wrong):
+    """norm_class_subgroup answers `wrong` for the line of generator k."""
+    real = pairings_verifiers.norm_class_subgroup
+    key = pairings_verifiers._line_key(line_of(adapted_basis(ctx).elements()[k]))
+
+    def fake(E, window=None):
+        if pairings_verifiers._line_key(E.line) == key:
+            return wrong
+        return real(E, window)
+
+    monkeypatch.setattr(pairings_verifiers, "norm_class_subgroup", fake)
+
+
+@pytest.mark.parametrize("k, j", [(0, 1), (1, 2), (3, 1)])
+def test_pairing_matrix_rejects_a_wrong_generator_norm_group(monkeypatch, k, j):
+    # generator k gets the (true, codimension-1) norm group of the line of
+    # g_k g_j instead of its own
+    ctx = parse_field("Qp p=3 f=1 eis=3,3,1")
+    gens = adapted_basis(ctx).elements()
+    wrong = norm_class_subgroup(attach_extension(line_of(gens[k].mul(gens[j]))))
+    _patch_generator_norm_group(monkeypatch, ctx, k, wrong)
+    with pytest.raises(InternalError):
+        pairings_verifiers._pairing_matrix(ctx)
+
+
+def test_pairing_matrix_rejects_parallel_normals(monkeypatch):
+    ctx = parse_field("Qp p=3 f=1 eis=3,3,1")
+    gens = adapted_basis(ctx).elements()
+    wrong = norm_class_subgroup(attach_extension(line_of(gens[0])))
+    _patch_generator_norm_group(monkeypatch, ctx, 2, wrong)
+    with pytest.raises(InternalError, match="parallel"):
+        pairings_verifiers._pairing_matrix(ctx)
+
+
+def test_char_p_claims_check_every_index_up_to_the_window(f2t):
+    # S6.29, S7.31(d) and S8.34 used to stop at i = 9 whatever the window
+    for cid in ("S6.29", "S8.34"):
+        report = verify_claim(f2t, cid, window=12)
+        entries = report.witnesses if cid == "S6.29" else report.claimed_orthogonals
+        assert [w["i"] for w in entries if "i" in w] == list(range(13)), cid
+        assert report.status == "pass"
+    report = verify_claim(f2t, "S7.31", window=12)
+    checked = next(w["containments_checked"] for w in report.witnesses if "containments_checked" in w)
+    assert checked == 13 * len(add_line_catalog(f2t, 12)) and report.status == "pass"
 
 
 # ---------------------------------------------------------------- catalogs
