@@ -13,7 +13,6 @@ from .class_spaces import (
     filtration_dims,
     first_trivial_level,
     unit_class_reduce,
-    windowed_unit_reduce,
 )
 from .errors import (
     DomainError,
@@ -45,7 +44,6 @@ from .local_arith import (
     FieldContext,
     FieldDescriptor,
     bp_index,
-    make_field,
     parse_element,
     parse_field,
     series_residue_and_dlog,
@@ -100,7 +98,6 @@ __all__ = [
     "left_kernel",
     "line_catalog",
     "line_of",
-    "make_field",
     "member",
     "norm_class_subgroup",
     "pairing_value",
@@ -114,7 +111,6 @@ __all__ = [
     "val",
     "verify_all",
     "verify_claim",
-    "windowed_unit_reduce",
 ]
 
 __version__ = "0.1.0"

@@ -8,7 +8,8 @@ and the pole monomials theta_s t^(-b).  Independence is certified per
 level from the generators' leading digits (AdaptedBasis.certify), so no
 combination of classes is ever enumerated.
 
-Multiplicative side.  A nonzero x factors as pi^v * tau(r) * z with z a
+Multiplicative side.  One descent, unit_class_reduce, serves both
+characteristics.  A nonzero x factors as pi^v * tau(r) * z with z a
 principal unit.  The descent walks z down the filtration and cancels the
 digit at each level m against the adapted-basis generators of level m,
 whose exponents are the coordinates of the class, and against an explicit
@@ -16,10 +17,13 @@ p-th power, which goes into the certificate y.  Which digits a p-th power
 can cancel is decided *empirically*: for each level the map "b -> level-m
 digit of (1 + tau(b) pi^s)^p" is evaluated on a k-basis and the resulting
 F_p-linear system is solved, so no closed-form case analysis of binomial
-valuations is trusted at runtime.  Char 0 walks to the triviality
-threshold, char p to a window; the levels, the representative
-pi^(v mod p) * prod g^c and the certificate x = y^p * prod g^c all derive
-from the coordinates of that one walk.
+valuations is trusted at runtime.  Char p is the case e = infinity: there
+the map exists exactly when p divides m, and its columns are the Frobenius
+images of the k-basis.  The p-th powers are kept as one running product,
+never divided by.  Char 0 walks to the triviality threshold, char p to
+window + 1; the levels, the representative pi^(v mod p) * prod g^c and the
+certificate x = y^p * prod g^c all derive from the coordinates of that one
+walk.
 
 Additive side (char p only).  The same walk for wp(y) = y^p - y: poles of
 order divisible by p are absorbed into the certificate, poles of order
@@ -33,6 +37,7 @@ codimension profile of the filtration.
 """
 
 import random
+from collections import Counter
 
 from .errors import (
     DomainError,
@@ -187,34 +192,61 @@ def _cut(z, rel):
     return z.truncate(min(z.P, val(z) + rel))
 
 
-class _MultReduction:
-    """The certificate of both multiplicative descents, kept as root / den.
+class UnitClassReduction:
+    """Outcome of reducing x in K* modulo p-th powers, and modulo U_depth.
 
-    root is the p-th root the descent divided out (times pi^(v // p)) and
-    den the product of the generators it cancelled, so that
-    y = root / den satisfies y^p * normalized_rep = x up to the reduction's
-    depth, and checking that takes multiplications only.
+    status          "trivial" or "nontrivial"
+    coords          FpVector of the class in adapted_basis(ctx, "mult", window)
+    level_index     first obstruction level j (0 when the valuation is prime
+                    to p); None for trivial classes
+    levels          {m: k-digit} for every level with a nonzero coordinate
+    normalized_rep  pi^(v mod p) * prod g_i^c_i at working precision: a
+                    canonical representative of the whole class; the one()
+                    of the field for trivial classes
+    certificate     y = root / den with y^p * normalized_rep = x up to U_depth
+    depth           the level the descent stops at: the triviality threshold
+                    in char 0, window + 1 in char p
+
+    root is the p-th root the descent took out (times pi^(v // p)) and den
+    the product of the generators it cancelled, so that checking the
+    certificate takes multiplications only.
     """
 
-    __slots__ = ()
+    __slots__ = (
+        "status",
+        "coords",
+        "level_index",
+        "levels",
+        "normalized_rep",
+        "root",
+        "den",
+        "pi_exponent",
+        "unit_level",
+        "unit_leading",
+        "kill_steps",
+        "depth",
+    )
 
     def __init__(self, **kw):
         for name in self.__slots__:
             setattr(self, name, kw[name])
 
+    def is_trivial(self):
+        return self.status == "trivial"
+
     @property
     def certificate(self):
-        """y with y^p * normalized_rep = x up to the reduction's depth."""
+        """y with y^p * normalized_rep = x up to U_depth."""
         return self.root.mul(self.den.inv())
 
-    def _holds(self, x, depth):
+    def verify_against(self, x):
         """x * den^p = root^p * rep up to U_depth, by multiplications only.
 
         Raises PrecisionError when fewer than `depth` digits past the
         valuation of x are known on both sides: the identity cannot be
         decided then.
         """
-        p = x.ctx.p
+        p, depth = x.ctx.p, self.depth
         v = val(x)
         # Both the verdict and the guard read diff below pi^(v + depth) only.
         # Each factor is cut `depth` digits past its own valuation: a digit
@@ -233,43 +265,6 @@ class _MultReduction:
             )
         return val(diff) - v >= depth
 
-
-class UnitClassReduction(_MultReduction):
-    """Outcome of reducing x in K* modulo p-th powers (char 0).
-
-    status          "trivial" or "nontrivial"
-    coords          FpVector of the class in adapted_basis(ctx)
-    level_index     first obstruction level j (0 when the valuation is prime
-                    to p); None for trivial classes
-    levels          {m: k-digit} for every level with a nonzero coordinate
-    normalized_rep  pi^(v mod p) * prod g_i^c_i at working precision: a
-                    canonical representative of the whole class; the one()
-                    of the field for trivial classes
-    certificate     y = root / den with y^p * normalized_rep = x up to U_depth
-    """
-
-    __slots__ = (
-        "status",
-        "coords",
-        "level_index",
-        "levels",
-        "normalized_rep",
-        "root",
-        "den",
-        "pi_exponent",
-        "unit_level",
-        "unit_leading",
-        "kill_steps",
-        "depth",
-    )
-
-    def is_trivial(self):
-        return self.status == "trivial"
-
-    def verify_against(self, x):
-        """Check y^p * rep = x up to U_depth against the original element."""
-        return self._holds(x, self.depth)
-
     def __repr__(self):
         if self.status == "trivial":
             return "UnitClassReduction(trivial, depth=%d)" % self.depth
@@ -279,43 +274,45 @@ class UnitClassReduction(_MultReduction):
         )
 
 
-def unit_class_reduce(x):
+def unit_class_reduce(x, window=None):
     """Reduce x modulo (K*)^p by explicit descent through the unit filtration.
 
-    Cancels the digit at each level against p-th powers and the adapted-basis
-    generators of that level (at pc: the kill image plus a multiple of a*)
-    until the triviality threshold is passed.  The generator exponents are
-    the coordinates of the class.
+    Cancels the digit at each level against p-th powers and the generators
+    of that level in adapted_basis(ctx, "mult", window) (at pc: the kill
+    image plus a multiple of a*).  The generator exponents are the
+    coordinates of the class.  Char 0 takes no window and walks to the
+    triviality threshold; char p needs one and walks to window + 1, so the
+    class is taken modulo U_(window+1) as well.
 
-    Raises PrecisionError when the input does not carry enough known digits
-    to see the whole filtration (the threshold plus two digits of slack
-    beyond the valuation).
+    Raises PrecisionError when the input, or the field's working precision,
+    does not reach the last level read plus two digits of slack beyond the
+    valuation.
     """
     ctx = x.ctx
-    if ctx.characteristic != 0:
-        raise UnsupportedCaseError(
-            "unit_class_reduce handles char-0 fields; use as_class_reduce or "
-            "windowed_unit_reduce in char p"
-        )
+    basis = adapted_basis(ctx, "mult", window)
     v = val(x)
     if v == INF:
         raise DomainError("cannot reduce zero (or a truncation of zero)")
     v = int(v)
-    stop = first_trivial_level(ctx)
+    stop = first_trivial_level(ctx) if window is None else window + 1
     z = x.shift(-v) if v else x
-    if z.P < stop + _PRECISION_SLACK:
+    # The descent reads digits of z at levels below stop only, and every
+    # factor z is multiplied by is a unit, so a digit of z at or past the
+    # cut never reaches a digit the descent reads: cutting z there keeps
+    # two digits of slack and bounds every product below.
+    cut = stop + _PRECISION_SLACK
+    if min(z.P, ctx.default_precision) < cut:
         raise PrecisionError(
             "unit class reduction reads digits up to level %d and needs "
-            "precision >= %d beyond the valuation; element has %d"
-            % (stop - 1, stop + _PRECISION_SLACK, z.P)
+            "precision >= %d beyond the valuation; element has %s, field %d"
+            % (stop - 1, cut, z.P, ctx.default_precision)
         )
-    basis = adapted_basis(ctx)
-    hi = stop + ctx.e + 4
+    z = z.truncate(cut)
 
     r = z.residue()
-    y = ctx.teichmuller(r.pth_root(), hi)
-    z = z.mul(ctx.teichmuller(r.inv(), hi))
-    one = ctx.one(hi)
+    y = ctx.teichmuller(r.pth_root(), cut)
+    z = z.mul(ctx.teichmuller(r.inv(), cut))
+    one = ctx.one(cut)
 
     # The p-th powers divided out so far are kept as their product D, a
     # principal unit, and the descent walks z / D without dividing: since
@@ -337,7 +334,7 @@ def unit_class_reduce(x):
         s, kill_cols = (None, ()) if _kill_exponent(ctx, m) is None else _kill_columns(ctx, m)
         z, b = _cancel_digit(basis, z, m, diff.digit(m), kill_cols, coords)
         if b is not None:
-            factor = one.add(ctx.teichmuller(b, hi).shift(s))
+            factor = one.add(ctx.teichmuller(b, cut).shift(s))
             D = D.mul(factor.powi(ctx.p))
             y = y.mul(factor)
             steps += 1
@@ -358,113 +355,6 @@ def unit_class_reduce(x):
         unit_leading=levels.get(first),
         kill_steps=steps,
         depth=stop,
-    )
-
-
-class WindowedUnitReduction(_MultReduction):
-    """Multiplicative normal form modulo p-th powers *and* U_(window+1).
-
-    Char-p fields have no triviality threshold, so reduction is only
-    meaningful relative to a window: the class is pinned down by the
-    t-exponent mod p and one k-digit per prime-to-p level up to the window,
-    i.e. by its coordinates in adapted_basis(ctx, "mult", window).
-    """
-
-    __slots__ = (
-        "window",
-        "t_exponent",
-        "coords",
-        "levels",
-        "normalized_rep",
-        "root",
-        "den",
-    )
-
-    def trivial_in_window(self):
-        return self.t_exponent == 0 and not self.levels
-
-    def verify_against(self, x):
-        """Check y^p * rep = x modulo U_(window+1) against the original element."""
-        return self._holds(x, self.window + 1)
-
-    def __repr__(self):
-        return "WindowedUnitReduction(W=%d, t^%d, levels=%r)" % (
-            self.window,
-            self.t_exponent,
-            {m: a for m, a in sorted(self.levels.items())},
-        )
-
-
-def windowed_unit_reduce(x, window):
-    """Reduce x in K* modulo p-th powers down to level `window` (char p).
-
-    A digit at a level divisible by p is divided out as the p-th power of
-    an explicit monomial; any other digit is cancelled by the generators of
-    its level in adapted_basis(ctx, "mult", window).
-    """
-    ctx = x.ctx
-    if ctx.characteristic != ctx.p:
-        raise UnsupportedCaseError("windowed reduction is the char-p path")
-    window = int(window)
-    if window < 1:
-        raise DomainError("window must be a positive level, got %d" % window)
-    v = val(x)
-    if v == INF:
-        raise DomainError("cannot reduce zero (or a truncation of zero)")
-    v = int(v)
-    z = x.shift(-v) if v else x
-    if z.prec <= window + 1:
-        raise PrecisionError(
-            "window %d needs more than %d known digits past the valuation"
-            % (window, window + 1)
-        )
-    if window + 2 > ctx.default_precision:
-        raise PrecisionError(
-            "window %d exceeds the field's working precision %d"
-            % (window, ctx.default_precision)
-        )
-    basis = adapted_basis(ctx, "mult", window)
-    # The descent reads digits of z - 1 at levels <= window only: it stops
-    # once none is left there.  Every factor z is multiplied by is a unit, so
-    # a digit of z at level >= window + 2 only ever reaches levels >=
-    # window + 2 of later z: cutting z there, where the guard above already
-    # demands known digits, changes no digit the descent reads and keeps one
-    # digit of slack.
-    cut = window + 2
-    z = z.truncate(cut)
-
-    r = z.residue()
-    y = ctx.from_digits([(0, r.pth_root())])
-    z = z.mul(ctx.from_digits([(0, r.inv())]))
-    one = ctx.one()
-    coords = [v % ctx.p] + [0] * (basis.dim() - 1)
-    prev = 0
-    while True:
-        diff = z.sub(one)
-        m = diff.valuation()
-        if m == INF or m > window:
-            break
-        m = int(m)
-        if m <= prev:
-            raise InternalError("windowed descent failed to advance at level %d" % m)
-        prev = m
-        a = diff.digit(m)
-        if m % ctx.p == 0:
-            factor = one.add(ctx.from_digits([(m // ctx.p, a.pth_root())]))
-            z = z.mul(factor.powi(ctx.p).truncate(cut).inv())
-            y = y.mul(factor)
-        else:
-            z, _ = _cancel_digit(basis, z, m, a, (), coords)
-
-    vec, levels, rep, den = _class_data(basis, coords, v)
-    return WindowedUnitReduction(
-        window=window,
-        t_exponent=v % ctx.p,
-        coords=vec,
-        levels=levels,
-        normalized_rep=rep,
-        root=y.shift(v // ctx.p),
-        den=den,
     )
 
 
@@ -691,10 +581,10 @@ class AdaptedBasis:
         if self.space == "add" and leads[0].trace() != 1:
             raise InternalError("the trace line has trace %d, not 1" % leads[0].trace())
         for lvl, digits in sorted(by_level.items()):
-            if ctx.characteristic == 0 and lvl == ctx.pc:
+            if lvl == ctx.pc:
                 ok = len(digits) == 1 and not member(_boundary_data(ctx)[1], digits[0])
             else:
-                free = lvl % ctx.p if ctx.characteristic else _kill_exponent(ctx, lvl) is None
+                free = _kill_exponent(ctx, lvl) is None
                 ok = free and len(digits) == rref(digits).dim() == ctx.f
             if not ok:
                 raise InternalError(
@@ -740,44 +630,30 @@ def adapted_basis(ctx, space="mult", window=None):
     if key in ctx.cache:
         return ctx.cache[key]
 
-    vectors = []
-    if ctx.characteristic == 0:
-        vectors.append(("pi", ctx.pi(), 0))
-        for i in range(1, ctx.e + 1):
-            b = bp_index(ctx.p, i)
-            for sidx, theta in enumerate(ctx.k.basis()):
-                vectors.append(
-                    ("u%d_%d" % (b, sidx), ctx.one().add(ctx.teichmuller(theta).shift(b)), b)
-                )
-        if ctx.mu_p_present:
-            _, _, a_star = _boundary_data(ctx)
-            vectors.append(
-                (
-                    "u%d_*" % ctx.pc,
-                    ctx.one().add(ctx.teichmuller(a_star).shift(ctx.pc)),
-                    ctx.pc,
-                )
-            )
-    elif space == "mult":
-        vectors.append(("t", ctx.pi(), 0))
-        i = 1
-        while bp_index(ctx.p, i) <= window:
-            b = bp_index(ctx.p, i)
-            for sidx, theta in enumerate(ctx.k.basis()):
-                vectors.append(
-                    ("u%d_%d" % (b, sidx), ctx.one().add(ctx.from_digits([(b, theta)])), b)
-                )
-            i += 1
+    if space == "add":
+        vectors = [("c", ctx.from_digits([(0, ctx.trace_one())]), 0)]
     else:
-        vectors.append(("c", ctx.from_digits([(0, ctx.trace_one())]), 0))
-        i = 1
-        while bp_index(ctx.p, i) <= window:
-            b = bp_index(ctx.p, i)
-            for sidx, theta in enumerate(ctx.k.basis()):
-                vectors.append(
-                    ("a%d_%d" % (b, sidx), ctx.from_digits([(-b, theta)]), b)
-                )
-            i += 1
+        vectors = [("t" if ctx.characteristic else "pi", ctx.pi(), 0)]
+    # the obstruction levels: prime to p, and below pe/(p-1) in char 0
+    top = first_trivial_level(ctx) - 1 if window is None else window
+    for b in range(1, top + 1):
+        if _kill_exponent(ctx, b) is not None:
+            continue
+        for sidx, theta in enumerate(ctx.k.basis()):
+            tau = ctx.teichmuller(theta)
+            if space == "add":
+                vectors.append(("a%d_%d" % (b, sidx), tau.shift(-b), b))
+            else:
+                vectors.append(("u%d_%d" % (b, sidx), ctx.one().add(tau.shift(b)), b))
+    if ctx.mu_p_present:
+        _, _, a_star = _boundary_data(ctx)
+        vectors.append(
+            (
+                "u%d_*" % ctx.pc,
+                ctx.one().add(ctx.teichmuller(a_star).shift(ctx.pc)),
+                ctx.pc,
+            )
+        )
 
     basis = AdaptedBasis(ctx, space, window, vectors)
     basis.certify()
@@ -791,13 +667,12 @@ def adapted_basis(ctx, space="mult", window=None):
 def coordinates(basis, x):
     """Coordinates of the class of x in the adapted basis, as an FpVector.
 
-    Multiplicative coordinates are read off the one descent, which cancels
-    against these very generators: unit_class_reduce in char 0, and in
-    char p windowed_unit_reduce at the basis window (coordinates modulo
-    U_(window+1), the quotient the basis spans).  Additive coordinates are
-    read off the normal form, which already equals sum c_i * g_i; input
-    whose normal form has a pole deeper than the window is rejected with
-    OutOfWindowError.
+    Multiplicative coordinates are read off the one descent,
+    unit_class_reduce at the basis window, which cancels against these very
+    generators (in char p: coordinates modulo U_(window+1), the quotient the
+    basis spans).  Additive coordinates are read off the normal form, which
+    already equals sum c_i * g_i; input whose normal form has a pole deeper
+    than the window is rejected with OutOfWindowError.
 
     The answer is checked by its certificate, with multiplications and no
     second descent: x = y^p * prod g_i^c_i up to U_stop in char 0 and up to
@@ -811,10 +686,7 @@ def coordinates(basis, x):
     if basis.space == "mult":
         if basis is not adapted_basis(ctx, "mult", basis.window):
             raise DomainError("mult coordinates are taken in the field's own adapted basis")
-        if ctx.characteristic == 0:
-            red = unit_class_reduce(x)
-        else:
-            red = windowed_unit_reduce(x, basis.window)
+        red = unit_class_reduce(x, basis.window)
         coords = red.coords
     else:
         red = as_class_reduce(x)
@@ -852,21 +724,10 @@ def filtration_dims(ctx, index_range, space="mult"):
     if space == "mult":
         if lo < 0:
             raise DomainError("multiplicative filtration levels start at 0")
-        if ctx.characteristic == 0:
-            basis = adapted_basis(ctx)
-        else:
-            basis = adapted_basis(ctx, "mult", window=max(hi, 1))
-        counts = {}
-        for _, _, lvl in basis.vectors:
-            counts[lvl] = counts.get(lvl, 0) + 1
-        out = []
-        for i in range(lo, hi + 1):
-            if ctx.characteristic == 0 and i > 0 and i >= first_trivial_level(ctx):
-                codim = 0
-            else:
-                codim = counts.get(i, 0)
-            out.append((i, codim))
-        _crosscheck_mult_dims(ctx, out)
+        window = None if ctx.characteristic == 0 else max(hi, 1)
+        counts = Counter(adapted_basis(ctx, "mult", window).levels())
+        out = [(i, counts[i]) for i in range(lo, hi + 1)]
+        _crosscheck_mult_dims(ctx, out, window)
         return out
     if space != "add":
         raise DomainError("space must be 'mult' or 'add', got %r" % (space,))
@@ -874,16 +735,13 @@ def filtration_dims(ctx, index_range, space="mult"):
         raise UnsupportedCaseError("the additive quotient is only nontrivial in char p")
     if hi > 0:
         raise DomainError("additive filtration indices are <= 0 (i = -pole order)")
-    basis = adapted_basis(ctx, "add", window=max(-lo, 1))
-    counts = {}
-    for _, _, lvl in basis.vectors:
-        counts[lvl] = counts.get(lvl, 0) + 1
-    out = [(i, counts.get(-i, 0)) for i in range(lo, hi + 1)]
+    counts = Counter(adapted_basis(ctx, "add", window=max(-lo, 1)).levels())
+    out = [(i, counts[-i]) for i in range(lo, hi + 1)]
     _crosscheck_add_dims(ctx, out)
     return out
 
 
-def _crosscheck_mult_dims(ctx, profile):
+def _crosscheck_mult_dims(ctx, profile, window):
     """Sample a unit at each level and confirm its reduction lands there."""
     rng = random.Random(0xD1)
     nonzero = [a for a in ctx.k.elements() if not a.is_zero()]
@@ -891,42 +749,24 @@ def _crosscheck_mult_dims(ctx, profile):
         if i < 1:
             continue
         a = nonzero[rng.randrange(len(nonzero))]
-        if ctx.characteristic == 0:
-            if i + _PRECISION_SLACK + 1 > ctx.default_precision:
-                continue
-            if i == ctx.pc and ctx.mu_p_present:
-                # a random boundary digit may lie in the kill image and reduce
-                # away; the basis digit a* is the one that must survive
-                a = _boundary_data(ctx)[2]
-            u = ctx.one().add(ctx.teichmuller(a).shift(i))
-            red = unit_class_reduce(u)
-            lvl = red.unit_level
-            deeper_ok = lvl is None or lvl > i
-            if codim:
-                if lvl != i:
-                    raise InternalError(
-                        "level-%d sample reduced to level %r against a basis count"
-                        % (i, lvl)
-                    )
-            elif not deeper_ok:
+        if i + _PRECISION_SLACK + 1 > ctx.default_precision:
+            continue
+        if ctx.mu_p_present and i == ctx.pc:
+            # a random boundary digit may lie in the kill image and reduce
+            # away; the basis digit a* is the one that must survive
+            a = _boundary_data(ctx)[2]
+        u = ctx.one().add(ctx.teichmuller(a).shift(i))
+        lvl = unit_class_reduce(u, window).unit_level
+        if codim:
+            if lvl != i:
                 raise InternalError(
-                    "level-%d sample obstructed where the basis has no slot" % i
+                    "level-%d sample reduced to level %r against a basis count"
+                    % (i, lvl)
                 )
-        else:
-            if i + 2 > ctx.default_precision:
-                continue
-            u = ctx.one().add(ctx.from_digits([(i, a)]))
-            red = windowed_unit_reduce(u, i + 1 if i % ctx.p == 0 else i)
-            got = sorted(red.levels)
-            if codim:
-                if got != [i]:
-                    raise InternalError(
-                        "level-%d sample normalized to levels %r" % (i, got)
-                    )
-            elif i in got:
-                raise InternalError(
-                    "level-%d sample obstructed where the basis has no slot" % i
-                )
+        elif lvl is not None and lvl <= i:
+            raise InternalError(
+                "level-%d sample obstructed where the basis has no slot" % i
+            )
 
 
 def _crosscheck_add_dims(ctx, profile):

@@ -53,6 +53,22 @@ def _context(args):
     return parse_field(args.field, prec_override=prec)
 
 
+def _window_arg(text):
+    """The type of --window in every command: a positive level."""
+    try:
+        window = int(text)
+    except ValueError:
+        window = 0
+    if window <= 0:
+        raise argparse.ArgumentTypeError("window must be a positive level, got %r" % text)
+    return window
+
+
+def _mult_window(ctx, args):
+    """The window of the mult basis: None in char 0, where no window applies."""
+    return None if ctx.characteristic == 0 else args.window
+
+
 def _monomial(labels, coords):
     parts = []
     for lbl, k in zip(labels, coords):
@@ -173,13 +189,9 @@ def _compute_norm_group(ctx, args):
         )
     line = line_of(parse_element(ctx, src))
     ext = attach_extension(line)
-    sub = norm_class_subgroup(ext, window=args.window)
-    basis = (
-        adapted_basis(ctx)
-        if ctx.characteristic == 0
-        else adapted_basis(ctx, "mult", args.window)
-    )
-    labels = basis.labels()
+    w = _mult_window(ctx, args)
+    sub = norm_class_subgroup(ext, window=w)
+    labels = adapted_basis(ctx, "mult", w).labels()
     lines = ["labels: %s" % " ".join(labels), "dim = %d" % sub.dim()]
     lines += ["gen: %s" % _monomial(labels, row) for row in sub.basis]
     payload = {
@@ -191,14 +203,12 @@ def _compute_norm_group(ctx, args):
 
 
 def _compute_class(ctx, args):
-    if ctx.characteristic == 0:
-        if args.elt is None:
-            raise MalformedInputError("compute class needs --elt")
-        basis = adapted_basis(ctx)
-        x = parse_element(ctx, args.elt)
-    elif args.mult is not None:
-        basis = adapted_basis(ctx, "mult", args.window)
-        x = parse_element(ctx, args.mult)
+    mult = args.elt if ctx.characteristic == 0 else args.mult
+    if mult is not None:
+        basis = adapted_basis(ctx, "mult", _mult_window(ctx, args))
+        x = parse_element(ctx, mult)
+    elif ctx.characteristic == 0:
+        raise MalformedInputError("compute class needs --elt")
     elif args.add is not None:
         basis = adapted_basis(ctx, "add", args.window)
         x = parse_element(ctx, args.add)
@@ -279,7 +289,10 @@ def _build_parser():
     def common(sp):
         sp.add_argument("--field", required=True, help="field descriptor, e.g. 'Qp p=2 f=1'")
         sp.add_argument("--prec", type=int, default=None, help="precision override (else LFK_PREC, else default)")
-        sp.add_argument("--window", type=int, default=None, help="working window for char-p quotients")
+        sp.add_argument(
+            "--window", type=_window_arg, default=None,
+            help="working window for char-p quotients (a positive level; ignored in char 0)",
+        )
         sp.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
         sp.add_argument("--format", choices=("table", "json"), default="table")
         sp.add_argument("--out", default=None, help="directory for per-claim JSON reports")

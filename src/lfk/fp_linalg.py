@@ -187,13 +187,6 @@ def solve(columns, target):
     return tuple(x)
 
 
-def add_spaces(a, b):
-    """Sum a + b as a subspace."""
-    if a.p != b.p or a.ambient_dim != b.ambient_dim:
-        raise MalformedInputError("subspace sum: modulus or ambient mismatch")
-    return rref(a.vectors() + b.vectors(), p=a.p, ambient_dim=a.ambient_dim)
-
-
 def intersect(a, b):
     """Intersection a ∩ b, by the kernel-of-stacked-bases method (Zassenhaus)."""
     if a.p != b.p or a.ambient_dim != b.ambient_dim:

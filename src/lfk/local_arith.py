@@ -118,11 +118,6 @@ class FieldDescriptor:
             self.eisenstein_poly = None
 
 
-def make_field(descriptor):
-    """Build the FieldContext: derived constants, mu_p decision, cached zeta."""
-    return FieldContext(descriptor)
-
-
 class FieldContext:
     def __init__(self, d):
         self.descriptor = d
@@ -855,10 +850,6 @@ class LaurentElement:
         items = sorted(self.coeffs.items())
         return [(i, c) for i, c in items if (lo is None or i >= lo) and (hi is None or i < hi)]
 
-    def coeff_at(self, m):
-        """Like digit() but with no precision guard; internal use."""
-        return self.coeffs.get(m, self.ctx.k.zero())
-
     def eq_to_precision(self, other):
         return self.sub(other).is_zero_to_precision()
 
@@ -924,7 +915,7 @@ def series_residue_and_dlog(x, u):
     w = x.mul(u.derivative().mul(u.inv()))
     if w.prec <= -1:
         raise PrecisionError("t^-1 coefficient of x * du/u is not determined")
-    return w.coeff_at(-1).trace()
+    return w.digit(-1).trace()
 
 
 # ================================================================ parsing
@@ -981,7 +972,7 @@ def parse_field(text, prec_override=None):
         if kv:
             raise MalformedInputError("unknown keys for Fq((t)): %s" % sorted(kv))
         d = FieldDescriptor(p, p, f, residue_poly=resf, default_precision=prec)
-    return make_field(d)
+    return FieldContext(d)
 
 
 class _Tokens:

@@ -97,12 +97,8 @@ def norm_class_subgroup(E, window=None):
     """
     ctx = E.base
     if ctx.characteristic == 0:
-        basis = adapted_basis(ctx)
-        window = None
-    else:
-        if window is None:
-            raise DomainError("char-p norm subgroups are windowed; pass window")
-        basis = adapted_basis(ctx, "mult", window)
+        window = None  # the whole class space; char p needs a window
+    basis = adapted_basis(ctx, "mult", window)
     cache = ctx.cache
     key = ("normsub", window) + _line_key(E.line)
     if key in cache:
@@ -240,10 +236,15 @@ def pairs_trivially(a_line, b, window=None):
     if ctx.characteristic == 0:
         if b.ctx is not ctx:
             raise DomainError("pairing arguments live over different fields")
-        row = _row_times(a_line.reduction.coords.coords, _pairing_matrix(ctx), ctx.p)
-        y = coordinates(adapted_basis(ctx), b).coords
-        return sum(r * c for r, c in zip(row, y)) % ctx.p == 0
+        return _trivial_at(a_line, coordinates(adapted_basis(ctx), b))
     return pairing_value(a_line, b, window) == 0
+
+
+def _trivial_at(a_line, y):
+    """Char 0: (x.G).y == 0 for the coordinates x of a_line and y of b."""
+    ctx = a_line.ctx
+    row = _row_times(a_line.reduction.coords.coords, _pairing_matrix(ctx), ctx.p)
+    return sum(r * c for r, c in zip(row, y.coords)) % ctx.p == 0
 
 
 def _pairing_matrix(ctx, window=None):
@@ -576,11 +577,10 @@ def _complement(ctx, window, i, side):
     line of level pc - b (the uniformizer's unit level is 0).
     """
     G = _pairing_matrix(ctx, window)
+    col_levels = adapted_basis(ctx, "mult", window).levels()
     if ctx.characteristic == 0:
-        col_levels = adapted_basis(ctx).levels()
         row_levels = [ctx.pc - lvl for lvl in col_levels]
     else:
-        col_levels = adapted_basis(ctx, "mult", window).levels()
         row_levels = adapted_basis(ctx, "add", window).levels()
     low = [r for r, lvl in enumerate(row_levels) if lvl < i]
     deep = [c for c, lvl in enumerate(col_levels) if lvl >= i]
@@ -761,7 +761,7 @@ def verify_reciprocity(ctx, window=None, seed=0):
     witnesses = [{"statement": _statement("S7.31")}]
     counterexample = None
 
-    w, _, catalog, i_top = _extension_setting(ctx, window, seed)
+    w, basis, catalog, i_top = _extension_setting(ctx, window, seed)
     unram = [cl for cl in catalog if cl.line.level == 0]
     if ctx.characteristic == 0 and len(unram) != 1:
         raise InternalError("expected exactly one unramified line, found %d" % len(unram))
@@ -802,13 +802,18 @@ def verify_reciprocity(ctx, window=None, seed=0):
         frob_ok += 1
     witnesses.append({"uniformizers_checked": frob_ok})
 
-    # (c) pairing bits depend only on b modulo U_(level+1)
+    # (c) pairing bits depend only on b modulo U_(level+1); in char 0 the
+    # bit of each sample b is read off its coordinates, taken once
     if counterexample is None:
+        if ctx.characteristic == 0:
+            ys = [coordinates(basis, b) for b in sample_b]
+            base_bits = lambda line: (_trivial_at(line, y) for y in ys)
+        else:
+            base_bits = lambda line: (pair(line, b) for b in sample_b)
         stable = 0
         for cl in catalog:
             i = cl.line.level + 1
-            for b in sample_b:
-                base_bit = pair(cl.line, b)
+            for b, base_bit in zip(sample_b, base_bits(cl.line)):
                 for _ in range(2):
                     u = perturb(i)
                     if pair(cl.line, b.mul(u)) != base_bit:

@@ -22,7 +22,6 @@ from lfk.class_spaces import (
     filtration_dims,
     first_trivial_level,
     unit_class_reduce,
-    windowed_unit_reduce,
 )
 from lfk.errors import (
     DomainError,
@@ -31,7 +30,8 @@ from lfk.errors import (
     PrecisionError,
     UnsupportedCaseError,
 )
-from lfk.local_arith import INF, ZqElement, parse_field, val
+from lfk.fp_linalg import solve
+from lfk.local_arith import INF, LaurentElement, ZqElement, parse_field, val
 
 
 # ---------------------------------------------------------------- oracles
@@ -98,6 +98,50 @@ def oracle_e3_level(u, squares):
     for s in squares:
         best = max(best, e3_val(e3_sub(u, s)))
     return best
+
+
+# -- the division-based windowed descent, kept as an oracle for char p
+
+
+def oracle_windowed_reduce(x, window):
+    """(coords, levels, normalized_rep) of x modulo p-th powers and U_(window+1).
+
+    An independent char-p walk: a digit a at a level m divisible by p is
+    divided out as the p-th power of 1 + a^(1/p) t^(m/p), read off the
+    residue field's pth_root (no kill columns, no linear solve); any other
+    digit is cancelled against the basis generators of its level by one
+    F_p-linear solve on their leading digits.
+    """
+    ctx = x.ctx
+    basis = adapted_basis(ctx, "mult", window)
+    v = int(val(x))
+    z = x.shift(-v).truncate(window + 2)
+    z = z.mul(ctx.from_digits([(0, z.residue().inv())]))
+    one = ctx.one()
+    coords = [v % ctx.p] + [0] * (basis.dim() - 1)
+    while True:
+        diff = z.sub(one)
+        m = diff.valuation()
+        if m == INF or m > window:
+            break
+        a = diff.digit(m)
+        if m % ctx.p == 0:
+            factor = one.add(ctx.from_digits([(m // ctx.p, a.pth_root())]))
+            z = z.mul(factor.powi(ctx.p).truncate(window + 2).inv())
+            continue
+        here = [i for i, lvl in enumerate(basis.levels()) if lvl == m]
+        sol = solve([basis.leads[i].fp_vector() for i in here], a.fp_vector())
+        for i, c in zip(here, sol):
+            if c:
+                coords[i] = c
+                z = z.mul(basis.elements()[i].powi(ctx.p - c))
+    levels, rep = {}, ctx.pi().powi(v % ctx.p)
+    for i, (c, (_, g, lvl)) in enumerate(zip(coords, basis.vectors)):
+        if c and i:
+            rep = rep.mul(g.powi(c))
+            digit = basis.leads[i].scale(c)
+            levels[lvl] = levels[lvl].add(digit) if lvl in levels else digit
+    return tuple(coords), levels, rep
 
 
 # -- exhaustive Artin-Schreier images for tiny Laurent supports over F_2
@@ -381,7 +425,8 @@ def test_precision_guard_fires(q2):
 
 
 def test_unit_reduce_wrong_characteristic(f2t):
-    with pytest.raises(UnsupportedCaseError):
+    # a char-p class is only defined modulo a window
+    with pytest.raises(DomainError):
         unit_class_reduce(f2t.one())
 
 
@@ -390,10 +435,10 @@ def test_unit_reduce_wrong_characteristic(f2t):
 
 def test_windowed_reduce_known(f2t):
     x = f2t.one().add(f2t.from_digits([(3, 1), (4, 1)]))
-    r = windowed_unit_reduce(x, 5)
-    assert r.t_exponent == 0
+    r = unit_class_reduce(x, 5)
+    assert r.pi_exponent % 2 == 0
     assert sorted(r.levels) == [3]
-    assert not r.trivial_in_window()
+    assert not r.is_trivial()
     # certificate relation: y^p * rep = x modulo levels beyond the window
     w = x.mul(r.certificate.powi(2).inv()).mul(r.normalized_rep.inv())
     d = val(w.sub(f2t.one()))
@@ -411,22 +456,49 @@ def test_windowed_reduce_class_invariance(f2t, f3t, f4t):
             y = ctx.from_digits(
                 [(0, nonzero[rng.randrange(len(nonzero))]), (2, rng.randrange(ctx.p))]
             ).shift(rng.randrange(-2, 3))
-            r1 = windowed_unit_reduce(x, 7)
-            r2 = windowed_unit_reduce(x.mul(y.powi(ctx.p)), 7)
-            assert r1.t_exponent == r2.t_exponent
+            r1 = unit_class_reduce(x, 7)
+            r2 = unit_class_reduce(x.mul(y.powi(ctx.p)), 7)
+            assert r1.pi_exponent % ctx.p == r2.pi_exponent % ctx.p
             assert r1.levels == r2.levels
             assert r1.normalized_rep.eq_to_precision(r2.normalized_rep)
 
 
 def test_windowed_reduce_guards(f2t):
     with pytest.raises(DomainError):
-        windowed_unit_reduce(f2t.zero(), 5)
+        unit_class_reduce(f2t.zero(), 5)
     with pytest.raises(DomainError):
-        windowed_unit_reduce(f2t.one(), 0)
+        unit_class_reduce(f2t.one(), 0)
     with pytest.raises(PrecisionError):
-        windowed_unit_reduce(f2t.one().add(f2t.pi()).truncate(4), 5)
-    with pytest.raises(UnsupportedCaseError):
-        windowed_unit_reduce(parse_field("Qp p=2 f=1").one(), 3)
+        unit_class_reduce(f2t.one().add(f2t.pi()).truncate(4), 5)
+    # char-0 classes need no window, so one is bad input
+    with pytest.raises(DomainError):
+        unit_class_reduce(parse_field("Qp p=2 f=1").one(), 3)
+    # the descent reads levels up to the window plus two digits of slack,
+    # and an exact input does not lift that bound off the field's precision
+    ctx = parse_field("Fq((t)) p=2 f=1 prec=8")
+    x = ctx.one().add(ctx.pi())
+    assert unit_class_reduce(x, 5).coords.coords[1] == 1
+    with pytest.raises(PrecisionError):
+        unit_class_reduce(x, 6)
+
+
+def test_windowed_reduce_matches_division_oracle(f2t, f3t, f4t):
+    rng = random.Random(0x0D1)
+    for ctx in (f2t, f3t, f4t):
+        nonzero = [a for a in ctx.k.elements() if not a.is_zero()]
+        for window in range(1, 10):
+            for _ in range(6):
+                pairs = [(0, rng.choice(nonzero))]
+                pairs += [(i, rng.randrange(ctx.p)) for i in range(1, 13)]
+                x = ctx.from_digits(pairs).shift(rng.randrange(-4, 5))
+                if rng.randrange(2):
+                    y = ctx.from_digits([(j, rng.choice(nonzero)) for j in rng.sample(range(-2, 5), 2)])
+                    x = x.mul(y.powi(ctx.p))
+                red = unit_class_reduce(x, window)
+                coords, levels, rep = oracle_windowed_reduce(x, window)
+                assert red.coords.coords == coords, (ctx, window, x)
+                assert red.levels == levels, (ctx, window, x)
+                assert red.normalized_rep.eq_to_precision(rep), (ctx, window, x)
 
 
 # ---------------------------------------------------------------- additive classes
@@ -564,14 +636,9 @@ def combination(basis, coeffs):
 def reduces_trivial(basis, x):
     if basis.space == "add":
         return as_class_reduce(x).is_trivial()
-    if basis.ctx.characteristic == 0:
-        red = unit_class_reduce(x)
-        trivial = red.is_trivial()
-    else:
-        red = windowed_unit_reduce(x, basis.window)
-        trivial = red.trivial_in_window()
+    red = unit_class_reduce(x, basis.window)
     assert red.verify_against(x)
-    return trivial
+    return red.is_trivial()
 
 
 def test_bundled_bases_independent_exhaustively():
@@ -598,37 +665,41 @@ def test_coordinates_of_basis_products_sampled():
 
 def test_char0_descent_inverts_nothing(monkeypatch):
     # unit_class_reduce keeps the p-th powers it cancels as one running
-    # product instead of dividing by each; its certificate still holds
+    # product instead of dividing by each, in both characteristics; its
+    # certificate still holds
     rng = random.Random(0xD5)
+    fields = [(desc, None) for desc in BUNDLED_CHAR0] + list(BUNDLED_CHARP)
     samples = []
-    for desc in BUNDLED_CHAR0:
+    for desc, window in fields:
         ctx = parse_field(desc)
-        basis = adapted_basis(ctx)
+        basis = adapted_basis(ctx, "mult", window)
         p, d = ctx.p, basis.dim()
         nonzero = [a for a in ctx.k.elements() if not a.is_zero()]
         for _ in range(6):
             coeffs = tuple(rng.randrange(p) for _ in range(d))
             y = ctx.from_digits([(j, rng.choice(nonzero)) for j in rng.sample(range(-2, 6), 3)])
-            samples.append(combination(basis, coeffs).mul(y.powi(p)))
+            samples.append((combination(basis, coeffs).mul(y.powi(p)), window))
     calls = []
-    real_inv = ZqElement.inv
+    for cls in (ZqElement, LaurentElement):
 
-    def counting_inv(self):
-        calls.append(self)
-        return real_inv(self)
+        def counting_inv(self, real_inv=cls.inv):
+            calls.append(self)
+            return real_inv(self)
 
-    monkeypatch.setattr(ZqElement, "inv", counting_inv)
-    reductions = [unit_class_reduce(x) for x in samples]
+        monkeypatch.setattr(cls, "inv", counting_inv)
+    reductions = [unit_class_reduce(x, window) for x, window in samples]
     assert calls == []
-    assert sum(red.kill_steps for red in reductions) > 0
-    for x, red in zip(samples, reductions):
+    n0 = 6 * len(BUNDLED_CHAR0)
+    assert sum(red.kill_steps for red in reductions[:n0]) > 0
+    assert sum(red.kill_steps for red in reductions[n0:]) > 0
+    for (x, _), red in zip(samples, reductions):
         assert red.verify_against(x)
 
 
 def test_charp_coordinates_ignore_digits_past_the_window():
-    # windowed_unit_reduce cuts its input past the window: a p-th power and
-    # a U_(window+1) factor, both with nonzero digits far past the cut,
-    # must leave the coordinates of prod g^c unchanged
+    # unit_class_reduce cuts its input two digits past window + 1: a p-th
+    # power and a U_(window+1) factor, both with nonzero digits far past the
+    # cut, must leave the coordinates of prod g^c unchanged
     rng = random.Random(0xC07)
     for desc, window in BUNDLED_CHARP:
         ctx = parse_field(desc)
@@ -641,7 +712,7 @@ def test_charp_coordinates_ignore_digits_past_the_window():
             h = ctx.from_digits([(j, rng.choice(nonzero)) for j in rng.sample(range(12), 4)])
             tail = ctx.one().add(h.shift(window + 1))
             x = combination(basis, coeffs).mul(y.powi(p)).mul(tail)
-            assert max(x.coeffs) > window + 2
+            assert max(x.coeffs) > window + 3
             assert coordinates(basis, x).coords == coeffs, (basis, coeffs)
 
 
@@ -676,7 +747,7 @@ def test_certificate_identity_and_its_precision_guard(q2, f2t):
     with pytest.raises(PrecisionError):
         r.verify_against(q2.from_int(5, prec=2))
     x = f2t.one().add(f2t.pi().powi(3))
-    w = windowed_unit_reduce(x, 5)
+    w = unit_class_reduce(x, 5)
     assert w.verify_against(x)
     assert not w.verify_against(x.mul(f2t.one().add(f2t.pi())))
     with pytest.raises(PrecisionError):

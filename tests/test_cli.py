@@ -167,10 +167,14 @@ def test_compute_norm_group_char_p_needs_window(capsys):
 
 
 def test_compute_class_q2(capsys):
-    code, out, _ = run(capsys, "compute", "class", "--field", Q2, "--elt", "-1", "--format", "json")
-    assert code == 0
-    doc = json.loads(out)
-    assert doc == {"labels": ["pi", "u1_0", "u2_*"], "coords": [0, 1, 1]}
+    # a positive --window is accepted and ignored in char 0
+    for window in ((), ("--window", "3")):
+        code, out, _ = run(
+            capsys, "compute", "class", "--field", Q2, "--elt", "-1", "--format", "json", *window
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc == {"labels": ["pi", "u1_0", "u2_*"], "coords": [0, 1, 1]}
 
 
 def test_compute_class_char_p_add(capsys):
@@ -211,6 +215,13 @@ def test_verify_single_claim(capsys):
 
 def test_verify_precision_failure_exits_3(capsys):
     code, _, err = run(capsys, "verify", "--field", Q2, "S2.10", "--prec", "4")
+    assert code == 3
+    assert "precision" in err
+    # a char-p window whose reading depth (window + 3) is past the field's
+    # working precision
+    argv = ("compute", "class", "--field", "Fq((t)) p=2 f=1 prec=8", "--mult", "1+t")
+    assert run(capsys, *argv, "--window", "5")[0] == 0
+    code, _, err = run(capsys, *argv, "--window", "6")
     assert code == 3
     assert "precision" in err
 
@@ -306,14 +317,23 @@ def test_window_zero_is_rejected(capsys):
 
 
 def test_char0_pair_rejects_nonpositive_window(capsys):
-    # char 0 has no use for the window, but a bad one is still bad input
-    for window in ("0", "-5"):
-        code, _, err = run(
-            capsys, "compute", "pair", "--field", Q2, "--elt", "2", "--mult", "3",
-            "--window", window,
-        )
-        assert code == 2
-        assert "window" in err
+    # char 0 has no use for the window, but a bad one is still bad input,
+    # for every command in both characteristics
+    commands = [
+        ("describe",),
+        ("compute", "class", "--elt", "5", "--mult", "1+t"),
+        ("compute", "level", "--elt", "5", "--add", "t^-1"),
+        ("compute", "break", "--line", "5"),
+        ("compute", "pair", "--elt", "2", "--mult", "3", "--add", "t^-1"),
+        ("compute", "norm-group", "--elt", "5", "--add", "t^-1"),
+        ("verify", "all"),
+    ]
+    for field in (Q2, F2T):
+        for argv in commands:
+            for window in ("0", "-5"):
+                code, _, err = run(capsys, *argv, "--field", field, "--window", window)
+                assert code == 2, (field, argv, window)
+                assert "window" in err
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,6 @@ from lfk.errors import MalformedInputError
 from lfk.fp_linalg import (
     FpSubspace,
     FpVector,
-    add_spaces,
     full_space,
     intersect,
     left_kernel,
@@ -170,7 +169,7 @@ def test_intersect_dimension_formula(p, data):
         return rref([FpVector(p, r) for r in rows], p=p, ambient_dim=n)
     a, b = draw_space(), draw_space()
     cap = intersect(a, b)
-    cup = add_spaces(a, b)
+    cup = rref(a.vectors() + b.vectors(), p=p, ambient_dim=n)
     assert cap.dim() + cup.dim() == a.dim() + b.dim()
     for v in cap.vectors():
         assert member(a, v) and member(b, v)
