@@ -53,7 +53,6 @@ from .pairings_verifiers import (
     CatalogLine,
     PairingReport,
     VerificationReport,
-    add_line_catalog,
     claims_for,
     hilbert_symbol_q2,
     line_catalog,
@@ -84,7 +83,6 @@ __all__ = [
     "UnsupportedCaseError",
     "VerificationReport",
     "adapted_basis",
-    "add_line_catalog",
     "as_class_reduce",
     "attach_extension",
     "bp_index",

@@ -32,8 +32,9 @@ a fixed trace-one line, and everything of positive valuation is killed by a
 telescoping series.
 
 coordinates() reads the class coordinates off a reduction and checks its
-certificate identity with multiplications only; filtration_dims() gives the
-codimension profile of the filtration.
+certificate identity with multiplications only.  filtration_dims() counts
+the graded pieces of either side off its adapted basis, and one loop checks
+both: a level-m sample must reduce to level m iff the basis has a slot there.
 """
 
 import random
@@ -725,65 +726,57 @@ def filtration_dims(ctx, index_range, space="mult"):
         if lo < 0:
             raise DomainError("multiplicative filtration levels start at 0")
         window = None if ctx.characteristic == 0 else max(hi, 1)
-        counts = Counter(adapted_basis(ctx, "mult", window).levels())
-        out = [(i, counts[i]) for i in range(lo, hi + 1)]
-        _crosscheck_mult_dims(ctx, out, window)
-        return out
-    if space != "add":
+    elif space == "add":
+        if ctx.characteristic == 0:
+            raise UnsupportedCaseError("the additive quotient is only nontrivial in char p")
+        if hi > 0:
+            raise DomainError("additive filtration indices are <= 0 (i = -pole order)")
+        window = max(-lo, 1)
+    else:
         raise DomainError("space must be 'mult' or 'add', got %r" % (space,))
-    if ctx.characteristic == 0:
-        raise UnsupportedCaseError("the additive quotient is only nontrivial in char p")
-    if hi > 0:
-        raise DomainError("additive filtration indices are <= 0 (i = -pole order)")
-    counts = Counter(adapted_basis(ctx, "add", window=max(-lo, 1)).levels())
-    out = [(i, counts[-i]) for i in range(lo, hi + 1)]
-    _crosscheck_add_dims(ctx, out)
+    basis = adapted_basis(ctx, space, window)
+    counts = Counter(basis.levels())
+    out = [(i, counts[abs(i)]) for i in range(lo, hi + 1)]
+    _crosscheck_dims(basis, out)
     return out
 
 
-def _crosscheck_mult_dims(ctx, profile, window):
-    """Sample a unit at each level and confirm its reduction lands there."""
+def _random_nonzero_digit(ctx, rng):
+    """A nonzero element of k with coordinates drawn from rng."""
+    while True:
+        coords = [rng.randrange(ctx.p) for _ in range(ctx.f)]
+        if any(coords):
+            return ctx.k.elt(coords)
+
+
+def _crosscheck_dims(basis, profile):
+    """Sample an element at each level m = |i| > 0 of the profile and confirm
+    that it reduces to level m exactly when the basis has a slot there.
+
+    Mult samples are units 1 + tau(a) pi^m, which cannot reduce below m;
+    levels the working precision cannot reduce them at are skipped.  Add
+    samples are pole monomials tau(a) t^(-m), exact at every pole order.
+    """
+    ctx = basis.ctx
     rng = random.Random(0xD1)
-    nonzero = [a for a in ctx.k.elements() if not a.is_zero()]
     for i, codim in profile:
-        if i < 1:
+        m = abs(i)
+        if m == 0:
             continue
-        a = nonzero[rng.randrange(len(nonzero))]
-        if i + _PRECISION_SLACK + 1 > ctx.default_precision:
+        a = _random_nonzero_digit(ctx, rng)
+        if basis.space == "add":
+            lvl = as_class_reduce(ctx.from_digits([(-m, a)])).level
+        elif m + _PRECISION_SLACK + 1 > ctx.default_precision:
             continue
-        if ctx.mu_p_present and i == ctx.pc:
-            # a random boundary digit may lie in the kill image and reduce
-            # away; the basis digit a* is the one that must survive
-            a = _boundary_data(ctx)[2]
-        u = ctx.one().add(ctx.teichmuller(a).shift(i))
-        lvl = unit_class_reduce(u, window).unit_level
-        if codim:
-            if lvl != i:
-                raise InternalError(
-                    "level-%d sample reduced to level %r against a basis count"
-                    % (i, lvl)
-                )
-        elif lvl is not None and lvl <= i:
+        else:
+            if ctx.mu_p_present and m == ctx.pc:
+                # a random boundary digit may lie in the kill image and reduce
+                # away; the basis digit a* is the one that must survive
+                a = _boundary_data(ctx)[2]
+            u = ctx.one().add(ctx.teichmuller(a).shift(m))
+            lvl = unit_class_reduce(u, basis.window).unit_level
+        if (lvl == m) != bool(codim):
             raise InternalError(
-                "level-%d sample obstructed where the basis has no slot" % i
-            )
-
-
-def _crosscheck_add_dims(ctx, profile):
-    rng = random.Random(0xD2)
-    nonzero = [a for a in ctx.k.elements() if not a.is_zero()]
-    for i, codim in profile:
-        if i >= 0:
-            continue
-        a = nonzero[rng.randrange(len(nonzero))]
-        red = as_class_reduce(ctx.from_digits([(i, a)]))
-        if codim:
-            if red.level != -i:
-                raise InternalError(
-                    "pole-order-%d sample reduced to delta=%r against a basis count"
-                    % (-i, red.level)
-                )
-        elif red.level is not None and red.level == -i:
-            raise InternalError(
-                "pole-order-%d sample survived where the basis has no slot" % -i
+                "level-%d sample reduced to level %r against a basis count of %d"
+                % (m, lvl, codim)
             )

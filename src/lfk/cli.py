@@ -80,11 +80,12 @@ def _monomial(labels, coords):
 
 
 def _emit(args, table_lines, payload):
-    if args.format == "json":
-        print(json.dumps(payload, indent=2))
-    else:
-        for line in table_lines:
-            print(line)
+    """Print the output; a reader that closes the pipe early is no error."""
+    text = json.dumps(payload, indent=2) if args.format == "json" else "\n".join(table_lines)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:  # keep the exit code; Python flushes stdout again at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 # ------------------------------------------------------------ describe
@@ -92,53 +93,30 @@ def _emit(args, table_lines, payload):
 
 def cmd_describe(args):
     ctx = _context(args)
-    show = lambda v: "-" if v is None else str(v)
-    if ctx.characteristic == 0:
-        rows = [
-            ("field", ctx.field_label()),
-            ("p", ctx.p),
-            ("f", ctx.f),
-            ("e", ctx.e),
-            ("c", show(ctx.c)),
-            ("pc", show(ctx.pc)),
-            ("q", ctx.q),
-            ("mu_p", "yes" if ctx.mu_p_present else "no"),
-            ("d", ctx.dim_mult_classes()),
-        ]
-        payload = {
-            "field": ctx.field_label(),
-            "characteristic": 0,
-            "p": ctx.p,
-            "f": ctx.f,
-            "e": ctx.e,
-            "c": ctx.c,
-            "pc": ctx.pc,
-            "q": ctx.q,
-            "mu_p": ctx.mu_p_present,
-            "d": ctx.dim_mult_classes(),
-        }
-    else:
-        rows = [
-            ("field", ctx.field_label()),
-            ("p", ctx.p),
-            ("f", ctx.f),
-            ("e", "∞"),
-            ("q", ctx.q),
-            ("mu_p", "no"),
-        ]
-        payload = {
-            "field": ctx.field_label(),
-            "characteristic": ctx.p,
-            "p": ctx.p,
-            "f": ctx.f,
-            "e": None,
-            "c": None,
-            "pc": None,
-            "q": ctx.q,
-            "mu_p": False,
-            "d": None,
-        }
-    _emit(args, ["%s = %s" % (k, v) for k, v in rows], payload)
+    char0 = ctx.characteristic == 0
+    payload = {
+        "field": ctx.field_label(),
+        "characteristic": ctx.characteristic,
+        "p": ctx.p,
+        "f": ctx.f,
+        "e": ctx.e if char0 else None,
+        "c": ctx.c,
+        "pc": ctx.pc,
+        "q": ctx.q,
+        "mu_p": ctx.mu_p_present,
+        "d": ctx.dim_mult_classes() if char0 else None,
+    }
+
+    def shown(key, value):
+        if isinstance(value, bool):
+            return "yes" if value else "no"
+        if value is None:  # e is infinite in char p; c and pc may be undefined in char 0
+            return "∞" if key == "e" else "-"
+        return value
+
+    hidden = {"characteristic"} | (set() if char0 else {"c", "pc", "d"})
+    rows = ["%s = %s" % (k, shown(k, v)) for k, v in payload.items() if k not in hidden]
+    _emit(args, rows, payload)
     return 0
 
 
@@ -182,12 +160,10 @@ def _compute_pair(ctx, args):
 
 
 def _compute_norm_group(ctx, args):
-    src = args.elt if ctx.characteristic == 0 else args.add
-    if src is None:
-        raise MalformedInputError(
-            "compute norm-group needs %s" % ("--elt" if ctx.characteristic == 0 else "--add")
-        )
-    line = line_of(parse_element(ctx, src))
+    flag = "elt" if ctx.characteristic == 0 else "add"
+    if getattr(args, flag) is None:
+        raise MalformedInputError("compute norm-group needs --%s" % flag)
+    line = line_of(parse_element(ctx, getattr(args, flag)))
     ext = attach_extension(line)
     w = _mult_window(ctx, args)
     sub = norm_class_subgroup(ext, window=w)
@@ -258,20 +234,16 @@ def cmd_verify(args):
         for rep in reports:
             path = os.path.join(args.out, "%s.json" % rep.claim_id)
             with open(path, "w", encoding="utf-8") as fh:
-                fh.write(json.dumps(rep.to_json(), indent=2))
-                fh.write("\n")
+                fh.write(json.dumps(rep.to_json(), indent=2) + "\n")
     failed = [rep.claim_id for rep in reports if rep.status == "fail"]
-    if args.format == "json":
-        print(json.dumps([rep.to_json() for rep in reports], indent=2))
-    else:
-        for rep in reports:
-            print("%-7s %s" % (rep.claim_id, rep.status))
-        print(
-            "%d/%d claims pass on %s"
-            % (len(reports) - len(failed), len(reports), ctx.field_label())
-        )
-        if failed:
-            print("failing: %s" % ", ".join(failed))
+    lines = ["%-7s %s" % (rep.claim_id, rep.status) for rep in reports]
+    lines.append(
+        "%d/%d claims pass on %s"
+        % (len(reports) - len(failed), len(reports), ctx.field_label())
+    )
+    if failed:
+        lines.append("failing: %s" % ", ".join(failed))
+    _emit(args, lines, [rep.to_json() for rep in reports])
     return 1 if failed else 0
 
 

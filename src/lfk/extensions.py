@@ -50,12 +50,11 @@ class Line:
         return "Line(%s, %s, level=%s)" % (self.ctx.field_label(), self.space, self.level)
 
 
-def line_of(x, space=None):
-    """The line spanned by the class of x; DomainError if the class is trivial."""
+def line_of(x):
+    """The line spanned by the class of x, in the mult quotient in char 0 and
+    in the add quotient in char p; DomainError if the class is trivial."""
     ctx = x.ctx
     if ctx.characteristic == 0:
-        if space not in (None, "mult"):
-            raise UnsupportedCaseError("char-0 lines live in the multiplicative quotient")
         red = unit_class_reduce(x)
         if red.is_trivial():
             raise DomainError("a line needs a nontrivial class; input is a p-th power")
@@ -66,8 +65,6 @@ def line_of(x, space=None):
             )
         j = red.level_index
         return Line(ctx, "mult", x, ctx.pc - j, red)
-    if space not in (None, "add"):
-        raise UnsupportedCaseError("char-p lines live in the additive quotient")
     red = as_class_reduce(x)
     if red.is_trivial():
         raise DomainError("a line needs a nontrivial class; input is in wp(K)")

@@ -14,6 +14,14 @@ reciprocity kernels, and the two orthogonality tables.  Reports carry a
 stable JSON layout for golden-file comparison; runtime_ms is always null
 so identical inputs give byte-identical reports.
 
+Char p is each statement read with e = infinity, so the verifiers take
+one path for both characteristics and the characteristic picks the data.
+line_catalog enumerates the lines of the first-argument space (K*/(K*)^p
+in char 0, the windowed K+/wp(K+) in char p); _setting fixes a verifier's
+window, mult basis and last level index; _graded_dim is the one filtration
+rule behind S2.10/S3.16 and S5.27/S5.28; and _CLAIMS lists, per claim id,
+the fields it applies to, its verifier and its statement.
+
 A note on linearity.  The pairing is bilinear and nondegenerate, and the
 norm group of the line of a is a's orthogonal (Serre, Local Fields, XIV
 2).  So one matrix G per field (_pairing_matrix) answers every norm-group
@@ -27,6 +35,7 @@ import itertools
 import random
 
 from .class_spaces import (
+    _random_nonzero_digit,
     adapted_basis,
     coordinates,
     filtration_dims,
@@ -47,7 +56,7 @@ from .fp_linalg import (
     rref,
     solve,
 )
-from .local_arith import bp_index, series_residue_and_dlog, val
+from .local_arith import series_residue_and_dlog, val
 
 _ADD_CATALOG_BUDGET = 128
 _DEFAULT_WINDOW = 9
@@ -448,14 +457,15 @@ class PairingReport(VerificationReport):
 
 def _report(ctx, claim_id, window, seed, witnesses, counterexample,
             cls=VerificationReport, **tables):
-    """A report that passes exactly when no counterexample was found."""
+    """A report that passes exactly when no counterexample was found; its
+    first witness is the claim's statement."""
     return cls(
         claim_id=claim_id,
         field=ctx.field_label(),
         window=window,
         seed=seed,
         status="pass" if counterexample is None else "fail",
-        witnesses=witnesses,
+        witnesses=[{"statement": _CLAIMS[claim_id][2]}] + witnesses,
         counterexample=counterexample,
         **tables,
     )
@@ -480,11 +490,8 @@ class CatalogLine:
 def _normalized_tuples(p, dim):
     """One coordinate tuple per line: first nonzero entry is 1, lex order."""
     for vec in itertools.product(range(p), repeat=dim):
-        if not any(vec):
-            continue
-        if vec[next(i for i, c in enumerate(vec) if c)] != 1:
-            continue
-        yield vec
+        if any(vec) and next(c for c in vec if c) == 1:
+            yield vec
 
 
 def _draw_lines(p, d, seen, count, rng):
@@ -517,48 +524,33 @@ def _combination(basis, vec):
     return x
 
 
-def line_catalog(ctx):
-    """All (p^d - 1)/(p - 1) lines of the char-0 multiplicative class space."""
-    if ctx.characteristic != 0:
-        raise UnsupportedCaseError("full line catalogs exist only in char 0; use add_line_catalog")
-    cache = ctx.cache
-    if "catalog" not in cache:
-        basis = adapted_basis(ctx)
-        out = []
-        for vec in _normalized_tuples(ctx.p, basis.dim()):
-            x = _combination(basis, vec)
-            out.append(CatalogLine("".join(map(str, vec)), vec, x, line_of(x)))
-        cache["catalog"] = out
-    return cache["catalog"]
+def line_catalog(ctx, window=None, seed=0):
+    """Lines of the first-argument class space, over its adapted basis.
 
-
-def add_line_catalog(ctx, window, seed=0):
-    """Lines of the windowed additive class space (char p).
-
-    Full enumeration when p^dim fits the budget; otherwise basis lines,
-    pairwise sums, and a seeded sample of longer combinations.
+    Char 0: all (p^d - 1)/(p - 1) lines of K*/(K*)^p, which takes no
+    window.  Char p: lines of the windowed K+/wp(K+), all of them when
+    p^dim fits the budget; otherwise basis lines, pairwise sums, and a
+    seeded sample of longer combinations.
     """
-    if ctx.characteristic == 0:
-        raise UnsupportedCaseError("additive catalogs exist only in char p")
-    cache = ctx.cache
-    key = ("add_catalog", window, seed)
-    if key not in cache:
-        basis = adapted_basis(ctx, "add", window)
-        d = basis.dim()
-        if ctx.p**d <= _ADD_CATALOG_BUDGET:
-            vecs = list(_normalized_tuples(ctx.p, d))
+    basis = adapted_basis(ctx, "add" if ctx.characteristic else "mult", window)
+    p, d = ctx.p, basis.dim()
+    full = ctx.characteristic == 0 or p**d <= _ADD_CATALOG_BUDGET
+    key = ("catalog", window, None if full else seed)
+    if key not in ctx.cache:
+        if full:
+            vecs = list(_normalized_tuples(p, d))
         else:
             seen = {tuple(int(k == i) for k in range(d)) for i in range(d)}
             pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
             seen |= {tuple(int(k in ij) for k in range(d)) for ij in pairs}
-            _draw_lines(ctx.p, d, seen, 40, random.Random((seed << 16) ^ 0xAD5C))
+            _draw_lines(p, d, seen, 40, random.Random((seed << 16) ^ 0xAD5C))
             vecs = sorted(seen)
         out = []
         for vec in vecs:
             x = _combination(basis, vec)
             out.append(CatalogLine("".join(map(str, vec)), vec, x, line_of(x)))
-        cache[key] = out
-    return cache[key]
+        ctx.cache[key] = out
+    return ctx.cache[key]
 
 
 def _slice(p, n, idx):
@@ -594,84 +586,62 @@ def _complement(ctx, window, i, side):
 # ================================================================ verifiers
 
 
-def _statement(claim_id):
-    return {
-        "S2.10": "graded dimensions of the unit-class filtration: f at each "
-        "prime-to-p index below the threshold, one boundary line iff the "
-        "p-th roots of unity are present, zero beyond",
-        "S3.16": "graded dimensions of the additive class filtration: f at "
-        "each prime-to-p pole order, plus the one-dimensional residue trace "
-        "line at level zero",
-        "S4.22": "the ramification break of the extension attached to a line "
-        "equals the line's level, with break -1 exactly at level 0",
-        "S5.27": "positive ramification breaks occur exactly at the prime-to-p "
-        "integers b_p(i) for i in [1, e] and at pc",
-        "S5.28": "positive ramification breaks occur exactly at the prime-to-p "
-        "integers (windowed)",
-        "S6.29": "the intersection of norm-class groups over all lines of "
-        "level < i is exactly the image of U_i",
-        "S7.31": "every uniformizer class acts as Frobenius on the unramified "
-        "line, unit quotients are norms, and pairing bits depend only on the "
-        "class modulo U_(level+1)",
-        "S8.33": "the orthogonal complement of the U_i classes under the "
-        "hilbertian pairing is the U_(pc-i+1) classes",
-        "S8.34": "the orthogonal complement of the U_i classes is the classes "
-        "of p^(-i+1), and vice versa (windowed)",
-    }[claim_id]
+def _setting(ctx, window, kummer=True):
+    """(window, mult basis, last level index i) of a verifier.
+
+    Char 0 works in the whole class space (window None), and i runs to the
+    triviality threshold, pc + 1 when the p-th roots of unity are present,
+    which the claims that attach Kummer extensions (kummer) need.  Char p
+    works in the window, and i runs to the window.
+    """
+    if ctx.characteristic:
+        w = _window(window)
+        return w, adapted_basis(ctx, "mult", w), w
+    if kummer and not ctx.mu_p_present:
+        raise UnsupportedCaseError("extension-backed claims need Kummer extensions")
+    return None, adapted_basis(ctx), first_trivial_level(ctx)
+
+
+def _graded_dim(ctx, m):
+    """The predicted dimension of the graded piece at level m = |i|.
+
+    1 at m = 0 (the valuation resp. trace line); f at prime-to-p m below the
+    triviality threshold, which char p, the case e = infinity, does not
+    have; 1 at m = pc when the p-th roots of unity are present; 0 otherwise.
+    """
+    if m == 0:
+        return 1
+    if m % ctx.p and (ctx.characteristic or m < first_trivial_level(ctx)):
+        return ctx.f
+    return 1 if ctx.mu_p_present and m == ctx.pc else 0
 
 
 def verify_filtration(ctx, window=None, seed=0):
-    if ctx.characteristic == 0:
-        claim = "S2.10"
-        stop = first_trivial_level(ctx)
-        idx = range(0, stop + 3)
-        profile = filtration_dims(ctx, (0, stop + 2))
-        predicted = []
-        for i in idx:
-            if i == 0:
-                d = 1
-            elif i >= stop:
-                d = 0
-            elif i % ctx.p:
-                d = ctx.f
-            elif ctx.pc is not None and i == ctx.pc and ctx.mu_p_present:
-                d = 1
-            else:
-                d = 0
-            predicted.append((i, d))
-        window_out = None
-    else:
-        claim = "S3.16"
-        w = _window(window)
-        idx = range(-w, 1)
-        profile = filtration_dims(ctx, (-w, 0), "add")
-        predicted = [(i, 1 if i == 0 else (ctx.f if (-i) % ctx.p else 0)) for i in idx]
-        window_out = w
-    witnesses = [{"statement": _statement(claim)}] + [
-        {"index": i, "dim": d} for i, d in profile
-    ]
+    w, _, top = _setting(ctx, window, kummer=False)
+    if ctx.characteristic:  # pole orders m = -i up to the window
+        claim, space, lo, hi = "S3.16", "add", -w, 0
+    else:  # unit levels, two past the threshold
+        claim, space, lo, hi = "S2.10", "mult", 0, top + 2
+    profile = filtration_dims(ctx, (lo, hi), space)
+    witnesses = [{"index": i, "dim": d} for i, d in profile]
     counterexample = None
-    for got, want in zip(profile, predicted):
-        if got != want:
-            counterexample = {"index": got[0], "dim": got[1], "expected": want[1]}
+    for i, d in profile:
+        want = _graded_dim(ctx, abs(i))
+        if d != want:
+            counterexample = {"index": i, "dim": d, "expected": want}
             break
-    return _report(ctx, claim, window_out, seed, witnesses, counterexample)
+    return _report(ctx, claim, w, seed, witnesses, counterexample)
 
 
 def _break_entries(ctx, window, seed):
-    if ctx.characteristic == 0:
-        catalog = line_catalog(ctx)
-    else:
-        catalog = add_line_catalog(ctx, window, seed)
-    out = []
-    for cl in catalog:
-        E = _attached(cl.line)
-        out.append((cl.label, cl.line.level, E.ramification_break))
-    return out
+    return [
+        (cl.label, cl.line.level, _attached(cl.line).ramification_break)
+        for cl in line_catalog(ctx, window, seed)
+    ]
 
 
 def verify_breaks(ctx, window=None, seed=0):
-    w = None if ctx.characteristic == 0 else _window(window)
+    w = _setting(ctx, window)[0]
     entries = _break_entries(ctx, w, seed)
     counterexample = None
     for label, level, eps in entries:
@@ -679,28 +649,23 @@ def verify_breaks(ctx, window=None, seed=0):
         if eps != want:
             counterexample = {"line": label, "level": level, "break": eps, "expected": want}
             break
-    witnesses = [{"statement": _statement("S4.22")}, {"lines": len(entries)}] + [
+    witnesses = [{"lines": len(entries)}] + [
         {"line": lbl, "level": lv, "break": ep} for lbl, lv, ep in entries
     ]
     return _report(ctx, "S4.22", w, seed, witnesses, counterexample)
 
 
 def verify_break_positions(ctx, window=None, seed=0):
-    if ctx.characteristic == 0:
-        claim = "S5.27"
-        w = None
-        predicted = sorted({bp_index(ctx.p, i) for i in range(1, ctx.e + 1)} | {ctx.pc})
-    else:
-        claim = "S5.28"
-        w = _window(window)
-        predicted = [m for m in range(1, w + 1) if m % ctx.p]
+    # the positive breaks are the levels of the nonzero graded pieces
+    w, _, top = _setting(ctx, window)
+    claim = "S5.28" if ctx.characteristic else "S5.27"
+    predicted = [m for m in range(1, top + 1) if _graded_dim(ctx, m)]
     entries = _break_entries(ctx, w, seed)
     observed = sorted({eps for _, _, eps in entries if eps > 0})
     counterexample = None
     if observed != predicted:
         counterexample = {"observed": observed, "expected": predicted}
     witnesses = [
-        {"statement": _statement(claim)},
         {"observed_breaks": observed},
         {"expected_breaks": predicted},
         {"multiset": _break_multiset(entries)},
@@ -715,26 +680,11 @@ def _break_multiset(entries):
     return {str(k): counts[k] for k in sorted(counts)}
 
 
-def _extension_setting(ctx, window, seed):
-    """(window, mult basis, line catalog, last level index i) of an
-    extension-backed verifier.
-
-    Char 0 works in the whole class space (window None) and needs the p-th
-    roots of unity; its indices i run to pc + 1.  Char p works in the
-    window, and i runs to the window.
-    """
-    if ctx.characteristic == 0:
-        if not ctx.mu_p_present:
-            raise UnsupportedCaseError("extension-backed claims need Kummer extensions")
-        return None, adapted_basis(ctx), line_catalog(ctx), ctx.pc + 1
-    w = _window(window)
-    return w, adapted_basis(ctx, "mult", w), add_line_catalog(ctx, w, seed), w
-
-
 def verify_norm_groups(ctx, window=None, seed=0):
-    w, basis, catalog, i_top = _extension_setting(ctx, window, seed)
+    w, basis, i_top = _setting(ctx, window)
+    catalog = line_catalog(ctx, w, seed)
     n = basis.dim()
-    witnesses = [{"statement": _statement("S6.29")}]
+    witnesses = []
     counterexample = None
     for i in range(0, i_top + 1):
         # the lines of level < i span what the basis lines of level < i
@@ -758,15 +708,15 @@ def verify_norm_groups(ctx, window=None, seed=0):
 
 def verify_reciprocity(ctx, window=None, seed=0):
     rng = random.Random((seed << 8) ^ 0x7E31)
-    witnesses = [{"statement": _statement("S7.31")}]
+    witnesses = []
     counterexample = None
 
-    w, basis, catalog, i_top = _extension_setting(ctx, window, seed)
+    w, basis, i_top = _setting(ctx, window)
+    catalog = line_catalog(ctx, w, seed)
+    # a sampled char-p catalog keeps every basis line, the trace line among them
     unram = [cl for cl in catalog if cl.line.level == 0]
-    if ctx.characteristic == 0 and len(unram) != 1:
+    if len(unram) != 1:
         raise InternalError("expected exactly one unramified line, found %d" % len(unram))
-    if not unram:
-        raise InternalError("windowed additive catalog lost the residue trace line")
     unram_line = unram[0].line
     g = ctx.k.gen() if ctx.f > 1 else ctx.k.elt(1)
     units = [
@@ -855,13 +805,6 @@ def verify_reciprocity(ctx, window=None, seed=0):
     return _report(ctx, "S7.31", w, seed, witnesses, counterexample)
 
 
-def _random_nonzero_digit(ctx, rng):
-    while True:
-        coords = [rng.randrange(ctx.p) for _ in range(ctx.f)]
-        if any(coords):
-            return ctx.k.elt(coords)
-
-
 def verify_orthogonality_kummer(ctx, window=None, seed=0):
     """Complements of the U_i classes under the char-0 pairing matrix G.
 
@@ -875,7 +818,8 @@ def verify_orthogonality_kummer(ctx, window=None, seed=0):
     """
     if ctx.characteristic != 0 or not ctx.mu_p_present:
         raise UnsupportedCaseError("kummer orthogonality needs char 0 with the p-th roots of unity")
-    labels = adapted_basis(ctx).labels()
+    _, basis, top = _setting(ctx, window)
+    labels = basis.labels()
     n = len(labels)
     gram = []
     for row in _pairing_matrix(ctx):
@@ -883,7 +827,7 @@ def verify_orthogonality_kummer(ctx, window=None, seed=0):
         gram.append([(inv * v) % ctx.p for v in row])
     orthogonals = []
     counterexample = None
-    for i in range(0, ctx.pc + 2):
+    for i in range(0, top + 1):
         expected_i = ctx.pc - i + 1
         perp, expected = _complement(ctx, None, expected_i, "mult")
         ok = perp == expected
@@ -896,7 +840,7 @@ def verify_orthogonality_kummer(ctx, window=None, seed=0):
                 "computed": [list(r) for r in perp.basis],
                 "expected": [list(r) for r in expected.basis],
             }
-    witnesses = [{"statement": _statement("S8.33")}]
+    witnesses = []
     if ctx.p == 2:
         sym = all(gram[r][c] == gram[c][r] for r in range(n) for c in range(n))
         witnesses.append({"gram_symmetric": sym})
@@ -911,8 +855,7 @@ def verify_orthogonality_kummer(ctx, window=None, seed=0):
 def verify_orthogonality_as(ctx, window=None, seed=0):
     if ctx.characteristic == 0:
         raise UnsupportedCaseError("additive orthogonality is a char-p statement")
-    w = _window(window)
-    mb = adapted_basis(ctx, "mult", w)
+    w, mb, top = _setting(ctx, window)
     ab = adapted_basis(ctx, "add", w)
     dm, da = mb.dim(), ab.dim()
     # true F_p values: the Schmid residue is exactly bilinear
@@ -920,7 +863,7 @@ def verify_orthogonality_as(ctx, window=None, seed=0):
     orthogonals = []
     counterexample = None
     rng = random.Random((seed << 4) ^ 0x5E34)
-    for i in range(0, w + 1):
+    for i in range(0, top + 1):
         # additive side: complement of the U_i window slice
         perp_add, expected_add = _complement(ctx, w, i, "first")
         ok_add = perp_add == expected_add
@@ -964,7 +907,7 @@ def verify_orthogonality_as(ctx, window=None, seed=0):
                 }
                 break
             spots += 1
-    witnesses = [{"statement": _statement("S8.34")}, {"spot_checks": spots}]
+    witnesses = [{"spot_checks": spots}]
     return _report(
         ctx, "S8.34", w, seed, witnesses, counterexample, PairingReport,
         row_labels=ab.labels(), col_labels=mb.labels(), gram=gram, claimed_orthogonals=orthogonals,
@@ -974,39 +917,53 @@ def verify_orthogonality_as(ctx, window=None, seed=0):
 # ================================================================ registry
 
 
-def claims_for(ctx):
-    """Claim ids applicable to ctx; extension-backed ones need mu_p in char 0."""
-    if ctx.characteristic == 0:
-        if not ctx.mu_p_present:
-            return ("S2.10",)
-        return ("S2.10", "S4.22", "S5.27", "S6.29", "S7.31", "S8.33")
-    return ("S3.16", "S4.22", "S5.28", "S6.29", "S7.31", "S8.34")
-
-
-_CLAIM_DISPATCH = {
-    "S2.10": verify_filtration,
-    "S3.16": verify_filtration,
-    "S4.22": verify_breaks,
-    "S5.27": verify_break_positions,
-    "S5.28": verify_break_positions,
-    "S6.29": verify_norm_groups,
-    "S7.31": verify_reciprocity,
-    "S8.33": verify_orthogonality_kummer,
-    "S8.34": verify_orthogonality_as,
+# claim id -> (the kinds of field it applies to, verifier, statement), in
+# the order claims_for lists them.  A field's kind is "p" in char p; in char
+# 0 it is "mu" when the p-th roots of unity are present, which the Kummer
+# extensions behind most claims need, and "0" otherwise.
+_CLAIMS = {
+    "S2.10": ("0 mu", verify_filtration, "graded dimensions of the unit-class "
+              "filtration: f at each prime-to-p index below the threshold, one "
+              "boundary line iff the p-th roots of unity are present, zero beyond"),
+    "S3.16": ("p", verify_filtration, "graded dimensions of the additive class "
+              "filtration: f at each prime-to-p pole order, plus the "
+              "one-dimensional residue trace line at level zero"),
+    "S4.22": ("mu p", verify_breaks, "the ramification break of the extension "
+              "attached to a line equals the line's level, with break -1 exactly "
+              "at level 0"),
+    "S5.27": ("mu", verify_break_positions, "positive ramification breaks occur "
+              "exactly at the prime-to-p integers b_p(i) for i in [1, e] and at pc"),
+    "S5.28": ("p", verify_break_positions, "positive ramification breaks occur "
+              "exactly at the prime-to-p integers (windowed)"),
+    "S6.29": ("mu p", verify_norm_groups, "the intersection of norm-class groups "
+              "over all lines of level < i is exactly the image of U_i"),
+    "S7.31": ("mu p", verify_reciprocity, "every uniformizer class acts as "
+              "Frobenius on the unramified line, unit quotients are norms, and "
+              "pairing bits depend only on the class modulo U_(level+1)"),
+    "S8.33": ("mu", verify_orthogonality_kummer, "the orthogonal complement of "
+              "the U_i classes under the hilbertian pairing is the U_(pc-i+1) classes"),
+    "S8.34": ("p", verify_orthogonality_as, "the orthogonal complement of the U_i "
+              "classes is the classes of p^(-i+1), and vice versa (windowed)"),
 }
 
 
+def claims_for(ctx):
+    """Claim ids applicable to ctx; extension-backed ones need mu_p in char 0."""
+    kind = "p" if ctx.characteristic else ("mu" if ctx.mu_p_present else "0")
+    return tuple(cid for cid, (kinds, _, _) in _CLAIMS.items() if kind in kinds.split())
+
+
 def verify_claim(ctx, claim_id, window=None, seed=0):
-    if claim_id not in _CLAIM_DISPATCH:
+    if claim_id not in _CLAIMS:
         raise DomainError(
-            "unknown claim id %r (known: %s)" % (claim_id, ", ".join(sorted(_CLAIM_DISPATCH)))
+            "unknown claim id %r (known: %s)" % (claim_id, ", ".join(sorted(_CLAIMS)))
         )
     if claim_id not in claims_for(ctx):
         raise DomainError(
             "claim %s does not apply to %s (its claims: %s)"
             % (claim_id, ctx.field_label(), ", ".join(claims_for(ctx)))
         )
-    return _CLAIM_DISPATCH[claim_id](ctx, window=window, seed=seed)
+    return _CLAIMS[claim_id][1](ctx, window=window, seed=seed)
 
 
 def verify_all(ctx, window=None, seed=0):

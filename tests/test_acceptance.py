@@ -9,7 +9,9 @@ read the -v lines) for the per-criterion report; timing bounds are asserted
 where stated.
 """
 
+import hashlib
 import json
+import os
 import random
 import time
 from collections import Counter
@@ -25,7 +27,6 @@ from lfk.extensions import attach_extension, line_of, ramification_break
 from lfk.fp_linalg import member, rref
 from lfk.local_arith import INF, bp_index, parse_field, val
 from lfk.pairings_verifiers import (
-    add_line_catalog,
     hilbert_symbol_q2,
     line_catalog,
     norm_class_subgroup,
@@ -218,7 +219,7 @@ def test_criterion_3_f2_laurent_window9():
             problems.append("AS break of t^-%d != %d" % (m, m))
 
     # seeded Schmid-value vs norm-membership agreement, 200 pairs
-    catalog = add_line_catalog(ctx, 9, seed=3)
+    catalog = line_catalog(ctx, 9, seed=3)
     mbasis = adapted_basis(ctx, "mult", 9)
     kelts = [c for c in ctx.k.elements() if not c.is_zero()]
     rng = random.Random(20260814)
@@ -272,7 +273,7 @@ def test_criterion_4_f3_laurent_breaks():
             problems.append("additive jump at pole order %d wrong" % m)
 
     breaks = set()
-    for entry in add_line_catalog(ctx, 9, seed=5):
+    for entry in line_catalog(ctx, 9, seed=5):
         if entry.line.level > 0:
             breaks.add(ramification_break(attach_extension(entry.line)))
     if breaks != {1, 2, 4, 5, 7, 8}:
@@ -446,3 +447,37 @@ def test_criterion_7_verify_all_determinism():
     ok = not problems
     _report(7, "verify-all byte determinism", ok, elapsed)
     assert not problems, problems
+
+
+# ------------------------------------------------------------ recorded reports
+
+# The eight benchmark fields, keyed as in perfbench/expected/reports-seed0.json.
+RECORDED_FIELDS = (
+    ("Q2", "Qp p=2 f=1", None),
+    ("Q2f2", "Qp p=2 f=2", None),
+    ("Q3e2", "Qp p=3 f=1 eis=3,3,1", None),
+    ("Q2e3", "Qp p=2 f=1 eis=-2,0,0,1", None),
+    ("Q3f2e2", "Qp p=3 f=2 eis=3,3,1", None),
+    ("F2t", "Fq((t)) p=2 f=1", 9),
+    ("F3t", "Fq((t)) p=3 f=1", 6),
+    ("F4t", "Fq((t)) p=2 f=2", 5),
+)
+
+
+def test_verify_all_matches_recorded_digests():
+    """Seed-0 `verify all` reports are byte-identical to the recorded ones.
+
+    Each digest is the sha256 of the bytes `lfk verify --out` writes; the
+    recorded file is only read here.
+    """
+    path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "expected", "reports-seed0.json")
+    with open(path, encoding="utf-8") as fh:
+        recorded = json.load(fh)
+    seen = set()
+    for slug, desc, window in RECORDED_FIELDS:
+        for rep in verify_all(parse_field(desc), window=window, seed=0):
+            key = "%s/%s" % (slug, rep.claim_id)
+            text = json.dumps(rep.to_json(), indent=2) + "\n"
+            assert hashlib.sha256(text.encode("utf-8")).hexdigest() == recorded[key], key
+            seen.add(key)
+    assert seen == set(recorded)

@@ -8,12 +8,16 @@ promise); json output is checked for schema and byte determinism.
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from datetime import timedelta
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lfk
 from lfk.cli import main
 from lfk.errors import MalformedInputError
 from lfk.local_arith import INF, parse_element, parse_field, val
@@ -363,11 +367,67 @@ def test_unexpected_exception_exits_4_with_one_line(capsys, monkeypatch):
     assert err.count("\n") == 1 and "synthetic bug" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("describe", "--field", Q2),
+        ("compute", "class", "--field", Q2, "--elt", "5"),
+        ("verify", "all", "--field", Q2),
+    ],
+)
+def test_closed_stdout_keeps_the_exit_code(argv):
+    # a reader that closes the pipe early (`lfk ... | head -1`) is no bug:
+    # exit with the command's own code and nothing on stderr
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(lfk.__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "lfk.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0 and err == b"", err
+
+
 def test_boundary_crosscheck_samples_a_surviving_digit(capsys):
     # at f = 3 some boundary digits lie in the kill image and reduce away
     code, out, err = run(capsys, "verify", "S2.10", "--field", "Qp p=2 f=3")
     assert code == 0, err
     assert "S2.10   pass" in out
+
+
+# ------------------------------------------------------------ field sweep
+
+SWEEP_EIS = {
+    2: ("2,2,1", "-2,0,1", "2,0,0,1", "2,2,0,1"),
+    3: ("3,3,1", "3,0,1", "-3,0,1", "3,3,3,1"),
+    5: ("5,5,1", "5,0,1"),
+}
+SWEEP = [
+    ("Qp p=%d f=%d%s" % (p, f, " eis=" + eis if eis else ""), None)
+    for p, lists in SWEEP_EIS.items()
+    for f in (1, 2, 3)
+    for eis in ("",) + lists
+] + [("Fq((t)) p=%d f=%d" % (p, f), w) for p in (2, 3, 5) for f in (1, 2) for w in (3, 6)]
+# "norm vanished to working precision": the p-content of these fields'
+# elements outgrows the capped representation (ROADMAP item 3)
+SWEEP_EXIT_3 = {
+    "Qp p=3 f=1 eis=3,0,1",
+    "Qp p=3 f=2 eis=3,0,1",
+    "Qp p=3 f=3 eis=3,0,1",
+    "Qp p=3 f=2 eis=-3,0,1",
+}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("field,window", SWEEP)
+def test_field_sweep_verify_all(capsys, field, window):
+    argv = ("verify", "all", "--field", field) + (("--window", str(window)) if window else ())
+    code, _, err = run(capsys, *argv)
+    if field in SWEEP_EXIT_3:
+        assert code == 3 and "norm vanished to working precision" in err, (code, err)
+    else:
+        assert code == 0, err
 
 
 # ------------------------------------------------------------ fuzz

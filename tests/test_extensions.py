@@ -115,10 +115,11 @@ def test_line_of_trivial_class_raises(q2, f2t):
 
 
 def test_line_space_mismatch(q2, f2t):
-    with pytest.raises(UnsupportedCaseError):
+    # the characteristic picks a line's space, so no caller can ask for the other
+    assert line_of(q2.from_int(3)).space == "mult"
+    assert line_of(f2t.pi().powi(-1)).space == "add"
+    with pytest.raises(TypeError):
         line_of(q2.from_int(3), space="add")
-    with pytest.raises(UnsupportedCaseError):
-        line_of(f2t.pi(), space="mult")
 
 
 def test_line_needs_boundary_index():

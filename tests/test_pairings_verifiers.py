@@ -33,7 +33,6 @@ from lfk import pairings_verifiers
 from lfk.pairings_verifiers import (
     PairingReport,
     VerificationReport,
-    add_line_catalog,
     claims_for,
     hilbert_symbol_q2,
     line_catalog,
@@ -280,7 +279,7 @@ def test_schmid_vs_norm_membership_seeded(f2t):
     # membership and raises on disagreement; run a seeded batch
     rng = random.Random(7)
     checked = 0
-    cat = add_line_catalog(f2t, 5)
+    cat = line_catalog(f2t, 5)
     for cl in cat:
         for _ in range(5):
             b = _random_mult_unit(f2t, rng)
@@ -368,7 +367,7 @@ def test_norm_subgroup_stop_matches_full_schedule(desc, window):
         catalog = line_catalog(ctx)
         n = adapted_basis(ctx).dim()
     else:
-        catalog = add_line_catalog(ctx, window)
+        catalog = line_catalog(ctx, window)
         n = adapted_basis(ctx, "mult", window).dim()
     for cl in catalog:
         E = attach_extension(cl.line)
@@ -541,7 +540,7 @@ def test_char_p_claims_check_every_index_up_to_the_window(f2t):
         assert report.status == "pass"
     report = verify_claim(f2t, "S7.31", window=12)
     checked = next(w["containments_checked"] for w in report.witnesses if "containments_checked" in w)
-    assert checked == 13 * len(add_line_catalog(f2t, 12)) and report.status == "pass"
+    assert checked == 13 * len(line_catalog(f2t, 12)) and report.status == "pass"
 
 
 # ---------------------------------------------------------------- catalogs
@@ -564,16 +563,20 @@ def test_q3z_catalog_levels(q3z):
 
 
 def test_add_catalog_full_enumeration(f2t):
-    cat = add_line_catalog(f2t, 5)
+    cat = line_catalog(f2t, 5)
     assert len(cat) == 15  # (2^4 - 1) lines: trace + poles 1, 3, 5
     assert len({cl.label for cl in cat}) == 15
 
 
 def test_catalog_wrong_characteristic(q2, f2t):
-    with pytest.raises(UnsupportedCaseError):
+    # one catalog serves both characteristics: char p enumerates the windowed
+    # additive lines, and the window is the basis's to check
+    assert [cl.line.space for cl in line_catalog(f2t, 5)] == ["add"] * 15
+    assert {cl.line.space for cl in line_catalog(q2)} == {"mult"}
+    with pytest.raises(DomainError):
+        line_catalog(q2, 5)
+    with pytest.raises(DomainError):
         line_catalog(f2t)
-    with pytest.raises(UnsupportedCaseError):
-        add_line_catalog(q2, 5)
 
 
 # ---------------------------------------------------------------- verifiers
