@@ -29,6 +29,12 @@ question of the verifiers as a kernel of G.  In char p, G holds the Schmid
 values; in char 0 it is read off 2d - 1 norm groups and certified when it
 is built.  The tests compare ker(x.G) with the walked norm group of every
 line of the bundled fields.
+
+A note on S7.31(c).  The perturbations u = 1 + tau(d) pi^(i + r) take few
+values, so the coordinates of each distinct product b u are read once per
+claim, and every bit is read off coordinates: (x.G).y in char 0, the
+norm-checked Schmid value in char p.  The seeded draws do not depend on
+the memo, so neither does the report.
 """
 
 import itertools
@@ -219,10 +225,18 @@ def pairing_value(a_line, b, window=None):
         raise DomainError("pairing arguments live over different fields")
     # the value only depends on b mod U_(level+1), so any window >= level works
     w = max(_window(window), a_line.level)
+    return _schmid_value(a_line, b, coordinates(adapted_basis(ctx, "mult", w), b), w)
+
+
+def _schmid_value(a_line, b, vec, w):
+    """pairing_value of a_line with b, whose coordinates vec in the mult
+    basis of window w are already read; w must reach a_line's level."""
+    if a_line.level > w:
+        raise InternalError(
+            "a line of level %d cannot be paired in window %d" % (a_line.level, w)
+        )
     value = series_residue_and_dlog(a_line.reduction.normal_form, b)
-    E = _attached(a_line)
-    vec = coordinates(adapted_basis(ctx, "mult", w), b)
-    norm_trivial = member(norm_class_subgroup(E, w), vec)
+    norm_trivial = member(norm_class_subgroup(_attached(a_line), w), vec)
     if (value == 0) != norm_trivial:
         raise InternalError(
             "Schmid value %d and norm membership %s disagree on %r vs %r"
@@ -245,13 +259,17 @@ def pairs_trivially(a_line, b, window=None):
     if ctx.characteristic == 0:
         if b.ctx is not ctx:
             raise DomainError("pairing arguments live over different fields")
-        return _trivial_at(a_line, coordinates(adapted_basis(ctx), b))
+        return _trivial_at(a_line, b, coordinates(adapted_basis(ctx), b), None)
     return pairing_value(a_line, b, window) == 0
 
 
-def _trivial_at(a_line, y):
-    """Char 0: (x.G).y == 0 for the coordinates x of a_line and y of b."""
+def _trivial_at(a_line, b, y, w):
+    """pairs_trivially on b, whose coordinates y in the mult basis of window
+    w are already read: (x.G).y == 0 for the coordinates x of a_line in char
+    0, a zero Schmid value (cross-checked against norm membership) in char p."""
     ctx = a_line.ctx
+    if ctx.characteristic:
+        return _schmid_value(a_line, b, y, w) == 0
     row = _row_times(a_line.reduction.coords.coords, _pairing_matrix(ctx), ctx.p)
     return sum(r * c for r, c in zip(row, y.coords)) % ctx.p == 0
 
@@ -592,10 +610,11 @@ def _setting(ctx, window, kummer=True):
     Char 0 works in the whole class space (window None), and i runs to the
     triviality threshold, pc + 1 when the p-th roots of unity are present,
     which the claims that attach Kummer extensions (kummer) need.  Char p
-    works in the window, and i runs to the window.
+    works in the window, and i runs to the window.  A nonpositive window is
+    a DomainError in both characteristics.
     """
+    w = _window(window)
     if ctx.characteristic:
-        w = _window(window)
         return w, adapted_basis(ctx, "mult", w), w
     if kummer and not ctx.mu_p_present:
         raise UnsupportedCaseError("extension-backed claims need Kummer extensions")
@@ -733,10 +752,6 @@ def verify_reciprocity(ctx, window=None, seed=0):
         third_b = ctx.teichmuller(g) if ctx.f > 1 else ctx.one().add(ctx.pi().shift(1))
     sample_b = [ctx.pi(), ctx.one().add(ctx.pi()), third_b]
 
-    def perturb(i):
-        d = _random_nonzero_digit(ctx, rng)
-        return ctx.one().add(ctx.teichmuller(d).shift(i + rng.randrange(0, 2)))
-
     pair = lambda line, b: pairs_trivially(line, b, w)
 
     # (a) every uniformizer pairs nontrivially with the unramified line
@@ -752,21 +767,29 @@ def verify_reciprocity(ctx, window=None, seed=0):
         frob_ok += 1
     witnesses.append({"uniformizers_checked": frob_ok})
 
-    # (c) pairing bits depend only on b modulo U_(level+1); in char 0 the
-    # bit of each sample b is read off its coordinates, taken once
+    # (c) pairing bits depend only on b modulo U_(level+1).  Each bit is read
+    # off coordinates: those of the samples once, and those of a perturbed
+    # product b u, u = 1 + tau(d) pi^(i + r), once per distinct (b, d, i + r)
     if counterexample is None:
-        if ctx.characteristic == 0:
-            ys = [coordinates(basis, b) for b in sample_b]
-            base_bits = lambda line: (_trivial_at(line, y) for y in ys)
-        else:
-            base_bits = lambda line: (pair(line, b) for b in sample_b)
+        ys = [coordinates(basis, b) for b in sample_b]
+        products = {}
+
+        def perturbed(k, i):  # (u, b u, coordinates of b u) for sample k
+            key = (k, _random_nonzero_digit(ctx, rng), i + rng.randrange(0, 2))
+            if key not in products:
+                u = ctx.one().add(ctx.teichmuller(key[1]).shift(key[2]))
+                bu = sample_b[k].mul(u)
+                products[key] = (u, bu, coordinates(basis, bu))
+            return products[key]
+
         stable = 0
         for cl in catalog:
             i = cl.line.level + 1
-            for b, base_bit in zip(sample_b, base_bits(cl.line)):
+            for k, (b, y) in enumerate(zip(sample_b, ys)):
+                base_bit = _trivial_at(cl.line, b, y, w)
                 for _ in range(2):
-                    u = perturb(i)
-                    if pair(cl.line, b.mul(u)) != base_bit:
+                    u, bu, yu = perturbed(k, i)
+                    if _trivial_at(cl.line, bu, yu, w) != base_bit:
                         counterexample = {
                             "part": "perturbation",
                             "line": cl.label,

@@ -16,6 +16,8 @@ import random
 import time
 from collections import Counter
 
+import pytest
+
 from lfk.class_spaces import (
     adapted_basis,
     as_class_reduce,
@@ -477,7 +479,31 @@ def test_verify_all_matches_recorded_digests():
     for slug, desc, window in RECORDED_FIELDS:
         for rep in verify_all(parse_field(desc), window=window, seed=0):
             key = "%s/%s" % (slug, rep.claim_id)
-            text = json.dumps(rep.to_json(), indent=2) + "\n"
-            assert hashlib.sha256(text.encode("utf-8")).hexdigest() == recorded[key], key
+            assert _digest(rep) == recorded[key], key
             seen.add(key)
     assert seen == set(recorded)
+
+
+def _digest(report):
+    """sha256 of the bytes `lfk verify --out` writes for one report."""
+    text = json.dumps(report.to_json(), indent=2) + "\n"
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+# Seed-0 `verify all` digests on Q5(zeta5), which no benchmark workload
+# runs, recorded before S7.31 shared its perturbed products across lines.
+Q5_ZETA5_DIGESTS = {
+    "S2.10": "0d18363f8403b9a458dac4395cd1d15eeb560e7a96557d70de9fa251b38384c1",
+    "S4.22": "81fef306754106bc3b012b39793a14928034ab436e0913d6c24390302f268844",
+    "S5.27": "88d668f39f8fdc1653f3240e37c7114ae8cdf195ab4f2841238a3f8f1b0c95b2",
+    "S6.29": "fa68fba079d41e5b54c3e10146ee28ba48f12160dd1384a8d17ca8a3d1e0c44e",
+    "S7.31": "09b9ff0d845746a4cb5316b4a04581de792d1e55b5f53f815a403e121b5870ea",
+    "S8.33": "8cbe186a6cbf60c497a7b76f99ffa2b8b2375b64e0794fd1d9c4a39cf584f83b",
+}
+
+
+@pytest.mark.slow
+def test_q5_zeta5_verify_all_matches_recorded_digests():
+    # 3906 lines; about 15 s
+    reports = verify_all(parse_field("Qp p=5 f=1 eis=5,10,10,5,1"), seed=0)
+    assert {rep.claim_id: _digest(rep) for rep in reports} == Q5_ZETA5_DIGESTS

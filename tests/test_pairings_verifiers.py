@@ -21,10 +21,11 @@ Independent oracles:
 import itertools
 import json
 import random
+import sys
 
 import pytest
 
-from lfk.class_spaces import adapted_basis, as_class_reduce, coordinates
+from lfk.class_spaces import _random_nonzero_digit, adapted_basis, as_class_reduce, coordinates
 from lfk.errors import DomainError, InternalError, PrecisionError, UnsupportedCaseError
 from lfk.extensions import attach_extension, line_of
 from lfk.fp_linalg import FpVector, full_space, member, rref
@@ -541,6 +542,88 @@ def test_char_p_claims_check_every_index_up_to_the_window(f2t):
     report = verify_claim(f2t, "S7.31", window=12)
     checked = next(w["containments_checked"] for w in report.witnesses if "containments_checked" in w)
     assert checked == 13 * len(line_catalog(f2t, 12)) and report.status == "pass"
+
+
+# ---------------------------------------------------------------- S7.31 perturbations
+
+# The eight benchmark fields, with the windows they are verified at.
+BENCHMARK_FIELDS = [(desc, None) for desc in CHAR0_MU_P] + [
+    ("Fq((t)) p=2 f=1", 9),
+    ("Fq((t)) p=3 f=1", 6),
+    ("Fq((t)) p=2 f=2", 5),
+]
+
+
+def _reciprocity_reads(monkeypatch, ctx, window):
+    """S7.31's report and the (line, b, bit) of each bit that verify_reciprocity
+    itself reads off coordinates, in call order."""
+    real = pairings_verifiers._trivial_at
+    reads = []
+
+    def recording(line, b, y, w):
+        bit = real(line, b, y, w)
+        if sys._getframe(1).f_code.co_name == "verify_reciprocity":
+            reads.append((line, b, bit))
+        return bit
+
+    monkeypatch.setattr(pairings_verifiers, "_trivial_at", recording)
+    report = verify_claim(ctx, "S7.31", window=window)
+    monkeypatch.undo()
+    return report, reads
+
+
+@pytest.mark.parametrize("desc, window", BENCHMARK_FIELDS)
+def test_reciprocity_perturbed_bits_match_a_fresh_pairing(monkeypatch, desc, window):
+    # Oracle for part (c), which reads the coordinates of each distinct
+    # product b u once: every bit it reads must be the one a fresh
+    # pairs_trivially(line, b.mul(u)) gives, with u = 1 + tau(d) pi^(level
+    # + 1 + r) replayed from the verifier's seeded draws.  Per line, the
+    # reads are (b, b u, b u') for each of the three samples b.
+    ctx = parse_field(desc)
+    report, reads = _reciprocity_reads(monkeypatch, ctx, window)
+    catalog = line_catalog(ctx, window)
+    assert report.passed() and len(reads) == 9 * len(catalog)
+    rng = random.Random(0x7E31)
+    for n, cl in enumerate(catalog):
+        group = reads[9 * n: 9 * n + 9]
+        for k in range(3):
+            (line, b, base_bit), *perturbed = group[3 * k: 3 * k + 3]
+            assert line is cl.line
+            for line, bu, bit in perturbed:
+                d = _random_nonzero_digit(ctx, rng)
+                u = ctx.one().add(ctx.teichmuller(d).shift(cl.line.level + 1 + rng.randrange(0, 2)))
+                fresh = b.mul(u)
+                assert line is cl.line and bu.eq_to_precision(fresh), (desc, cl.label, k)
+                assert bit == base_bit == pairs_trivially(cl.line, fresh, window), (desc, cl.label, k)
+
+
+def test_reciprocity_reads_each_perturbed_product_once(monkeypatch):
+    # with the pairing matrix built, as verify all builds it before S7.31,
+    # S7.31 on Q3f2e2 reads coordinates 3 times for its samples, 10 times
+    # in parts (a) and (b), and once per distinct perturbed product: 110
+    # reads, against 2197 when every product was reduced again per line
+    ctx = parse_field("Qp p=3 f=2 eis=3,3,1")
+    pairings_verifiers._pairing_matrix(ctx)
+    real = pairings_verifiers.coordinates
+    reads = []
+
+    def counting(basis, x):
+        reads.append(x)
+        return real(basis, x)
+
+    monkeypatch.setattr(pairings_verifiers, "coordinates", counting)
+    assert verify_claim(ctx, "S7.31").passed()
+    assert len(reads) <= 120
+
+
+@pytest.mark.parametrize("claim_id", ["S2.10", "S6.29", "S7.31", "S8.33"])
+@pytest.mark.parametrize("window", [0, -3])
+def test_char0_verifiers_reject_a_nonpositive_window(q2, claim_id, window):
+    # char 0 has no use for the window, but rejects a bad one as every
+    # other entry point does; None stays the default
+    with pytest.raises(DomainError, match="window must be a positive level"):
+        verify_claim(q2, claim_id, window=window)
+    assert verify_claim(q2, claim_id, window=None).passed()
 
 
 # ---------------------------------------------------------------- catalogs
