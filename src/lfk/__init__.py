@@ -34,7 +34,6 @@ from .fp_linalg import (
     FpSubspace,
     FpVector,
     full_space,
-    intersect,
     left_kernel,
     member,
     rref,
@@ -92,7 +91,6 @@ __all__ = [
     "first_trivial_level",
     "full_space",
     "hilbert_symbol_q2",
-    "intersect",
     "left_kernel",
     "line_catalog",
     "line_of",

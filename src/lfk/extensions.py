@@ -300,14 +300,13 @@ class DegreePExtension:
         )
 
 
-def attach_extension(line, representative=None):
+def attach_extension(line):
     """Construct the degree-p cyclic extension attached to a nontrivial line.
 
     The defining constant is the line's normalized class representative
-    pi^(v mod p) * prod g_i^c_i over the adapted basis, at working
-    precision, so equal classes give identical defining polynomials.  An
-    explicit `representative` may be supplied instead; it must generate the
-    same line, which is checked.
+    pi^(v mod p) * prod g_i^c_i over the adapted basis (char 0) or its
+    normal form (char p), at working precision, so equal classes give
+    identical defining polynomials.
     """
     ctx = line.ctx
     if line.space == "mult":
@@ -326,26 +325,9 @@ def attach_extension(line, representative=None):
         a = line.reduction.normal_form
         if line.level == 0 and line.reduction.poles:
             raise InternalError("level-0 add line has poles in its normal form")
-    if representative is not None:
-        _check_same_line(line, representative)
-        a = representative
     return DegreePExtension(ctx, kind, line, a)
 
 
 def ramification_break(ext):
     return ext.ramification_break
 
-
-def _check_same_line(line, rep):
-    ctx = line.ctx
-    if line.space == "mult":
-        for s in range(1, ctx.p):
-            r = unit_class_reduce(rep.mul(line.generator.powi(s)))
-            if r.is_trivial():
-                return
-        raise DomainError("representative does not generate the same line")
-    for s in range(1, ctx.p):
-        r = as_class_reduce(rep.add(line.generator.scale_int(s)))
-        if r.is_trivial():
-            return
-    raise DomainError("representative does not generate the same line")

@@ -187,63 +187,23 @@ def solve(columns, target):
     return tuple(x)
 
 
-def intersect(a, b):
-    """Intersection a ∩ b, by the kernel-of-stacked-bases method (Zassenhaus)."""
-    if a.p != b.p or a.ambient_dim != b.ambient_dim:
-        raise MalformedInputError("subspace intersection: modulus or ambient mismatch")
-    p, n = a.p, a.ambient_dim
-    if a.dim() == 0 or b.dim() == 0:
-        return FpSubspace(p, n, ())
-    # Zassenhaus: rows (u | u) for u in basis(a), (w | 0) for w in basis(b);
-    # after elimination, rows with zero left half carry the intersection on
-    # the right half.
-    rows = [list(u) + list(u) for u in a.basis] + [list(w) + [0] * n for w in b.basis]
-    reduced, _ = _row_reduce(rows, p)
-    inter = [tuple(row[n:]) for row in reduced if all(x == 0 for x in row[:n])]
-    return rref([FpVector(p, r) for r in inter], p=p, ambient_dim=n) if inter else FpSubspace(p, n, ())
-
-
 def full_space(p, n):
     return FpSubspace(p, n, tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n)))
 
 
-def left_kernel(pairing_table, p, restrict_to):
-    """{v in restrict_to : v · pairing_table = 0}.
+def left_kernel(pairing_table, p):
+    """{v in F_p^n : v · pairing_table = 0}, n the number of rows.
 
-    pairing_table[r][c] is the pairing of the r-th ambient basis vector
-    against the c-th column; `restrict_to` supplies the ambient dimension.
+    pairing_table[r][c] is the pairing of the r-th basis vector of F_p^n
+    against the c-th column.
     """
-    n = restrict_to.ambient_dim
-    if len(pairing_table) != n:
-        raise MalformedInputError(
-            "pairing table has %d rows, ambient dimension is %d" % (len(pairing_table), n)
-        )
+    n = len(pairing_table)
     ncols = len(pairing_table[0]) if n else 0
     for row in pairing_table:
         if len(row) != ncols:
             raise MalformedInputError("ragged pairing table")
-    if restrict_to.p != p:
-        raise MalformedInputError("restrict_to modulus differs from table modulus")
-    if restrict_to.dim() == 0:
-        return restrict_to
-    # Solve over the coordinates of restrict_to's basis: kernel of the
-    # dim(restrict_to) x ncols matrix B·T, then map back to ambient rows.
-    bt = []
-    for brow in restrict_to.basis:
-        bt.append(
-            [sum(brow[r] * pairing_table[r][c] for r in range(n)) % p for c in range(ncols)]
-        )
-    coeff_kernel = _kernel_basis(bt, p)
-    ambient_rows = []
-    for coeffs in coeff_kernel:
-        vec = [0] * n
-        for cf, brow in zip(coeffs, restrict_to.basis):
-            if cf:
-                vec = [(x + cf * y) % p for x, y in zip(vec, brow)]
-        ambient_rows.append(FpVector(p, vec))
-    if not ambient_rows:
-        return FpSubspace(p, n, ())
-    return rref(ambient_rows, p=p, ambient_dim=n)
+    rows = [FpVector(p, v) for v in _kernel_basis(pairing_table, p)]
+    return rref(rows, p=p, ambient_dim=n)
 
 
 def _kernel_basis(matrix, p):

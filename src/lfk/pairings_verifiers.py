@@ -1,12 +1,12 @@
 """Kernel-level hilbertian pairing and the per-claim verifiers.
 
-The pairing is computed at kernel level only: (a, b) is trivial iff b's
-class lies in the norm-class group of the degree-p extension attached to
-a's line.  In characteristic p the Schmid residue formula S(res(x db/b))
-gives the same bit by a one-line series computation; both paths run on
-every query and must agree (a disagreement is a hard internal error, not
-a claim failure).  Over Q_2 the classical quadratic Hilbert symbol
-provides a third, fully independent check.
+The pairing is computed at kernel level: (a, b) is trivial iff b's class
+lies in the norm-class group of the degree-p extension attached to a's
+line.  Every bit or value is read off one certified matrix per field and
+window (see the note on linearity); in characteristic p that matrix holds
+the Schmid residues S(res(x db/b)), which give values, not only bits.
+Over Q_2 the classical quadratic Hilbert symbol provides an independent
+check.
 
 Verifiers turn the structure theorems into pass/fail reports: filtration
 shape, break/level equality, break positions, norm-group intersections,
@@ -25,16 +25,18 @@ the fields it applies to, its verifier and its statement.
 A note on linearity.  The pairing is bilinear and nondegenerate, and the
 norm group of the line of a is a's orthogonal (Serre, Local Fields, XIV
 2).  So one matrix G per field (_pairing_matrix) answers every norm-group
-question of the verifiers as a kernel of G.  In char p, G holds the Schmid
-values; in char 0 it is read off 2d - 1 norm groups and certified when it
-is built.  The tests compare ker(x.G) with the walked norm group of every
-line of the bundled fields.
+question of the verifiers as a kernel of G, and every pairing bit or value
+is (x.G).y, read by _pairing_at.  In char p, G holds the Schmid values; in
+char 0 it is read off 2d - 1 norm groups.  In both, it is certified when
+it is built, against the walked norm groups of d sample lines.  The tests
+compare ker(x.G) with the walked norm group of every line of the bundled
+fields.
 
 A note on S7.31(c).  The perturbations u = 1 + tau(d) pi^(i + r) take few
 values, so the coordinates of each distinct product b u are read once per
-claim, and every bit is read off coordinates: (x.G).y in char 0, the
-norm-checked Schmid value in char p.  The seeded draws do not depend on
-the memo, so neither does the report.
+claim, and every bit is read off coordinates as (x.G).y, x the line's
+catalog vector.  The seeded draws do not depend on the memo, so neither
+does the report.
 """
 
 import itertools
@@ -56,7 +58,6 @@ from .errors import (
 from .extensions import attach_extension, line_of
 from .fp_linalg import (
     FpVector,
-    full_space,
     left_kernel,
     member,
     rref,
@@ -210,68 +211,53 @@ def _residue_generating_unit(E):
 def pairing_value(a_line, b, window=None):
     """The F_p value of the char-p pairing of a_line's class with b.
 
-    Computed by the Schmid residue S(res(x db/b)) on the additive normal
-    form — canonical and exactly bilinear (additive in x, multiplicative
-    to additive in b).  Norm membership in the extension attached to
-    a_line is recomputed as a triviality cross-check on every call.
+    (x.G).y for the coordinates x of a_line and y of b, with G the Schmid
+    table of the window max(window, level): the value only depends on b
+    modulo U_(level+1).  The Schmid residue S(res(x db/b)) is exactly
+    bilinear, so this is that residue itself; G was checked against walked
+    norm groups when it was built.
     """
-    ctx = a_line.ctx
-    if ctx.characteristic == 0:
+    if a_line.ctx.characteristic == 0:
         raise UnsupportedCaseError(
             "pairing values need a reciprocity normalization in char 0; "
             "only triviality (pairs_trivially) is computed there"
         )
-    if b.ctx is not ctx:
-        raise DomainError("pairing arguments live over different fields")
-    # the value only depends on b mod U_(level+1), so any window >= level works
-    w = max(_window(window), a_line.level)
-    return _schmid_value(a_line, b, coordinates(adapted_basis(ctx, "mult", w), b), w)
-
-
-def _schmid_value(a_line, b, vec, w):
-    """pairing_value of a_line with b, whose coordinates vec in the mult
-    basis of window w are already read; w must reach a_line's level."""
-    if a_line.level > w:
-        raise InternalError(
-            "a line of level %d cannot be paired in window %d" % (a_line.level, w)
-        )
-    value = series_residue_and_dlog(a_line.reduction.normal_form, b)
-    norm_trivial = member(norm_class_subgroup(_attached(a_line), w), vec)
-    if (value == 0) != norm_trivial:
-        raise InternalError(
-            "Schmid value %d and norm membership %s disagree on %r vs %r"
-            % (value, norm_trivial, a_line.generator, b)
-        )
-    return value
+    return _line_value(a_line, b, window)
 
 
 def pairs_trivially(a_line, b, window=None):
     """True iff the hilbertian pairing of a_line's class with b is trivial.
 
-    Char 0: (x.G).y == 0 for the coordinates x of a_line and y of b, with G
-    the field's certified pairing matrix; this is norm membership in the
-    extension attached to a_line, without building that extension.  Char
-    p: a_line lives in the additive quotient and b in the multiplicative
-    one; delegates to pairing_value (Schmid residue plus norm cross-check).
+    (x.G).y == 0 for the coordinates x of a_line and y of b, with G the
+    field's certified pairing matrix; this is norm membership in the
+    extension attached to a_line, without building that extension.  Char 0
+    reads the whole class space, char p the window max(window, level).
     """
+    return _line_value(a_line, b, window) == 0
+
+
+def _line_value(a_line, b, window):
+    """(x.G).y for the first-argument coordinates x of a_line and the mult
+    coordinates y of b, read at the window the line needs."""
     ctx = a_line.ctx
-    window = _window(window)  # char 0 has no use for it, but rejects a bad one too
+    w = _window(window)  # char 0 has no use for it, but rejects a bad one too
+    if b.ctx is not ctx:
+        raise DomainError("pairing arguments live over different fields")
     if ctx.characteristic == 0:
-        if b.ctx is not ctx:
-            raise DomainError("pairing arguments live over different fields")
-        return _trivial_at(a_line, b, coordinates(adapted_basis(ctx), b), None)
-    return pairing_value(a_line, b, window) == 0
+        w, x = None, a_line.reduction.coords
+    else:
+        w = max(w, a_line.level)
+        x = coordinates(adapted_basis(ctx, "add", w), a_line.generator)
+    y = coordinates(adapted_basis(ctx, "mult", w), b)
+    return _pairing_at(ctx, x.coords, y.coords, w)
 
 
-def _trivial_at(a_line, b, y, w):
-    """pairs_trivially on b, whose coordinates y in the mult basis of window
-    w are already read: (x.G).y == 0 for the coordinates x of a_line in char
-    0, a zero Schmid value (cross-checked against norm membership) in char p."""
-    ctx = a_line.ctx
-    if ctx.characteristic:
-        return _schmid_value(a_line, b, y, w) == 0
-    row = _row_times(a_line.reduction.coords.coords, _pairing_matrix(ctx), ctx.p)
-    return sum(r * c for r, c in zip(row, y.coords)) % ctx.p == 0
+def _pairing_at(ctx, x, y, window):
+    """(x.G).y over F_p with G = _pairing_matrix(ctx, window): the pairing of
+    the first-argument class with coordinates x and the mult class with
+    coordinates y.  Every pairing bit or value is read here."""
+    row = _row_times(x, _pairing_matrix(ctx, window), ctx.p)
+    return sum(r * c for r, c in zip(row, y)) % ctx.p
 
 
 def _pairing_matrix(ctx, window=None):
@@ -279,12 +265,12 @@ def _pairing_matrix(ctx, window=None):
 
     Rows index the first-argument basis, columns the mult basis; the norm
     group of the line with coordinates x is the kernel of y -> (x.G).y.
-    Char p: the Schmid values pairing_value(g_r, h_c), each cross-checked
-    against norm membership.  Char 0 fixes no normalization, so G is known
-    up to one global factor, which no kernel sees: row i is c_i n_i, n_i
-    the normal of the norm group of the line of g_i, and the normal of the
-    line of g_0 g_j, proportional to n_0 + c_j n_j, fixes c_j (c_0 = 1).
-    That takes 2d - 1 norm groups; _certify_pairing_matrix checks the result.
+    Char p: the Schmid values S(res(g_r dh_c/h_c)), one series residue
+    each.  Char 0 fixes no normalization, so G is known up to one global
+    factor, which no kernel sees: row i is c_i n_i, n_i the normal of the
+    norm group of the line of g_i, and the normal of the line of g_0 g_j,
+    proportional to n_0 + c_j n_j, fixes c_j (c_0 = 1).  That takes 2d - 1
+    norm groups.  _certify_pairing_matrix checks G in both characteristics.
     """
     cache = ctx.cache
     key = ("pairing", window)
@@ -293,7 +279,7 @@ def _pairing_matrix(ctx, window=None):
     if ctx.characteristic:
         mult = adapted_basis(ctx, "mult", window).elements()
         G = [
-            [pairing_value(line_of(g), h, window) for h in mult]
+            [series_residue_and_dlog(g, h) for h in mult]
             for g in adapted_basis(ctx, "add", window).elements()
         ]
     else:
@@ -319,40 +305,47 @@ def _pairing_matrix(ctx, window=None):
                     "sum of the generators' rows; the pairing is not bilinear" % j
                 )
             G.append(list(n[j].scale(ab[1] * pow(ab[0], -1, ctx.p)).coords))
-        _certify_pairing_matrix(ctx, G)
+    _certify_pairing_matrix(ctx, G, window)
     cache[key] = G
     return G
 
 
-def _certify_pairing_matrix(ctx, G):
-    """Check a char-0 pairing matrix against facts its construction never used.
+def _certify_pairing_matrix(ctx, G, window=None):
+    """Check a pairing matrix against facts its construction never used.
 
-    (a, b)(b, a) = 1 makes G skew-symmetric (symmetric at p = 2); the
-    pairing is nondegenerate, so G has full rank; and d lines off the
-    construction's, from a fixed-seed sample, must have the directly walked
-    norm group ker(x.G).  Any failure is an InternalError.
+    The pairing is nondegenerate, so G has full rank; in char 0, where both
+    arguments live in one space, (a, b)(b, a) = 1 makes G skew-symmetric
+    (symmetric at p = 2); and d lines the construction did not walk, from
+    a fixed-seed sample, must have the directly walked norm group ker(x.G).
+    Any failure is an InternalError.
     """
     p, d = ctx.p, len(G)
-    if any((G[r][c] + G[c][r]) % p for r in range(d) for c in range(d)):
+    if ctx.characteristic == 0 and any(
+        (G[r][c] + G[c][r]) % p for r in range(d) for c in range(d)
+    ):
         kind = "symmetric" if p == 2 else "skew-symmetric"
         raise InternalError("pairing matrix is not %s" % kind)
     if rref([FpVector(p, row) for row in G]).dim() != d:
         raise InternalError("pairing matrix is singular")
-    basis = adapted_basis(ctx)
-    for vec in _sample_lines(p, d):
-        walked = norm_class_subgroup(_attached(line_of(_combination(basis, vec))))
-        if walked != _perp([_row_times(vec, G, p)], p, d):
+    basis = adapted_basis(ctx, "add" if ctx.characteristic else "mult", window)
+    for vec in _sample_lines(ctx, d):
+        E = _attached(line_of(_combination(basis, vec)))
+        if norm_class_subgroup(E, window) != _perp([_row_times(vec, G, p)], p, d):
             raise InternalError(
                 "pairing matrix disagrees with the walked norm group of line %s"
                 % "".join(map(str, vec))
             )
 
 
-def _sample_lines(p, d):
-    """d normalized coordinate vectors off the construction's lines (each g_i
-    and each g_0 g_j), drawn with a fixed seed; all of them when fewer are left."""
-    used = {tuple(int(k == i) for k in range(d)) for i in range(d)}
-    used |= {tuple(int(k in (0, j)) for k in range(d)) for j in range(1, d)}
+def _sample_lines(ctx, d):
+    """d normalized coordinate vectors off the lines the construction of G
+    walked (each g_i and each g_0 g_j in char 0, none in char p), drawn with
+    a fixed seed; all of them when fewer are left."""
+    p = ctx.p
+    used = set()
+    if ctx.characteristic == 0:
+        used = {tuple(int(k == i) for k in range(d)) for i in range(d)}
+        used |= {tuple(int(k in (0, j)) for k in range(d)) for j in range(1, d)}
     size = min(d, (p**d - 1) // (p - 1) - len(used))
     return _draw_lines(p, d, used, size, random.Random(_SAMPLE_SEED))
 
@@ -364,7 +357,7 @@ def _row_times(x, G, p):
 
 def _perp(rows, p, n):
     """{y in F_p^n : r . y == 0 for every r in rows}, as an FpSubspace."""
-    return left_kernel([[r[k] for r in rows] for k in range(n)], p, full_space(p, n))
+    return left_kernel([[r[k] for r in rows] for k in range(n)], p)
 
 
 def hilbert_symbol_q2(a, b):
@@ -736,7 +729,7 @@ def verify_reciprocity(ctx, window=None, seed=0):
     unram = [cl for cl in catalog if cl.line.level == 0]
     if len(unram) != 1:
         raise InternalError("expected exactly one unramified line, found %d" % len(unram))
-    unram_line = unram[0].line
+    x0 = unram[0].vec
     g = ctx.k.gen() if ctx.f > 1 else ctx.k.elt(1)
     units = [
         ctx.one(),
@@ -752,26 +745,26 @@ def verify_reciprocity(ctx, window=None, seed=0):
         third_b = ctx.teichmuller(g) if ctx.f > 1 else ctx.one().add(ctx.pi().shift(1))
     sample_b = [ctx.pi(), ctx.one().add(ctx.pi()), third_b]
 
-    pair = lambda line, b: pairs_trivially(line, b, w)
-
+    # every bit is read off coordinates, (x.G).y == 0 with x the line's
+    # catalog vector; counterexamples name elements by their literals
     # (a) every uniformizer pairs nontrivially with the unramified line
     # (b) unit quotients of uniformizers pair trivially (well-definedness)
     frob_ok = 0
     for u, unif in zip(units, uniformizers):
-        if pair(unram_line, unif):
-            counterexample = {"part": "frobenius", "uniformizer_unit": repr(u)}
+        if not _pairing_at(ctx, x0, coordinates(basis, unif).coords, w):
+            counterexample = {"part": "frobenius", "uniformizer_unit": u.to_literal()}
             break
-        if not pair(unram_line, u):
-            counterexample = {"part": "well-definedness", "unit": repr(u)}
+        if _pairing_at(ctx, x0, coordinates(basis, u).coords, w):
+            counterexample = {"part": "well-definedness", "unit": u.to_literal()}
             break
         frob_ok += 1
     witnesses.append({"uniformizers_checked": frob_ok})
 
-    # (c) pairing bits depend only on b modulo U_(level+1).  Each bit is read
-    # off coordinates: those of the samples once, and those of a perturbed
-    # product b u, u = 1 + tau(d) pi^(i + r), once per distinct (b, d, i + r)
+    # (c) pairing bits depend only on b modulo U_(level+1).  The coordinates
+    # of the samples are read once, and those of a perturbed product b u,
+    # u = 1 + tau(d) pi^(i + r), once per distinct (b, d, i + r)
     if counterexample is None:
-        ys = [coordinates(basis, b) for b in sample_b]
+        ys = [coordinates(basis, b).coords for b in sample_b]
         products = {}
 
         def perturbed(k, i):  # (u, b u, coordinates of b u) for sample k
@@ -779,22 +772,22 @@ def verify_reciprocity(ctx, window=None, seed=0):
             if key not in products:
                 u = ctx.one().add(ctx.teichmuller(key[1]).shift(key[2]))
                 bu = sample_b[k].mul(u)
-                products[key] = (u, bu, coordinates(basis, bu))
+                products[key] = (u, bu, coordinates(basis, bu).coords)
             return products[key]
 
         stable = 0
         for cl in catalog:
             i = cl.line.level + 1
             for k, (b, y) in enumerate(zip(sample_b, ys)):
-                base_bit = _trivial_at(cl.line, b, y, w)
+                base_bit = _pairing_at(ctx, cl.vec, y, w) == 0
                 for _ in range(2):
                     u, bu, yu = perturbed(k, i)
-                    if _trivial_at(cl.line, bu, yu, w) != base_bit:
+                    if (_pairing_at(ctx, cl.vec, yu, w) == 0) != base_bit:
                         counterexample = {
                             "part": "perturbation",
                             "line": cl.label,
-                            "b": repr(b),
-                            "u": repr(u),
+                            "b": b.to_literal(),
+                            "u": u.to_literal(),
                         }
                         break
                     stable += 1
@@ -918,8 +911,9 @@ def verify_orthogonality_as(ctx, window=None, seed=0):
             mv = [rng.randrange(ctx.p) for _ in range(dm)]
             if not any(av) or not any(mv):
                 continue
-            predicted = sum(r * c for r, c in zip(_row_times(av, gram, ctx.p), mv)) % ctx.p
-            got = pairing_value(line_of(_combination(ab, av)), _combination(mb, mv), w)
+            predicted = _pairing_at(ctx, av, mv, w)
+            # the Schmid residue itself, so the check does not read G
+            got = series_residue_and_dlog(_combination(ab, av), _combination(mb, mv))
             if got != predicted:
                 counterexample = {
                     "part": "bilinearity-spot-check",

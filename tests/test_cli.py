@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import lfk
 from lfk.cli import main
 from lfk.errors import MalformedInputError
-from lfk.local_arith import INF, parse_element, parse_field, val
+from lfk.local_arith import INF, parse_element, parse_field, series_residue_and_dlog, val
 
 
 Q2 = "Qp p=2 f=1"
@@ -145,6 +145,19 @@ def test_compute_pair_char_p_json_value(capsys):
         "--format", "json",
     )
     assert json.loads(out) == {"result": "nontrivial", "value": 1}
+
+
+def test_compute_pair_reads_the_line_level_past_the_window(capsys):
+    # the pair is read in window max(window, level) = 11, where 1 + t^11 is
+    # not yet trivial; in window 5 it would be, and the value would read 0
+    ctx = parse_field(F2T)
+    want = series_residue_and_dlog(parse_element(ctx, "t^-11"), parse_element(ctx, "1+t^11"))
+    code, out, _ = run(
+        capsys, "compute", "pair", "--field", F2T, "--add", "t^-11", "--mult", "1+t^11",
+        "--window", "5", "--format", "json",
+    )
+    assert code == 0 and want == 1
+    assert json.loads(out) == {"result": "nontrivial", "value": want}
 
 
 def test_compute_pair_char0_membership(capsys):

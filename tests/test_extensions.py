@@ -17,7 +17,7 @@ import pytest
 
 from lfk.class_spaces import adapted_basis, unit_class_reduce
 from lfk.errors import DomainError, UnsupportedCaseError
-from lfk.extensions import attach_extension, line_of, ramification_break
+from lfk.extensions import DegreePExtension, attach_extension, line_of, ramification_break
 from lfk.local_arith import parse_field, val
 
 
@@ -174,16 +174,6 @@ def test_attach_is_canonical_on_equal_lines(q2):
     assert e1.ramification_break == e2.ramification_break
 
 
-def test_attach_with_explicit_representative(q2):
-    ln = line_of(q2.from_int(-1))
-    E = attach_extension(ln, representative=q2.from_int(-1))
-    assert E.a.sub(q2.from_int(-1)).is_zero_to_precision()
-    # 7 = -1 mod squares (their product is -7 = 9 mod 16); accepted
-    attach_extension(ln, representative=q2.from_int(7))
-    with pytest.raises(DomainError):
-        attach_extension(ln, representative=q2.from_int(5))
-
-
 def test_attach_artin_schreier_examples(f2t):
     E = attach_extension(line_of(f2t.from_digits([(-1, 1)])))
     assert E.kind == "artin_schreier" and not E.is_unramified
@@ -204,14 +194,14 @@ def test_attach_absorbs_deep_p_divisible_pole(f3t):
 
 
 def test_norm_one_plus_i_is_two(q2):
-    E = attach_extension(line_of(q2.from_int(-1)), representative=q2.from_int(-1))
+    E = DegreePExtension(q2, "kummer", line_of(q2.from_int(-1)), q2.from_int(-1))
     z = E.embed(q2.one()).add(E.gen())
     n = E.norm(z)
     assert n.sub(q2.from_int(2)).is_zero_to_precision()
 
 
 def test_norm_gaussian_integers_against_integer_oracle(q2):
-    E = attach_extension(line_of(q2.from_int(-1)), representative=q2.from_int(-1))
+    E = DegreePExtension(q2, "kummer", line_of(q2.from_int(-1)), q2.from_int(-1))
     rng = random.Random(0xE2)
     for _ in range(40):
         x, y = rng.randrange(-50, 50), rng.randrange(-50, 50)

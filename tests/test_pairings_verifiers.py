@@ -14,14 +14,16 @@ Independent oracles:
 * the span of the norm classes of the whole generator schedule, walked to
   its end, which norm_class_subgroup must reproduce when it stops early;
 * the walked norm group of every line, which must be the kernel of that
-  line's row of the pairing matrix, and the U_i complements of S8.33
-  re-derived from the walked norm groups over all p^n vectors.
+  line's row of the pairing matrix in both characteristics, and the U_i
+  complements of S8.33 re-derived from the walked norm groups over all
+  p^n vectors;
+* Schmid residues computed in a fresh context, which the char-p pairing
+  matrix must equal entry by entry.
 """
 
 import itertools
 import json
 import random
-import sys
 
 import pytest
 
@@ -275,18 +277,13 @@ def _random_mult_unit(ctx, rng):
     return out
 
 
-def test_schmid_vs_norm_membership_seeded(f2t):
-    # every pairing_value call cross-checks the Schmid bit against norm
-    # membership and raises on disagreement; run a seeded batch
-    rng = random.Random(7)
-    checked = 0
-    cat = line_catalog(f2t, 5)
-    for cl in cat:
-        for _ in range(5):
-            b = _random_mult_unit(f2t, rng)
-            pairing_value(cl.line, b, 5)
-            checked += 1
-    assert checked >= 60
+def test_schmid_vs_norm_membership_seeded():
+    # the char-p matrix holds Schmid values, so its kernels are the Schmid
+    # bits; they must be the walked norm groups on every catalog line (the
+    # F3((t)) catalog is a seeded sample), not only on the d lines its
+    # certificate walks
+    for desc, window in CHAR_P_WINDOWED:
+        assert_kernels_match_walked_norm_groups(desc, window)
 
 
 # ---------------------------------------------------------------- pairing api
@@ -419,15 +416,19 @@ CHAR0_MU_P = (
 )
 
 
-def assert_kernels_match_walked_norm_groups(desc):
+# The char-p benchmark fields, with the windows they are verified at.
+CHAR_P_WINDOWED = (("Fq((t)) p=2 f=1", 9), ("Fq((t)) p=3 f=1", 6), ("Fq((t)) p=2 f=2", 5))
+
+
+def assert_kernels_match_walked_norm_groups(desc, window=None):
     """Oracle: for every catalog line x, the norm group walked from its own
     extension is ker(x.G), i.e. it has codimension 1 and x.G kills it."""
     ctx = parse_field(desc)
-    G = pairings_verifiers._pairing_matrix(ctx)
+    G = pairings_verifiers._pairing_matrix(ctx, window)
     p, d = ctx.p, len(G)
-    for cl in line_catalog(ctx):
+    for cl in line_catalog(ctx, window):
         row = [sum(x * G[r][c] for r, x in enumerate(cl.vec)) % p for c in range(d)]
-        walked = norm_class_subgroup(attach_extension(cl.line))
+        walked = norm_class_subgroup(attach_extension(cl.line), window)
         assert any(row) and walked.dim() == d - 1, (desc, cl.label)
         for h in walked.basis:
             assert sum(a * b for a, b in zip(row, h)) % p == 0, (desc, cl.label)
@@ -469,33 +470,57 @@ def test_kummer_complements_match_brute_force(desc):
         assert claimed[i]["dim"] == brute.dim() and claimed[i]["pass"], (desc, i)
 
 
-@pytest.mark.parametrize(
-    "desc, window", [("Fq((t)) p=2 f=1", 9), ("Fq((t)) p=3 f=1", 6), ("Fq((t)) p=2 f=2", 5)]
-)
+@pytest.mark.parametrize("desc, window", CHAR_P_WINDOWED)
 def test_char_p_pairing_matrix_is_the_schmid_table(desc, window):
+    # the Schmid residue of each normal form, in a context that never built G
     ctx = parse_field(desc)
     G = pairings_verifiers._pairing_matrix(ctx, window)
     fresh = parse_field(desc)
     mult = adapted_basis(fresh, "mult", window).elements()
     table = [
-        [pairing_value(line_of(g), h, window) for h in mult]
+        [series_residue_and_dlog(line_of(g).reduction.normal_form, h) for h in mult]
         for g in adapted_basis(fresh, "add", window).elements()
     ]
+    assert ("pairing", window) not in fresh.cache
     assert G == table
     assert verify_claim(ctx, "S8.34", window=window).gram == table
 
 
-@pytest.mark.parametrize("desc", ["Qp p=2 f=1", "Qp p=3 f=1 eis=3,3,1"])
-def test_pairing_matrix_certificate_catches_every_flipped_entry(desc):
+@pytest.mark.parametrize(
+    "desc, window",
+    [("Qp p=2 f=1", None), ("Qp p=3 f=1 eis=3,3,1", None)]
+    + list(CHAR_P_WINDOWED) + [("Fq((t)) p=2 f=1", 1)],
+)
+def test_pairing_matrix_certificate_catches_every_flipped_entry(desc, window):
+    # char p builds G without walking a norm group, so there the walked
+    # sample lines are all that tie G to the norm map
     ctx = parse_field(desc)
-    G = pairings_verifiers._pairing_matrix(ctx)
-    pairings_verifiers._certify_pairing_matrix(ctx, G)
+    G = pairings_verifiers._pairing_matrix(ctx, window)
+    pairings_verifiers._certify_pairing_matrix(ctx, G, window)
     d = len(G)
-    for r, c in itertools.product(range(d), repeat=2):
+    for r, c, delta in itertools.product(range(d), range(d), range(1, ctx.p)):
         bad = [list(row) for row in G]
-        bad[r][c] = (bad[r][c] + 1) % ctx.p
+        bad[r][c] = (bad[r][c] + delta) % ctx.p
         with pytest.raises(InternalError):
-            pairings_verifiers._certify_pairing_matrix(ctx, bad)
+            pairings_verifiers._certify_pairing_matrix(ctx, bad, window)
+
+
+@pytest.mark.parametrize("desc, window", CHAR_P_WINDOWED)
+def test_char_p_verify_all_walks_at_most_d_norm_groups(monkeypatch, desc, window):
+    # only the certificate of G walks norm groups, one per sample line; when
+    # S7.31 cross-checked each catalog line it took 63 / 68 / 127 walks
+    schedule = pairings_verifiers._norm_generator_schedule
+    walks = []
+
+    def counting(E, w):
+        walks.append(E.line)
+        return schedule(E, w)
+
+    monkeypatch.setattr(pairings_verifiers, "_norm_generator_schedule", counting)
+    ctx = parse_field(desc)
+    d = adapted_basis(ctx, "add", window).dim()
+    assert all(r.passed() for r in verify_all(ctx, window=window))
+    assert 0 < len(walks) <= d, (desc, len(walks), d)
 
 
 def _patch_generator_norm_group(monkeypatch, ctx, k, wrong):
@@ -555,21 +580,30 @@ BENCHMARK_FIELDS = [(desc, None) for desc in CHAR0_MU_P] + [
 
 
 def _reciprocity_reads(monkeypatch, ctx, window):
-    """S7.31's report and the (line, b, bit) of each bit that verify_reciprocity
-    itself reads off coordinates, in call order."""
-    real = pairings_verifiers._trivial_at
+    """S7.31's report and the (x, y, value) of each pairing value it reads
+    through _pairing_at, in call order."""
+    real = pairings_verifiers._pairing_at
     reads = []
 
-    def recording(line, b, y, w):
-        bit = real(line, b, y, w)
-        if sys._getframe(1).f_code.co_name == "verify_reciprocity":
-            reads.append((line, b, bit))
-        return bit
+    def recording(c, x, y, w):
+        value = real(c, x, y, w)
+        reads.append((tuple(x), tuple(y), value))
+        return value
 
-    monkeypatch.setattr(pairings_verifiers, "_trivial_at", recording)
+    monkeypatch.setattr(pairings_verifiers, "_pairing_at", recording)
     report = verify_claim(ctx, "S7.31", window=window)
     monkeypatch.undo()
     return report, reads
+
+
+def _reciprocity_samples(ctx):
+    """The three sample elements b of S7.31(c), rebuilt as the verifier builds them."""
+    g = ctx.k.gen() if ctx.f > 1 else ctx.k.elt(1)
+    if ctx.characteristic:
+        third = ctx.one().add(ctx.teichmuller(g).shift(2))
+    else:
+        third = ctx.teichmuller(g) if ctx.f > 1 else ctx.one().add(ctx.pi().shift(1))
+    return [ctx.pi(), ctx.one().add(ctx.pi()), third]
 
 
 @pytest.mark.parametrize("desc, window", BENCHMARK_FIELDS)
@@ -577,24 +611,65 @@ def test_reciprocity_perturbed_bits_match_a_fresh_pairing(monkeypatch, desc, win
     # Oracle for part (c), which reads the coordinates of each distinct
     # product b u once: every bit it reads must be the one a fresh
     # pairs_trivially(line, b.mul(u)) gives, with u = 1 + tau(d) pi^(level
-    # + 1 + r) replayed from the verifier's seeded draws.  Per line, the
-    # reads are (b, b u, b u') for each of the three samples b.
+    # + 1 + r) replayed from the verifier's seeded draws.  The first ten
+    # reads are parts (a) and (b) on the unramified line, uniformizer then
+    # unit; then, per line, (b, b u, b u') for each of the three samples b.
     ctx = parse_field(desc)
     report, reads = _reciprocity_reads(monkeypatch, ctx, window)
     catalog = line_catalog(ctx, window)
-    assert report.passed() and len(reads) == 9 * len(catalog)
+    basis = adapted_basis(ctx, "mult", window)
+    assert report.passed() and len(reads) == 10 + 9 * len(catalog)
+    unram = next(cl for cl in catalog if cl.line.level == 0)
+    assert all(x == unram.vec for x, _, _ in reads[:10])
+    assert [value != 0 for _, _, value in reads[:10]] == [True, False] * 5
+    samples = _reciprocity_samples(ctx)
     rng = random.Random(0x7E31)
     for n, cl in enumerate(catalog):
-        group = reads[9 * n: 9 * n + 9]
-        for k in range(3):
-            (line, b, base_bit), *perturbed = group[3 * k: 3 * k + 3]
-            assert line is cl.line
-            for line, bu, bit in perturbed:
+        group = reads[10 + 9 * n: 10 + 9 * n + 9]
+        for k, b in enumerate(samples):
+            (x, y, base), *perturbed = group[3 * k: 3 * k + 3]
+            assert x == cl.vec and y == coordinates(basis, b).coords, (desc, cl.label, k)
+            for x, yu, value in perturbed:
                 d = _random_nonzero_digit(ctx, rng)
                 u = ctx.one().add(ctx.teichmuller(d).shift(cl.line.level + 1 + rng.randrange(0, 2)))
                 fresh = b.mul(u)
-                assert line is cl.line and bu.eq_to_precision(fresh), (desc, cl.label, k)
-                assert bit == base_bit == pairs_trivially(cl.line, fresh, window), (desc, cl.label, k)
+                assert x == cl.vec and yu == coordinates(basis, fresh).coords, (desc, cl.label, k)
+                trivial = pairs_trivially(cl.line, fresh, window)
+                assert (value == 0) == (base == 0) == trivial, (desc, cl.label, k)
+
+
+def test_reciprocity_counterexample_names_a_deep_perturbation(monkeypatch):
+    # repr shows digits up to valuation + 6 only, so repr(1 + pi^8) on Q2
+    # e=3 is repr(1); the counterexample carries literals that parse back.
+    # Part (c) is forced to fail at the first perturbed read of the first
+    # line of level pc = 6, whose perturbations sit at pi^7 or pi^8.
+    ctx = parse_field("Qp p=2 f=1 eis=-2,0,0,1")
+    catalog = line_catalog(ctx)
+    n = next(n for n, cl in enumerate(catalog) if cl.line.level == ctx.pc)
+    real = pairings_verifiers._pairing_at
+    reads = []
+
+    def flipping(c, x, y, w):
+        value = real(c, x, y, w)
+        if tuple(x) == catalog[n].vec:
+            reads.append(y)
+            if len(reads) == 2:
+                return (value + 1) % c.p
+        return value
+
+    monkeypatch.setattr(pairings_verifiers, "_pairing_at", flipping)
+    ce = verify_claim(ctx, "S7.31").counterexample
+    assert ce["part"] == "perturbation" and ce["line"] == catalog[n].label
+    # replay the seeded draws: six per earlier line, then this line's first
+    rng = random.Random(0x7E31)
+    for _ in range(6 * n + 1):
+        d = _random_nonzero_digit(ctx, rng)
+        shift = ctx.pc + 1 + rng.randrange(0, 2)
+    u = ctx.one().add(ctx.teichmuller(d).shift(shift))
+    assert repr(u) == repr(ctx.one())
+    got = parse_element(ctx, ce["u"])
+    assert got.eq_to_precision(u) and not got.eq_to_precision(ctx.one())
+    assert parse_element(ctx, ce["b"]).eq_to_precision(ctx.pi())
 
 
 def test_reciprocity_reads_each_perturbed_product_once(monkeypatch):
