@@ -27,13 +27,13 @@ from .extensions import (
     DegreePExtension,
     Line,
     attach_extension,
+    line_break,
     line_of,
     ramification_break,
 )
 from .fp_linalg import (
     FpSubspace,
     FpVector,
-    full_space,
     left_kernel,
     member,
     rref,
@@ -89,9 +89,9 @@ __all__ = [
     "coordinates",
     "filtration_dims",
     "first_trivial_level",
-    "full_space",
     "hilbert_symbol_q2",
     "left_kernel",
+    "line_break",
     "line_catalog",
     "line_of",
     "member",

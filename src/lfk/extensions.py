@@ -13,6 +13,16 @@ on E is v_K(N(z)), divided by p for unramified E (where the conjugates all
 share the value of z).  Uniformizers come from a two-candidate search and a
 Bezout combination; the ramification break is then read off directly as
 v_E(sigma(pi_E) - pi_E) - 1.
+
+line_break gives the same break without building E.  The norm of x - c is
+a closed form, +/-(c^p - a) for x^p = a and +/-(c^p - c - a) for
+y^p - y = a, so the valuation w of the uniformizer candidate x - c is read
+in K; sigma(pi_E)/pi_E is a power prime to p of sigma(x - c)/(x - c), whence
+break = pc + v(a) - w (Kummer, v_E(zeta - 1) = pc) and break = -w
+(Artin-Schreier).  See Serre, Local Fields, IV 2, and Fesenko-Vostokov,
+Local Fields and Their Extensions, III 2.  The verifiers read every line's
+break from line_break and certify it against ramification_break on the
+basis lines and the sample lines of the pairing matrix's certificate.
 """
 
 import math
@@ -300,13 +310,12 @@ class DegreePExtension:
         )
 
 
-def attach_extension(line):
-    """Construct the degree-p cyclic extension attached to a nontrivial line.
+def _defining_constant(line):
+    """(kind, a) of the extension attached to a nontrivial line.
 
-    The defining constant is the line's normalized class representative
-    pi^(v mod p) * prod g_i^c_i over the adapted basis (char 0) or its
-    normal form (char p), at working precision, so equal classes give
-    identical defining polynomials.
+    a is the line's normalized class representative pi^(v mod p) * prod
+    g_i^c_i over the adapted basis (char 0) or its normal form (char p), at
+    working precision, so equal classes give identical defining polynomials.
     """
     ctx = line.ctx
     if line.space == "mult":
@@ -314,20 +323,51 @@ def attach_extension(line):
             raise UnsupportedCaseError(
                 "Kummer extensions need the p-th roots of unity in the base field"
             )
-        kind = "kummer"
-        a = line.reduction.normalized_rep
         if line.level == 0:
             # the only unramified mult line is the boundary line
             if line.reduction.pi_exponent % ctx.p or set(line.reduction.levels) != {ctx.pc}:
                 raise InternalError("level-0 mult line does not sit at the boundary")
-    else:
-        kind = "artin_schreier"
-        a = line.reduction.normal_form
-        if line.level == 0 and line.reduction.poles:
-            raise InternalError("level-0 add line has poles in its normal form")
-    return DegreePExtension(ctx, kind, line, a)
+        return "kummer", line.reduction.normalized_rep
+    if line.level == 0 and line.reduction.poles:
+        raise InternalError("level-0 add line has poles in its normal form")
+    return "artin_schreier", line.reduction.normal_form
+
+
+def attach_extension(line):
+    """Construct the degree-p cyclic extension attached to a nontrivial line."""
+    kind, a = _defining_constant(line)
+    return DegreePExtension(line.ctx, kind, line, a)
 
 
 def ramification_break(ext):
     return ext.ramification_break
 
+
+def line_break(line):
+    """The ramification break of the extension attached to line, without E.
+
+    -1 at level 0.  Otherwise the first c of 0, 1, -1 (the candidates
+    x - c of the uniformizer search) whose norm valuation w is prime to p
+    gives the break: pc + v(a) - w for x^p = a, -w for y^p - y = a.  A
+    norm that vanishes to working precision is a PrecisionError, as in
+    ext_val.
+    """
+    ctx = line.ctx
+    kind, a = _defining_constant(line)
+    if line.level == 0:
+        return -1
+    p = ctx.p
+    for c in (0, 1, -1):
+        cp = ctx.from_int(c**p)
+        # N(x - c) = +/-(c^p - a), N(y - c) = +/-(c^p - c - a)
+        n = cp.sub(a) if kind == "kummer" else cp.sub(ctx.from_int(c)).sub(a)
+        w = val(n)
+        if w == INF:
+            raise PrecisionError("norm vanished to working precision; cannot read v_E")
+        w = int(w)
+        if w % p:
+            return ctx.pc + int(val(a)) - w if kind == "kummer" else -w
+    raise InternalError(
+        "no generator-based candidate has valuation prime to p; "
+        "this signals a precision or irreducibility bug"
+    )

@@ -187,10 +187,6 @@ def solve(columns, target):
     return tuple(x)
 
 
-def full_space(p, n):
-    return FpSubspace(p, n, tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n)))
-
-
 def left_kernel(pairing_table, p):
     """{v in F_p^n : v · pairing_table = 0}, n the number of rows.
 

@@ -32,6 +32,12 @@ it is built, against the walked norm groups of d sample lines.  The tests
 compare ker(x.G) with the walked norm group of every line of the bundled
 fields.
 
+A note on breaks.  S4.22, S5.27 and S5.28 read each line's break off the
+closed-form norm of line_break and build no extension per line; the built
+extension's break certifies the closed form on the d basis lines and the
+d sample lines of G's certificate (_break_entries).  The tests compare
+the two breaks on every line of the bundled fields.
+
 A note on S7.31(c).  The perturbations u = 1 + tau(d) pi^(i + r) take few
 values, so the coordinates of each distinct product b u are read once per
 claim, and every bit is read off coordinates as (x.G).y, x the line's
@@ -55,7 +61,7 @@ from .errors import (
     PrecisionError,
     UnsupportedCaseError,
 )
-from .extensions import attach_extension, line_of
+from .extensions import attach_extension, line_break, line_of
 from .fp_linalg import (
     FpVector,
     left_kernel,
@@ -646,8 +652,26 @@ def verify_filtration(ctx, window=None, seed=0):
 
 
 def _break_entries(ctx, window, seed):
+    """(label, level, break) per catalog line, each break from line_break.
+
+    The conjugate-product break of the attached extension certifies the
+    closed form on the d basis lines and on the d sample lines of G's
+    certificate; in char 0, G builds those extensions anyway.  A
+    disagreement is an InternalError.
+    """
+    basis = adapted_basis(ctx, "add" if ctx.characteristic else "mult", window)
+    d = basis.dim()
+    units = [tuple(int(k == i) for k in range(d)) for i in range(d)]
+    for vec in units + _sample_lines(ctx, d):
+        line = line_of(_combination(basis, vec))
+        got, want = line_break(line), _attached(line).ramification_break
+        if got != want:
+            raise InternalError(
+                "closed-form break %d of line %s disagrees with the extension's %d"
+                % (got, "".join(map(str, vec)), want)
+            )
     return [
-        (cl.label, cl.line.level, _attached(cl.line).ramification_break)
+        (cl.label, cl.line.level, line_break(cl.line))
         for cl in line_catalog(ctx, window, seed)
     ]
 

@@ -7,7 +7,9 @@ The load-bearing oracles here are classical and independent of the library:
   the ramification break is d - 1;
 * N(x + iy) = x^2 + y^2, computable in plain integers;
 * Artin-Schreier conductors — y^p - y = a with a single pole of order m
-  prime to p has break m.
+  prime to p has break m;
+* the conjugate-product break of the built extension, which the
+  closed-form line_break must equal on every catalog line.
 """
 
 import itertools
@@ -16,9 +18,17 @@ import random
 import pytest
 
 from lfk.class_spaces import adapted_basis, unit_class_reduce
-from lfk.errors import DomainError, UnsupportedCaseError
-from lfk.extensions import DegreePExtension, attach_extension, line_of, ramification_break
+from lfk.errors import DomainError, PrecisionError, UnsupportedCaseError
+from lfk.extensions import (
+    DegreePExtension,
+    Line,
+    attach_extension,
+    line_break,
+    line_of,
+    ramification_break,
+)
 from lfk.local_arith import parse_field, val
+from lfk.pairings_verifiers import line_catalog
 
 
 @pytest.fixture(scope="module")
@@ -426,6 +436,68 @@ def test_break_stable_under_uniformizer_change(q2, q2e3, q3z, f2t):
             assert E.ext_val(alt) == 1
             moved = E.galois_apply(alt)
             assert E.ext_val(moved.sub(alt)) - 1 == E.ramification_break
+
+
+# ------------------------------------------------------------ closed-form breaks
+
+# The eight benchmark fields, with the windows they are verified at.
+BENCHMARK_FIELDS = [
+    ("Qp p=2 f=1", None),
+    ("Qp p=2 f=2", None),
+    ("Qp p=3 f=1 eis=3,3,1", None),
+    ("Qp p=2 f=1 eis=-2,0,0,1", None),
+    ("Qp p=3 f=2 eis=3,3,1", None),
+    ("Fq((t)) p=2 f=1", 9),
+    ("Fq((t)) p=3 f=1", 6),
+    ("Fq((t)) p=2 f=2", 5),
+]
+
+
+def assert_line_break_is_the_extension_break(desc, window=None):
+    ctx = parse_field(desc)
+    for cl in line_catalog(ctx, window):
+        assert line_break(cl.line) == attach_extension(cl.line).ramification_break, (desc, cl.label)
+
+
+@pytest.mark.parametrize("desc, window", BENCHMARK_FIELDS)
+def test_line_break_is_the_extension_break(desc, window):
+    assert_line_break_is_the_extension_break(desc, window)
+
+
+@pytest.mark.slow
+def test_line_break_is_the_extension_break_q5_zeta5():
+    # 3906 lines, each with its own extension
+    assert_line_break_is_the_extension_break("Qp p=5 f=1 eis=5,10,10,5,1")
+
+
+def test_line_break_is_the_level_on_q3_zeta3_as_x2_plus_3():
+    # the extension path loses this field's norms to precision (verify all
+    # exits 3); the closed form reads every break in K
+    ctx = parse_field("Qp p=3 f=1 eis=3,0,1")
+    catalog = line_catalog(ctx)
+    assert len(catalog) == 40
+    for cl in catalog:
+        assert line_break(cl.line) == (cl.line.level or -1), cl.label
+
+
+@pytest.mark.parametrize("desc", ["Qp p=3 f=1 eis=3,3,1", "Fq((t)) p=3 f=1"])
+def test_line_break_vanishing_norm_is_a_precision_error(desc):
+    # a defining constant equal to 1 (char 0) or 0 (char p) to working
+    # precision: N(x - 1) = +/-(1 - a) resp. N(y) = +/-a vanishes, which
+    # both break paths report as lost precision, not as a bug
+    ctx = parse_field(desc)
+    real = line_of(ctx.one().add(ctx.pi()) if ctx.characteristic == 0 else ctx.from_digits([(-1, 1)]))
+
+    class Reduction:
+        normalized_rep = ctx.one()
+        normal_form = ctx.zero()
+        poles = {}
+
+    line = Line(ctx, real.space, real.generator, real.level, Reduction())
+    with pytest.raises(PrecisionError, match="norm vanished"):
+        line_break(line)
+    with pytest.raises(PrecisionError, match="norm vanished"):
+        attach_extension(line)
 
 
 # ------------------------------------------------------------ element arithmetic

@@ -8,7 +8,6 @@ from lfk.errors import MalformedInputError
 from lfk.fp_linalg import (
     FpSubspace,
     FpVector,
-    full_space,
     left_kernel,
     member,
     rref,
@@ -16,6 +15,11 @@ from lfk.fp_linalg import (
 
 
 # ---------------------------------------------------------------- oracles
+
+def identity_space(p, n):
+    """All of F_p^n, with the unit vectors as its basis."""
+    return FpSubspace(p, n, tuple(tuple(int(j == i) for j in range(n)) for i in range(n)))
+
 
 def span_enumerate(rows, p, n):
     """All vectors in the span, by brute force over coefficient tuples."""
@@ -134,7 +138,7 @@ def test_member_shape_check():
 # ---------------------------------------------------------------- left_kernel
 
 def test_left_kernel_zero_table():
-    full = full_space(2, 3)
+    full = identity_space(2, 3)
     table = [[0, 0], [0, 0], [0, 0]]
     assert left_kernel(table, 2) == full
 

@@ -30,7 +30,7 @@ import pytest
 from lfk.class_spaces import _random_nonzero_digit, adapted_basis, as_class_reduce, coordinates
 from lfk.errors import DomainError, InternalError, PrecisionError, UnsupportedCaseError
 from lfk.extensions import attach_extension, line_of
-from lfk.fp_linalg import FpVector, full_space, member, rref
+from lfk.fp_linalg import FpSubspace, FpVector, member, rref
 from lfk.local_arith import parse_element, parse_field, series_residue_and_dlog
 from lfk import pairings_verifiers
 from lfk.pairings_verifiers import (
@@ -349,6 +349,11 @@ def full_schedule_span(E, window=None):
     return rref(rows, p=ctx.p, ambient_dim=basis.dim())
 
 
+def identity_space(p, n):
+    """All of F_p^n, with the unit vectors as its basis."""
+    return FpSubspace(p, n, tuple(tuple(int(j == i) for j in range(n)) for i in range(n)))
+
+
 @pytest.mark.parametrize(
     "desc, window",
     [
@@ -382,7 +387,7 @@ def test_norm_subgroup_break_past_window_is_whole_space():
     assert E.ramification_break == 11
     n = adapted_basis(ctx, "mult", 9).dim()
     sub = norm_class_subgroup(E, 9)
-    assert sub == full_space(2, n)
+    assert sub == identity_space(2, n)
     assert sub == full_schedule_span(E, 9)
 
 
@@ -567,6 +572,65 @@ def test_char_p_claims_check_every_index_up_to_the_window(f2t):
     report = verify_claim(f2t, "S7.31", window=12)
     checked = next(w["containments_checked"] for w in report.witnesses if "containments_checked" in w)
     assert checked == 13 * len(line_catalog(f2t, 12)) and report.status == "pass"
+
+
+# ---------------------------------------------------------------- S4.22 closed-form breaks
+
+
+def _certificate_vectors(ctx, window):
+    """The basis lines and G's sample lines, on which built extensions
+    certify the closed-form breaks."""
+    d = adapted_basis(ctx, "add" if ctx.characteristic else "mult", window).dim()
+    units = [tuple(int(k == i) for k in range(d)) for i in range(d)]
+    return units + pairings_verifiers._sample_lines(ctx, d)
+
+
+def _break_off_by_one_on(monkeypatch, ctx, window, vec):
+    """line_break answers one more than the truth on the line of vec."""
+    basis = adapted_basis(ctx, "add" if ctx.characteristic else "mult", window)
+    key = pairings_verifiers._line_key(line_of(pairings_verifiers._combination(basis, vec)))
+    real = pairings_verifiers.line_break
+
+    def off(line):
+        return real(line) + (pairings_verifiers._line_key(line) == key)
+
+    monkeypatch.setattr(pairings_verifiers, "line_break", off)
+
+
+@pytest.mark.parametrize("desc, window", [("Qp p=3 f=2 eis=3,3,1", None), ("Fq((t)) p=3 f=1", 6)])
+@pytest.mark.parametrize("which", [1, -1])  # a basis line, a sample line
+def test_a_wrong_closed_form_break_on_a_certificate_line_is_an_internal_error(
+    monkeypatch, desc, window, which
+):
+    ctx = parse_field(desc)
+    _break_off_by_one_on(monkeypatch, ctx, window, _certificate_vectors(ctx, window)[which])
+    with pytest.raises(InternalError, match="closed-form break"):
+        verify_claim(ctx, "S4.22", window=window)
+
+
+def test_a_wrong_closed_form_break_off_the_certificate_fails_the_claim(monkeypatch):
+    # the claim itself compares each break with its level, so a wrong
+    # break on any other line is a counterexample
+    ctx = parse_field("Qp p=3 f=2 eis=3,3,1")
+    certified = set(_certificate_vectors(ctx, None))
+    cl = next(cl for cl in line_catalog(ctx) if cl.vec not in certified)
+    _break_off_by_one_on(monkeypatch, ctx, None, cl.vec)
+    report = verify_claim(ctx, "S4.22")
+    assert report.status == "fail" and report.counterexample["line"] == cl.label
+
+
+@pytest.mark.parametrize(
+    "desc, window, built",
+    # 3d - 1 in char 0, all of them lines of G (d = 6); 2d in char p
+    [("Qp p=3 f=2 eis=3,3,1", None, 17), ("Fq((t)) p=2 f=1", 9, 12),
+     ("Fq((t)) p=3 f=1", 6, 10), ("Fq((t)) p=2 f=2", 5, 14)],
+)
+def test_verify_all_builds_extensions_only_for_certificate_lines(desc, window, built):
+    # one extension per catalog line before breaks came from line_break:
+    # 364 / 63 / 56 / 127
+    ctx = parse_field(desc)
+    assert all(r.passed() for r in verify_all(ctx, window=window))
+    assert sum(key[0] == "ext" for key in ctx.cache) == built
 
 
 # ---------------------------------------------------------------- S7.31 perturbations
