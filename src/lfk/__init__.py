@@ -49,7 +49,6 @@ from .local_arith import (
     val,
 )
 from .pairings_verifiers import (
-    CatalogLine,
     PairingReport,
     VerificationReport,
     claims_for,
@@ -64,7 +63,6 @@ from .pairings_verifiers import (
 
 __all__ = [
     "AdaptedBasis",
-    "CatalogLine",
     "DEFAULT_PRECISION",
     "DegreePExtension",
     "DomainError",

@@ -168,24 +168,21 @@ def _class_data(basis, coords, v):
 
     Returns (coords as an FpVector, levels, rep, den): levels[m] is
     sum c_i * lead_i over the generators of level m, rep is
-    pi^(v mod p) * prod g_i^c_i at working precision, and den is the
-    product of the g_i with c_i != 0.  The descent cancelled with
-    g_i^(p - c_i), so its p-th root divided by den is the certificate.
+    basis.combination(coords) = pi^(v mod p) * prod g_i^c_i at working
+    precision, and den is the product of the g_i with c_i != 0.  The
+    descent cancelled with g_i^(p - c_i), so its p-th root divided by den
+    is the certificate.
     """
-    ctx = basis.ctx
-    p = ctx.p
-    rep = basis.power(0, v % p) if v % p else ctx.one()
-    den = ctx.one()
+    den = basis.ctx.one()
     levels = {}
     for i in range(1, basis.dim()):
         c = coords[i]
         if c:
             _, g, lvl = basis.vectors[i]
-            rep = rep.mul(basis.power(i, c))
             den = den.mul(g)
             digit = basis.leads[i].scale(c)
             levels[lvl] = levels[lvl].add(digit) if lvl in levels else digit
-    return FpVector(p, coords), levels, rep, den
+    return FpVector(basis.ctx.p, coords), levels, basis.combination(coords), den
 
 
 def _cut(z, rel):
@@ -391,6 +388,20 @@ class ASClassReduction:
     def is_trivial(self):
         return self.status == "trivial"
 
+    def coords_in(self, basis):
+        """The normal form's coordinates over an additive adapted basis;
+        OutOfWindowError for a pole past the basis window."""
+        slots = {"c": self.trace_coeff}
+        for m, a in self.poles.items():
+            if m > basis.window:
+                raise OutOfWindowError(
+                    "normal form has a pole of order %d outside window %d"
+                    % (m, basis.window)
+                )
+            for sidx, c in enumerate(a.fp_vector().coords):
+                slots["a%d_%d" % (m, sidx)] = c
+        return FpVector(basis.ctx.p, [slots.get(lbl, 0) for lbl in basis.labels()])
+
     def verify_against(self, x):
         y = self.certificate
         lhs = x.sub(y.powi(x.ctx.p).sub(y)).sub(self.normal_form)
@@ -530,6 +541,22 @@ class AdaptedBasis:
 
     def dim(self):
         return len(self.vectors)
+
+    def combination(self, vec):
+        """The element with coordinates vec: prod g_i^c_i (mult), the
+        descent's normalized representative, or sum c_i g_i (add)."""
+        ctx = self.ctx
+        if self.space == "mult":
+            x = self.power(0, vec[0]) if vec[0] else ctx.one()
+            for i in range(1, len(vec)):
+                if vec[i]:
+                    x = x.mul(self.power(i, vec[i]))
+            return x
+        x = ctx.zero()
+        for c, g in zip(vec, self.elements()):
+            if c:
+                x = x.add(g.scale_int(c))
+        return x
 
     def elements(self):
         return [g for _, g, _ in self.vectors]
@@ -691,16 +718,7 @@ def coordinates(basis, x):
         coords = red.coords
     else:
         red = as_class_reduce(x)
-        slots = {"c": red.trace_coeff}
-        for m, a in red.poles.items():
-            if m > basis.window:
-                raise OutOfWindowError(
-                    "normal form has a pole of order %d outside window %d"
-                    % (m, basis.window)
-                )
-            for sidx, c in enumerate(a.fp_vector().coords):
-                slots["a%d_%d" % (m, sidx)] = c
-        coords = FpVector(ctx.p, [slots.get(lbl, 0) for lbl in basis.labels()])
+        coords = red.coords_in(basis)
     if not red.verify_against(x):
         raise InternalError("coordinate vector failed its certificate identity")
     return coords

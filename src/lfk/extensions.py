@@ -1,33 +1,34 @@
 """Degree-p cyclic extensions attached to lines in the class spaces.
 
-A nontrivial class D in K*/(K*)^p (char 0, p-th roots of unity present) or
-in K+/wp(K+) (char p) spans a line whose extension E = K(a^(1/p)) resp.
-E = K(wp^(-1)(a)) is cyclic of degree p.  E is represented as polynomials
-of degree < p in the generator: no second field tower is built, because
-everything downstream consumes only three things — the Galois action, the
-norm, and the valuation.
+A Line is a nonzero coordinate vector over an adapted basis of
+K*/(K*)^p (char 0, p-th roots of unity present) or of a windowed K+/wp(K+)
+(char p), with its level and class representative a read off the vector;
+only line_of(x) reduces, once.  E = K(a^(1/p)) resp. E = K(wp^(-1)(a)) is
+cyclic of degree p, represented as polynomials of degree < p in the
+generator: no second field tower is built, because everything downstream
+consumes only three things — the Galois action, the norm, and the valuation.
 
 Norms are conjugate products: N(z) = prod sigma^i(z) computed in E, with a
 hard check that the result has no generator component left.  The valuation
 on E is v_K(N(z)), divided by p for unramified E (where the conjugates all
-share the value of z).  Uniformizers come from a two-candidate search and a
-Bezout combination; the ramification break is then read off directly as
+share the value of z).  The ramification break is read off directly as
 v_E(sigma(pi_E) - pi_E) - 1.
 
-line_break gives the same break without building E.  The norm of x - c is
-a closed form, +/-(c^p - a) for x^p = a and +/-(c^p - c - a) for
-y^p - y = a, so the valuation w of the uniformizer candidate x - c is read
-in K; sigma(pi_E)/pi_E is a power prime to p of sigma(x - c)/(x - c), whence
-break = pc + v(a) - w (Kummer, v_E(zeta - 1) = pc) and break = -w
-(Artin-Schreier).  See Serre, Local Fields, IV 2, and Fesenko-Vostokov,
-Local Fields and Their Extensions, III 2.  The verifiers read every line's
-break from line_break and certify it against ramification_break on the
+The norm of x - c is a closed form, +/-(c^p - a) for x^p = a and
++/-(c^p - c - a) for y^p - y = a, so the valuation w of the uniformizer
+candidate x - c is read in K; the uniformizer is a Bezout combination of
+x - c and pi, checked to have valuation 1 in E.  line_break gives the break
+without building E: sigma(pi_E)/pi_E is a power prime to p of
+sigma(x - c)/(x - c), whence break = pc + v(a) - w (Kummer,
+v_E(zeta - 1) = pc) and break = -w (Artin-Schreier).  See Serre, Local
+Fields, IV 2, and Fesenko-Vostokov, Local Fields and Their Extensions,
+III 2.  The verifiers certify line_break against ramification_break on the
 basis lines and the sample lines of the pairing matrix's certificate.
 """
 
 import math
 
-from .class_spaces import as_class_reduce, unit_class_reduce
+from .class_spaces import adapted_basis, as_class_reduce, unit_class_reduce
 from .errors import (
     DomainError,
     InternalError,
@@ -38,47 +39,67 @@ from .local_arith import INF, val
 
 
 class Line:
-    """A 1-dimensional subspace of the class space, with its level data.
+    """A 1-dimensional subspace of the class space: a nonzero coordinate
+    vector vec over a first-argument adapted basis, K*/(K*)^p in char 0 and
+    a windowed K+/wp(K+) in char p.
 
-    level is the line's distance from the deep end of the filtration: for
-    mult lines pc - j (so the uniformizer line has level pc and the
-    boundary line level 0), for add lines the pole order of the normal
-    form.  Level 0 lines are exactly the ones whose extension is
-    unramified.
+    level is the line's distance from the deep end of the filtration, read
+    off the slots with nonzero coordinates: for mult lines pc minus the
+    least such slot level (so the uniformizer line has level pc and the
+    boundary line level 0), for add lines the deepest such pole.  Level 0
+    lines are exactly the ones whose extension is unramified.  a is the
+    class representative basis.combination(vec), which defines the
+    attached extension; line_of hands in the one its descent produced.
     """
 
-    __slots__ = ("ctx", "space", "generator", "level", "reduction")
+    __slots__ = ("basis", "ctx", "space", "vec", "level", "a")
 
-    def __init__(self, ctx, space, generator, level, reduction):
-        self.ctx = ctx
-        self.space = space
-        self.generator = generator
-        self.level = level
-        self.reduction = reduction
+    def __init__(self, basis, vec, a=None):
+        self.basis, self.ctx, self.space = basis, basis.ctx, basis.space
+        self.vec = tuple(c % self.ctx.p for c in vec)
+        if len(self.vec) != basis.dim():
+            raise DomainError("a line over %r needs %d coordinates" % (basis, basis.dim()))
+        levels = [lvl for c, lvl in zip(self.vec, basis.levels()) if c]
+        if not levels:
+            raise DomainError("a line needs a nontrivial class")
+        if basis.space == "add":
+            self.level = max(levels)
+        elif self.ctx.pc is None:
+            raise UnsupportedCaseError(
+                "no boundary index: levels (and Kummer extensions) need the "
+                "p-th roots of unity in the base field"
+            )
+        else:
+            self.level = self.ctx.pc - min(levels)
+        self.a = basis.combination(self.vec) if a is None else a
+
+    @property
+    def label(self):
+        return "".join(map(str, self.vec))
 
     def __repr__(self):
-        return "Line(%s, %s, level=%s)" % (self.ctx.field_label(), self.space, self.level)
+        return "Line(%s, %s, %s, level=%s)" % (
+            self.ctx.field_label(), self.space, self.label, self.level
+        )
 
 
 def line_of(x):
     """The line spanned by the class of x, in the mult quotient in char 0 and
-    in the add quotient in char p; DomainError if the class is trivial."""
+    in the add quotient in char p; DomainError if the class is trivial.
+
+    Its coordinates and representative come off one reduction of x; a char-p
+    line lies over the additive basis whose window is its level."""
     ctx = x.ctx
     if ctx.characteristic == 0:
         red = unit_class_reduce(x)
         if red.is_trivial():
             raise DomainError("a line needs a nontrivial class; input is a p-th power")
-        if ctx.pc is None:
-            raise UnsupportedCaseError(
-                "no boundary index: levels (and Kummer extensions) need the "
-                "p-th roots of unity in the base field"
-            )
-        j = red.level_index
-        return Line(ctx, "mult", x, ctx.pc - j, red)
+        return Line(adapted_basis(ctx), red.coords.coords, red.normalized_rep)
     red = as_class_reduce(x)
     if red.is_trivial():
         raise DomainError("a line needs a nontrivial class; input is in wp(K)")
-    return Line(ctx, "add", x, red.level, red)
+    basis = adapted_basis(ctx, "add", max(red.level, 1))
+    return Line(basis, red.coords_in(basis).coords, red.normal_form)
 
 
 class ExtElement:
@@ -148,8 +169,8 @@ class DegreePExtension:
 
     Immutable: the uniformizer and the ramification break are computed at
     construction.  Irreducibility of the defining polynomial is equivalent
-    to nontriviality of the line's class, which line_of has already
-    certified.
+    to nontriviality of the line's class, which its nonzero coordinate
+    vector over a certified basis guarantees.
     """
 
     __slots__ = (
@@ -276,23 +297,15 @@ class DegreePExtension:
         ctx = self.base
         if self.is_unramified:
             return self.embed(ctx.pi())
+        c, w = _uniformizer_candidate(ctx, self.kind, self.a)
         one = self.embed(ctx.one())
-        for cand in (self.gen(), self.gen().sub(one), self.gen().add(one)):
-            if cand.is_zero_to_precision():
-                continue
-            w = self.ext_val(cand)
-            if w % ctx.p == 0:
-                continue
-            x1 = pow(w, -1, ctx.p)
-            x2 = (1 - x1 * w) // ctx.p
-            out = cand.powi(x1).scale(ctx.pi().powi(x2))
-            if self.ext_val(out) != 1:
-                raise InternalError("Bezout combination missed valuation 1")
-            return out
-        raise InternalError(
-            "no generator-based candidate has valuation prime to p; "
-            "this signals a precision or irreducibility bug"
-        )
+        cand = (self.gen(), self.gen().sub(one), self.gen().add(one))[c]  # x - c
+        x1 = pow(w, -1, ctx.p)
+        x2 = (1 - x1 * w) // ctx.p
+        out = cand.powi(x1).scale(ctx.pi().powi(x2))
+        if self.ext_val(out) != 1:
+            raise InternalError("Bezout combination missed valuation 1")
+        return out
 
     def _break(self):
         if self.is_unramified:
@@ -313,24 +326,17 @@ class DegreePExtension:
 def _defining_constant(line):
     """(kind, a) of the extension attached to a nontrivial line.
 
-    a is the line's normalized class representative pi^(v mod p) * prod
-    g_i^c_i over the adapted basis (char 0) or its normal form (char p), at
-    working precision, so equal classes give identical defining polynomials.
+    a is the line's class representative pi^(v mod p) * prod g_i^c_i
+    (char 0) resp. sum c_i g_i, the normal form (char p), at working
+    precision, so equal classes give identical defining polynomials.
     """
-    ctx = line.ctx
-    if line.space == "mult":
-        if not ctx.mu_p_present:
-            raise UnsupportedCaseError(
-                "Kummer extensions need the p-th roots of unity in the base field"
-            )
-        if line.level == 0:
-            # the only unramified mult line is the boundary line
-            if line.reduction.pi_exponent % ctx.p or set(line.reduction.levels) != {ctx.pc}:
-                raise InternalError("level-0 mult line does not sit at the boundary")
-        return "kummer", line.reduction.normalized_rep
-    if line.level == 0 and line.reduction.poles:
-        raise InternalError("level-0 add line has poles in its normal form")
-    return "artin_schreier", line.reduction.normal_form
+    if line.space == "add":
+        return "artin_schreier", line.a
+    if not line.ctx.mu_p_present:
+        raise UnsupportedCaseError(
+            "Kummer extensions need the p-th roots of unity in the base field"
+        )
+    return "kummer", line.a
 
 
 def attach_extension(line):
@@ -343,31 +349,37 @@ def ramification_break(ext):
     return ext.ramification_break
 
 
-def line_break(line):
-    """The ramification break of the extension attached to line, without E.
-
-    -1 at level 0.  Otherwise the first c of 0, 1, -1 (the candidates
-    x - c of the uniformizer search) whose norm valuation w is prime to p
-    gives the break: pc + v(a) - w for x^p = a, -w for y^p - y = a.  A
-    norm that vanishes to working precision is a PrecisionError, as in
-    ext_val.
+def _uniformizer_candidate(ctx, kind, a):
+    """(c, w): the first c of 0, 1, -1 whose uniformizer candidate x - c
+    has a norm valuation w prime to p, read off the closed-form norm
+    N(x - c) = +/-(c^p - a) for x^p = a, N(y - c) = +/-(c^p - c - a) for
+    y^p - y = a.  A norm that vanishes to working precision is a
+    PrecisionError, as in ext_val.
     """
-    ctx = line.ctx
-    kind, a = _defining_constant(line)
-    if line.level == 0:
-        return -1
     p = ctx.p
     for c in (0, 1, -1):
         cp = ctx.from_int(c**p)
-        # N(x - c) = +/-(c^p - a), N(y - c) = +/-(c^p - c - a)
         n = cp.sub(a) if kind == "kummer" else cp.sub(ctx.from_int(c)).sub(a)
         w = val(n)
         if w == INF:
             raise PrecisionError("norm vanished to working precision; cannot read v_E")
-        w = int(w)
-        if w % p:
-            return ctx.pc + int(val(a)) - w if kind == "kummer" else -w
+        if int(w) % p:
+            return c, int(w)
     raise InternalError(
         "no generator-based candidate has valuation prime to p; "
         "this signals a precision or irreducibility bug"
     )
+
+
+def line_break(line):
+    """The ramification break of the extension attached to line, without E.
+
+    -1 at level 0.  Otherwise the norm valuation w of the uniformizer
+    candidate x - c (_uniformizer_candidate) gives the break: pc + v(a) - w
+    for x^p = a, -w for y^p - y = a.
+    """
+    kind, a = _defining_constant(line)
+    if line.level == 0:
+        return -1
+    _, w = _uniformizer_candidate(line.ctx, kind, a)
+    return line.ctx.pc + int(val(a)) - w if kind == "kummer" else -w

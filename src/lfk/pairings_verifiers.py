@@ -17,7 +17,9 @@ so identical inputs give byte-identical reports.
 Char p is each statement read with e = infinity, so the verifiers take
 one path for both characteristics and the characteristic picks the data.
 line_catalog enumerates the lines of the first-argument space (K*/(K*)^p
-in char 0, the windowed K+/wp(K+) in char p); _setting fixes a verifier's
+in char 0, the windowed K+/wp(K+) in char p), each a Line built from its
+coordinate vector with no descent, as are the lines that the pairing
+matrix and the break certificate walk; _setting fixes a verifier's
 window, mult basis and last level index; _graded_dim is the one filtration
 rule behind S2.10/S3.16 and S5.27/S5.28; and _CLAIMS lists, per claim id,
 the fields it applies to, its verifier and its statement.
@@ -61,7 +63,7 @@ from .errors import (
     PrecisionError,
     UnsupportedCaseError,
 )
-from .extensions import attach_extension, line_break, line_of
+from .extensions import Line, attach_extension, line_break
 from .fp_linalg import (
     FpVector,
     left_kernel,
@@ -87,13 +89,12 @@ def _window(window):
 
 def _line_key(line):
     """Mult lines: the coordinate vector scaled to a leading 1, so every
-    class on the line shares one key; add lines: the normal form's data."""
-    red = line.reduction
+    class on the line shares one key; add lines: the digits of the normal
+    form, which do not depend on the window the line was read over."""
     if line.space == "mult":
-        coords = red.coords.coords
-        lead = next(c for c in coords if c)
-        return ("mult",) + red.coords.scale(pow(lead, -1, line.ctx.p)).coords
-    return ("add", tuple(sorted(red.poles.items())), red.trace_coeff)
+        inv = pow(next(c for c in line.vec if c), -1, line.ctx.p)
+        return ("mult",) + tuple(inv * c % line.ctx.p for c in line.vec)
+    return ("add",) + tuple(line.a.digits())
 
 
 def _attached(line):
@@ -250,12 +251,15 @@ def _line_value(a_line, b, window):
     if b.ctx is not ctx:
         raise DomainError("pairing arguments live over different fields")
     if ctx.characteristic == 0:
-        w, x = None, a_line.reduction.coords
+        w, x = None, a_line.vec
     else:
+        # the window-w basis extends the line's basis, or cuts it past the
+        # level, where the line has no nonzero coordinate
         w = max(w, a_line.level)
-        x = coordinates(adapted_basis(ctx, "add", w), a_line.generator)
+        d = adapted_basis(ctx, "add", w).dim()
+        x = (a_line.vec + (0,) * d)[:d]
     y = coordinates(adapted_basis(ctx, "mult", w), b)
-    return _pairing_at(ctx, x.coords, y.coords, w)
+    return _pairing_at(ctx, x, y.coords, w)
 
 
 def _pairing_at(ctx, x, y, window):
@@ -289,14 +293,15 @@ def _pairing_matrix(ctx, window=None):
             for g in adapted_basis(ctx, "add", window).elements()
         ]
     else:
-        gens = adapted_basis(ctx).elements()
-        d = len(gens)
+        basis = adapted_basis(ctx)
+        d = basis.dim()
 
-        def normal(x):  # norm_class_subgroup certifies codimension 1
-            sub = norm_class_subgroup(_attached(line_of(x)))
+        def normal(*idx):  # of the line of prod g_i over idx; codimension 1
+            vec = [int(k in idx) for k in range(d)]
+            sub = norm_class_subgroup(_attached(Line(basis, vec)))
             return _perp(sub.basis, ctx.p, d).vectors()[0]
 
-        n = [normal(g) for g in gens]
+        n = [normal(i) for i in range(d)]
         G = [list(n[0].coords)]
         for j in range(1, d):
             if rref([n[0], n[j]]).dim() < 2:
@@ -304,7 +309,7 @@ def _pairing_matrix(ctx, window=None):
                     "the norm groups of generators 0 and %d have parallel "
                     "normals; the pairing would be degenerate" % j
                 )
-            ab = solve([n[0], n[j]], normal(gens[0].mul(gens[j])))
+            ab = solve([n[0], n[j]], normal(0, j))
             if ab is None or 0 in ab:
                 raise InternalError(
                     "the norm group of g_0 g_%d is not the orthogonal of the "
@@ -335,7 +340,7 @@ def _certify_pairing_matrix(ctx, G, window=None):
         raise InternalError("pairing matrix is singular")
     basis = adapted_basis(ctx, "add" if ctx.characteristic else "mult", window)
     for vec in _sample_lines(ctx, d):
-        E = _attached(line_of(_combination(basis, vec)))
+        E = _attached(Line(basis, vec))
         if norm_class_subgroup(E, window) != _perp([_row_times(vec, G, p)], p, d):
             raise InternalError(
                 "pairing matrix disagrees with the walked norm group of line %s"
@@ -491,19 +496,6 @@ def _report(ctx, claim_id, window, seed, witnesses, counterexample,
 # ================================================================ line catalogs
 
 
-class CatalogLine:
-    __slots__ = ("label", "vec", "element", "line")
-
-    def __init__(self, label, vec, element, line):
-        self.label = label
-        self.vec = vec
-        self.element = element
-        self.line = line
-
-    def __repr__(self):
-        return "CatalogLine(%s, level=%d)" % (self.label, self.line.level)
-
-
 def _normalized_tuples(p, dim):
     """One coordinate tuple per line: first nonzero entry is 1, lex order."""
     for vec in itertools.product(range(p), repeat=dim):
@@ -525,29 +517,15 @@ def _draw_lines(p, d, seen, count, rng):
     return out
 
 
-def _combination(basis, vec):
-    """The element with coordinates vec: prod g_i^c_i (mult) or sum c_i g_i (add)."""
-    ctx = basis.ctx
-    if basis.space == "mult":
-        x = ctx.one()
-        for i, c in enumerate(vec):
-            if c:
-                x = x.mul(basis.power(i, c))
-        return x
-    x = ctx.zero()
-    for c, g in zip(vec, basis.elements()):
-        if c:
-            x = x.add(g.scale_int(c))
-    return x
-
-
 def line_catalog(ctx, window=None, seed=0):
     """Lines of the first-argument class space, over its adapted basis.
 
     Char 0: all (p^d - 1)/(p - 1) lines of K*/(K*)^p, which takes no
     window.  Char p: lines of the windowed K+/wp(K+), all of them when
     p^dim fits the budget; otherwise basis lines, pairwise sums, and a
-    seeded sample of longer combinations.
+    seeded sample of longer combinations.  Each is a Line built from its
+    normalized coordinate vector, with no descent; its label spells the
+    vector out.
     """
     basis = adapted_basis(ctx, "add" if ctx.characteristic else "mult", window)
     p, d = ctx.p, basis.dim()
@@ -562,11 +540,7 @@ def line_catalog(ctx, window=None, seed=0):
             seen |= {tuple(int(k in ij) for k in range(d)) for ij in pairs}
             _draw_lines(p, d, seen, 40, random.Random((seed << 16) ^ 0xAD5C))
             vecs = sorted(seen)
-        out = []
-        for vec in vecs:
-            x = _combination(basis, vec)
-            out.append(CatalogLine("".join(map(str, vec)), vec, x, line_of(x)))
-        ctx.cache[key] = out
+        ctx.cache[key] = [Line(basis, vec) for vec in vecs]
     return ctx.cache[key]
 
 
@@ -663,17 +637,14 @@ def _break_entries(ctx, window, seed):
     d = basis.dim()
     units = [tuple(int(k == i) for k in range(d)) for i in range(d)]
     for vec in units + _sample_lines(ctx, d):
-        line = line_of(_combination(basis, vec))
+        line = Line(basis, vec)
         got, want = line_break(line), _attached(line).ramification_break
         if got != want:
             raise InternalError(
                 "closed-form break %d of line %s disagrees with the extension's %d"
-                % (got, "".join(map(str, vec)), want)
+                % (got, line.label, want)
             )
-    return [
-        (cl.label, cl.line.level, line_break(cl.line))
-        for cl in line_catalog(ctx, window, seed)
-    ]
+    return [(cl.label, cl.level, line_break(cl)) for cl in line_catalog(ctx, window, seed)]
 
 
 def verify_breaks(ctx, window=None, seed=0):
@@ -726,7 +697,7 @@ def verify_norm_groups(ctx, window=None, seed=0):
         # the lines of level < i span what the basis lines of level < i
         # span, so their norm groups meet in that span's complement
         inter, predicted = _complement(ctx, w, i, "mult")
-        used = sum(cl.line.level < i for cl in catalog)
+        used = sum(cl.level < i for cl in catalog)
         ok = inter == predicted
         witnesses.append({"i": i, "lines": used, "dim": inter.dim(), "pass": ok})
         if not ok and counterexample is None:
@@ -750,7 +721,7 @@ def verify_reciprocity(ctx, window=None, seed=0):
     w, basis, i_top = _setting(ctx, window)
     catalog = line_catalog(ctx, w, seed)
     # a sampled char-p catalog keeps every basis line, the trace line among them
-    unram = [cl for cl in catalog if cl.line.level == 0]
+    unram = [cl for cl in catalog if cl.level == 0]
     if len(unram) != 1:
         raise InternalError("expected exactly one unramified line, found %d" % len(unram))
     x0 = unram[0].vec
@@ -801,7 +772,7 @@ def verify_reciprocity(ctx, window=None, seed=0):
 
         stable = 0
         for cl in catalog:
-            i = cl.line.level + 1
+            i = cl.level + 1
             for k, (b, y) in enumerate(zip(sample_b, ys)):
                 base_bit = _pairing_at(ctx, cl.vec, y, w) == 0
                 for _ in range(2):
@@ -829,7 +800,7 @@ def verify_reciprocity(ctx, window=None, seed=0):
             ui_perp, _ = _complement(ctx, w, i, "first")
             for cl in catalog:
                 contained = member(ui_perp, FpVector(ctx.p, cl.vec))
-                if contained != (cl.line.level < i):
+                if contained != (cl.level < i):
                     counterexample = {
                         "part": "kernel-filtration",
                         "i": i,
@@ -937,7 +908,7 @@ def verify_orthogonality_as(ctx, window=None, seed=0):
                 continue
             predicted = _pairing_at(ctx, av, mv, w)
             # the Schmid residue itself, so the check does not read G
-            got = series_residue_and_dlog(_combination(ab, av), _combination(mb, mv))
+            got = series_residue_and_dlog(ab.combination(av), mb.combination(mv))
             if got != predicted:
                 counterexample = {
                     "part": "bilinearity-spot-check",

@@ -113,7 +113,7 @@ def test_criterion_1_q2_full_suite():
     if len(catalog) != 7:
         problems.append("expected 7 lines, got %d" % len(catalog))
     lib_breaks = Counter(
-        ramification_break(attach_extension(entry.line)) for entry in catalog
+        ramification_break(attach_extension(entry)) for entry in catalog
     )
     oracle_breaks = Counter(_quadratic_break_oracle(a) for a in Q2_REPS)
     if not (lib_breaks == oracle_breaks == {-1: 1, 1: 2, 2: 4}):
@@ -174,16 +174,16 @@ def test_criterion_2_q3_zeta3_suite():
     catalog = line_catalog(ctx)
     if len(catalog) != 40:
         problems.append("expected 40 lines, got %d" % len(catalog))
-    if Counter(e.line.level for e in catalog) != {0: 1, 1: 3, 2: 9, 3: 27}:
+    if Counter(e.level for e in catalog) != {0: 1, 1: 3, 2: 9, 3: 27}:
         problems.append("level strata wrong")
 
     breaks = set()
     for entry in catalog:
-        eps = ramification_break(attach_extension(entry.line))
+        eps = ramification_break(attach_extension(entry))
         breaks.add(eps)
-        want = entry.line.level if entry.line.level > 0 else -1
+        want = entry.level if entry.level > 0 else -1
         if eps != want:
-            problems.append("eps != delta on level-%d line" % entry.line.level)
+            problems.append("eps != delta on level-%d line" % entry.level)
     if breaks != {-1, 1, 2, 3}:
         problems.append("break set %r" % breaks)
 
@@ -227,13 +227,13 @@ def test_criterion_3_f2_laurent_window9():
     rng = random.Random(20260814)
     checked = mismatches = 0
     for entry in catalog[:10]:
-        sub = norm_class_subgroup(attach_extension(entry.line), window=9)
+        sub = norm_class_subgroup(attach_extension(entry), window=9)
         for _ in range(20):
             pairs = [(0, 1)] + [
                 (j, rng.choice(kelts).coords[0]) for j in rng.sample(range(1, 11), 4)
             ]
             b = ctx.from_digits(pairs).mul(ctx.pi().powi(rng.randrange(0, 2)))
-            value = pairing_value(entry.line, b, window=9)
+            value = pairing_value(entry, b, window=9)
             inside = member(sub, coordinates(mbasis, b))
             checked += 1
             if (value == 0) != inside:
@@ -276,8 +276,8 @@ def test_criterion_4_f3_laurent_breaks():
 
     breaks = set()
     for entry in line_catalog(ctx, 9, seed=5):
-        if entry.line.level > 0:
-            breaks.add(ramification_break(attach_extension(entry.line)))
+        if entry.level > 0:
+            breaks.add(ramification_break(attach_extension(entry)))
     if breaks != {1, 2, 4, 5, 7, 8}:
         problems.append("break set %r != {1,2,4,5,7,8}" % breaks)
     for m in (1, 2, 4, 5, 7, 8):

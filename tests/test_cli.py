@@ -423,7 +423,7 @@ SWEEP = [
     for eis in ("",) + lists
 ] + [("Fq((t)) p=%d f=%d" % (p, f), w) for p in (2, 3, 5) for f in (1, 2) for w in (3, 6)]
 # "norm vanished to working precision": the p-content of these fields'
-# elements outgrows the capped representation (ROADMAP item 3)
+# elements outgrows the capped representation (ROADMAP item 1, step 2)
 SWEEP_EXIT_3 = {
     "Qp p=3 f=1 eis=3,0,1",
     "Qp p=3 f=2 eis=3,0,1",

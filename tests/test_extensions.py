@@ -9,7 +9,9 @@ The load-bearing oracles here are classical and independent of the library:
 * Artin-Schreier conductors — y^p - y = a with a single pole of order m
   prime to p has break m;
 * the conjugate-product break of the built extension, which the
-  closed-form line_break must equal on every catalog line.
+  closed-form line_break must equal on every catalog line;
+* the descent of each catalog line's representative, which must give
+  back the line that was built from its coordinate vector alone.
 """
 
 import itertools
@@ -17,7 +19,7 @@ import random
 
 import pytest
 
-from lfk.class_spaces import adapted_basis, unit_class_reduce
+from lfk.class_spaces import adapted_basis, as_class_reduce, unit_class_reduce
 from lfk.errors import DomainError, PrecisionError, UnsupportedCaseError
 from lfk.extensions import (
     DegreePExtension,
@@ -28,7 +30,7 @@ from lfk.extensions import (
     ramification_break,
 )
 from lfk.local_arith import parse_field, val
-from lfk.pairings_verifiers import line_catalog
+from lfk.pairings_verifiers import _line_key, line_catalog
 
 
 @pytest.fixture(scope="module")
@@ -130,6 +132,20 @@ def test_line_space_mismatch(q2, f2t):
     assert line_of(f2t.pi().powi(-1)).space == "add"
     with pytest.raises(TypeError):
         line_of(q2.from_int(3), space="add")
+
+
+def test_line_from_coordinates(q3z, f2t):
+    # levels are read off the nonzero slots: pc minus the least unit level
+    # in char 0, the deepest pole in char p
+    basis = adapted_basis(q3z)
+    assert [Line(basis, [int(k == i) for k in range(4)]).level for i in range(4)] == [3, 2, 1, 0]
+    assert Line(basis, [0, 1, 4, 0]).vec == (0, 1, 1, 0)  # coordinates are taken mod p
+    assert Line(basis, [0, 1, 4, 0]).level == 2
+    assert Line(adapted_basis(f2t, "add", 5), [1, 0, 1, 0]).level == 3
+    with pytest.raises(DomainError):
+        Line(basis, [0, 0, 0, 0])
+    with pytest.raises(DomainError):
+        Line(basis, [1, 0])
 
 
 def test_line_needs_boundary_index():
@@ -456,7 +472,7 @@ BENCHMARK_FIELDS = [
 def assert_line_break_is_the_extension_break(desc, window=None):
     ctx = parse_field(desc)
     for cl in line_catalog(ctx, window):
-        assert line_break(cl.line) == attach_extension(cl.line).ramification_break, (desc, cl.label)
+        assert line_break(cl) == attach_extension(cl).ramification_break, (desc, cl.label)
 
 
 @pytest.mark.parametrize("desc, window", BENCHMARK_FIELDS)
@@ -464,10 +480,41 @@ def test_line_break_is_the_extension_break(desc, window):
     assert_line_break_is_the_extension_break(desc, window)
 
 
+def assert_catalog_lines_are_their_descents(desc, window=None):
+    # a catalog line is built from its coordinate vector alone; the descent
+    # of its representative must give back the same line, at the level the
+    # reduction record reads.  A char-p descent reads the class over the
+    # window of its own level, so its vector is the catalog vector cut past
+    # that level.
+    ctx = parse_field(desc)
+    for cl in line_catalog(ctx, window):
+        x = cl.basis.combination(cl.vec)
+        got = line_of(x)
+        n = len(got.vec)
+        assert got.vec == cl.vec[:n] and not any(cl.vec[n:]), (desc, cl.label)
+        if ctx.characteristic == 0:
+            level = ctx.pc - unit_class_reduce(x).level_index
+        else:
+            level = as_class_reduce(x).level
+        assert got.level == cl.level == level, (desc, cl.label)
+        assert _line_key(got) == _line_key(cl), (desc, cl.label)
+        if ctx.characteristic == 0:
+            assert (got.a.num, got.a.t, got.a.P) == (cl.a.num, cl.a.t, cl.a.P), (desc, cl.label)
+        else:
+            assert (got.a.coeffs, got.a.prec) == (cl.a.coeffs, cl.a.prec), (desc, cl.label)
+
+
+@pytest.mark.parametrize("desc, window", BENCHMARK_FIELDS)
+def test_catalog_lines_are_their_descents(desc, window):
+    assert_catalog_lines_are_their_descents(desc, window)
+
+
 @pytest.mark.slow
 def test_line_break_is_the_extension_break_q5_zeta5():
-    # 3906 lines, each with its own extension
-    assert_line_break_is_the_extension_break("Qp p=5 f=1 eis=5,10,10,5,1")
+    # 3906 lines, each with its own extension and its own descent
+    desc = "Qp p=5 f=1 eis=5,10,10,5,1"
+    assert_line_break_is_the_extension_break(desc)
+    assert_catalog_lines_are_their_descents(desc)
 
 
 def test_line_break_is_the_level_on_q3_zeta3_as_x2_plus_3():
@@ -477,7 +524,7 @@ def test_line_break_is_the_level_on_q3_zeta3_as_x2_plus_3():
     catalog = line_catalog(ctx)
     assert len(catalog) == 40
     for cl in catalog:
-        assert line_break(cl.line) == (cl.line.level or -1), cl.label
+        assert line_break(cl) == (cl.level or -1), cl.label
 
 
 @pytest.mark.parametrize("desc", ["Qp p=3 f=1 eis=3,3,1", "Fq((t)) p=3 f=1"])
@@ -487,13 +534,7 @@ def test_line_break_vanishing_norm_is_a_precision_error(desc):
     # both break paths report as lost precision, not as a bug
     ctx = parse_field(desc)
     real = line_of(ctx.one().add(ctx.pi()) if ctx.characteristic == 0 else ctx.from_digits([(-1, 1)]))
-
-    class Reduction:
-        normalized_rep = ctx.one()
-        normal_form = ctx.zero()
-        poles = {}
-
-    line = Line(ctx, real.space, real.generator, real.level, Reduction())
+    line = Line(real.basis, real.vec, ctx.one() if ctx.characteristic == 0 else ctx.zero())
     with pytest.raises(PrecisionError, match="norm vanished"):
         line_break(line)
     with pytest.raises(PrecisionError, match="norm vanished"):

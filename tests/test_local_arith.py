@@ -324,7 +324,7 @@ def _fresh_val(z):
         "Qp p=2 f=2",
         "Qp p=3 f=1 eis=3,3,1",
         "Qp p=3 f=2 eis=3,3,1",
-        # zeta is stored with t = -63 and P = 42 here (ROADMAP item 4)
+        # zeta is stored with t = -63 and P = 42 here (ROADMAP item 1, step 2)
         "Qp p=3 f=1 eis=3,0,1",
     ],
 )

@@ -32,7 +32,7 @@ from lfk.errors import DomainError, InternalError, PrecisionError, UnsupportedCa
 from lfk.extensions import attach_extension, line_of
 from lfk.fp_linalg import FpSubspace, FpVector, member, rref
 from lfk.local_arith import parse_element, parse_field, series_residue_and_dlog
-from lfk import pairings_verifiers
+from lfk import class_spaces, extensions, pairings_verifiers
 from lfk.pairings_verifiers import (
     PairingReport,
     VerificationReport,
@@ -188,8 +188,8 @@ def test_hilbert_agrees_with_kernel_pairing(q2):
     assert len(cat) == 7
     for a in cat:
         for b in cat:
-            classical = hilbert_symbol_q2(a.element, b.element) == 1
-            assert pairs_trivially(a.line, b.element) == classical
+            classical = hilbert_symbol_q2(a.a, b.a) == 1
+            assert pairs_trivially(a, b.a) == classical
 
 
 def test_hilbert_rejects_other_fields():
@@ -311,7 +311,7 @@ def test_norm_subgroup_codim_one_char0(q2, q3z):
     for ctx in (q2, q3z):
         n = adapted_basis(ctx).dim()
         for cl in line_catalog(ctx):
-            sub = norm_class_subgroup(attach_extension(cl.line))
+            sub = norm_class_subgroup(attach_extension(cl))
             assert sub.dim() == n - 1
 
 
@@ -373,7 +373,7 @@ def test_norm_subgroup_stop_matches_full_schedule(desc, window):
         catalog = line_catalog(ctx, window)
         n = adapted_basis(ctx, "mult", window).dim()
     for cl in catalog:
-        E = attach_extension(cl.line)
+        E = attach_extension(cl)
         sub = norm_class_subgroup(E, window)
         assert sub == full_schedule_span(E, window), (desc, cl.label)
         assert sub.dim() == n - 1, (desc, cl.label)
@@ -433,7 +433,7 @@ def assert_kernels_match_walked_norm_groups(desc, window=None):
     p, d = ctx.p, len(G)
     for cl in line_catalog(ctx, window):
         row = [sum(x * G[r][c] for r, x in enumerate(cl.vec)) % p for c in range(d)]
-        walked = norm_class_subgroup(attach_extension(cl.line), window)
+        walked = norm_class_subgroup(attach_extension(cl), window)
         assert any(row) and walked.dim() == d - 1, (desc, cl.label)
         for h in walked.basis:
             assert sum(a * b for a, b in zip(row, h)) % p == 0, (desc, cl.label)
@@ -459,7 +459,7 @@ def test_kummer_complements_match_brute_force(desc):
     levels = adapted_basis(ctx).levels()
     report = verify_claim(ctx, "S8.33")
     claimed = {entry["i"]: entry for entry in report.claimed_orthogonals}
-    walked = [(cl.line.level, norm_class_subgroup(attach_extension(cl.line)))
+    walked = [(cl.level, norm_class_subgroup(attach_extension(cl)))
               for cl in line_catalog(ctx)]
     for i in range(0, ctx.pc + 2):
         groups = [sub for level, sub in walked if level <= ctx.pc - i]
@@ -483,7 +483,7 @@ def test_char_p_pairing_matrix_is_the_schmid_table(desc, window):
     fresh = parse_field(desc)
     mult = adapted_basis(fresh, "mult", window).elements()
     table = [
-        [series_residue_and_dlog(line_of(g).reduction.normal_form, h) for h in mult]
+        [series_residue_and_dlog(line_of(g).a, h) for h in mult]
         for g in adapted_basis(fresh, "add", window).elements()
     ]
     assert ("pairing", window) not in fresh.cache
@@ -588,7 +588,7 @@ def _certificate_vectors(ctx, window):
 def _break_off_by_one_on(monkeypatch, ctx, window, vec):
     """line_break answers one more than the truth on the line of vec."""
     basis = adapted_basis(ctx, "add" if ctx.characteristic else "mult", window)
-    key = pairings_verifiers._line_key(line_of(pairings_verifiers._combination(basis, vec)))
+    key = pairings_verifiers._line_key(line_of(basis.combination(vec)))
     real = pairings_verifiers.line_break
 
     def off(line):
@@ -683,7 +683,7 @@ def test_reciprocity_perturbed_bits_match_a_fresh_pairing(monkeypatch, desc, win
     catalog = line_catalog(ctx, window)
     basis = adapted_basis(ctx, "mult", window)
     assert report.passed() and len(reads) == 10 + 9 * len(catalog)
-    unram = next(cl for cl in catalog if cl.line.level == 0)
+    unram = next(cl for cl in catalog if cl.level == 0)
     assert all(x == unram.vec for x, _, _ in reads[:10])
     assert [value != 0 for _, _, value in reads[:10]] == [True, False] * 5
     samples = _reciprocity_samples(ctx)
@@ -695,10 +695,10 @@ def test_reciprocity_perturbed_bits_match_a_fresh_pairing(monkeypatch, desc, win
             assert x == cl.vec and y == coordinates(basis, b).coords, (desc, cl.label, k)
             for x, yu, value in perturbed:
                 d = _random_nonzero_digit(ctx, rng)
-                u = ctx.one().add(ctx.teichmuller(d).shift(cl.line.level + 1 + rng.randrange(0, 2)))
+                u = ctx.one().add(ctx.teichmuller(d).shift(cl.level + 1 + rng.randrange(0, 2)))
                 fresh = b.mul(u)
                 assert x == cl.vec and yu == coordinates(basis, fresh).coords, (desc, cl.label, k)
-                trivial = pairs_trivially(cl.line, fresh, window)
+                trivial = pairs_trivially(cl, fresh, window)
                 assert (value == 0) == (base == 0) == trivial, (desc, cl.label, k)
 
 
@@ -709,7 +709,7 @@ def test_reciprocity_counterexample_names_a_deep_perturbation(monkeypatch):
     # line of level pc = 6, whose perturbations sit at pi^7 or pi^8.
     ctx = parse_field("Qp p=2 f=1 eis=-2,0,0,1")
     catalog = line_catalog(ctx)
-    n = next(n for n, cl in enumerate(catalog) if cl.line.level == ctx.pc)
+    n = next(n for n, cl in enumerate(catalog) if cl.level == ctx.pc)
     real = pairings_verifiers._pairing_at
     reads = []
 
@@ -771,7 +771,7 @@ def test_char0_verifiers_reject_a_nonpositive_window(q2, claim_id, window):
 def test_q2_catalog_levels(q2):
     counts = {}
     for cl in line_catalog(q2):
-        counts[cl.line.level] = counts.get(cl.line.level, 0) + 1
+        counts[cl.level] = counts.get(cl.level, 0) + 1
     assert counts == {0: 1, 1: 2, 2: 4}
 
 
@@ -780,7 +780,7 @@ def test_q3z_catalog_levels(q3z):
     assert len(cat) == 40
     counts = {}
     for cl in cat:
-        counts[cl.line.level] = counts.get(cl.line.level, 0) + 1
+        counts[cl.level] = counts.get(cl.level, 0) + 1
     assert counts == {0: 1, 1: 3, 2: 9, 3: 27}
 
 
@@ -790,11 +790,48 @@ def test_add_catalog_full_enumeration(f2t):
     assert len({cl.label for cl in cat}) == 15
 
 
+def _count_descents(monkeypatch):
+    """Route both reducers through a counter, wherever they are called from;
+    returns the list of reducer names called."""
+    calls = []
+    for mod in (class_spaces, extensions):
+        for name in ("unit_class_reduce", "as_class_reduce"):
+            real = getattr(mod, name)
+
+            def counting(*args, _real=real, **kw):
+                calls.append(_real.__name__)
+                return _real(*args, **kw)
+
+            monkeypatch.setattr(mod, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("desc, window, lines", [("Qp p=3 f=2 eis=3,3,1", None, 364), ("Fq((t)) p=2 f=1", 9, 63)])
+def test_line_catalog_runs_no_descent(monkeypatch, desc, window, lines):
+    # each line's level and representative come off its coordinate vector;
+    # a descent per line made 364 resp. 63 reductions
+    calls = _count_descents(monkeypatch)
+    assert len(line_catalog(parse_field(desc), window)) == lines
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "desc, window, reducer, most",
+    # 622 resp. 167 when every line the verifiers walked came from a descent
+    [("Qp p=3 f=2 eis=3,3,1", None, "unit_class_reduce", 217),
+     ("Fq((t)) p=2 f=2", 5, "as_class_reduce", 5)],
+)
+def test_verify_all_descent_counts(monkeypatch, desc, window, reducer, most):
+    calls = _count_descents(monkeypatch)
+    assert all(r.passed() for r in verify_all(parse_field(desc), window=window))
+    assert calls.count(reducer) <= most
+
+
 def test_catalog_wrong_characteristic(q2, f2t):
     # one catalog serves both characteristics: char p enumerates the windowed
     # additive lines, and the window is the basis's to check
-    assert [cl.line.space for cl in line_catalog(f2t, 5)] == ["add"] * 15
-    assert {cl.line.space for cl in line_catalog(q2)} == {"mult"}
+    assert [cl.space for cl in line_catalog(f2t, 5)] == ["add"] * 15
+    assert {cl.space for cl in line_catalog(q2)} == {"mult"}
     with pytest.raises(DomainError):
         line_catalog(q2, 5)
     with pytest.raises(DomainError):
@@ -960,7 +997,7 @@ def test_verify_all_reports_do_not_depend_on_precision(desc):
 @pytest.mark.xfail(
     strict=True,
     raises=PrecisionError,
-    reason="ROADMAP item 4: zeta of x^2 + 3 is stored with t = -63 (P = 42 at "
+    reason="ROADMAP item 1, step 2: zeta of x^2 + 3 is stored with t = -63 (P = 42 at "
     "prec 64) and a norm vanishes to working precision; the capped-relative "
     "redesign is the fix",
 )
