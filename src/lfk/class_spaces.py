@@ -21,9 +21,10 @@ valuations is trusted at runtime.  Char p is the case e = infinity: there
 the map exists exactly when p divides m, and its columns are the Frobenius
 images of the k-basis.  The p-th powers are kept as one running product,
 never divided by.  Char 0 walks to the triviality threshold, char p to
-window + 1; the levels, the representative pi^(v mod p) * prod g^c and the
-certificate x = y^p * prod g^c all derive from the coordinates of that one
-walk.
+window + 1.  A reduction is the coordinates of that one walk, the
+representative pi^(v mod p) * prod g^c they name and the certificate
+x = y^p * prod g^c; a class's level is read off its coordinates, as the
+least level of a slot with a nonzero coordinate.
 
 Additive side (char p only).  The same walk for wp(y) = y^p - y: poles of
 order divisible by p are absorbed into the certificate, poles of order
@@ -163,44 +164,20 @@ def _cancel_digit(basis, z, m, a, kill_cols, coords):
     return z, (ctx.k.elt(sol[:n]) if any(sol[:n]) else None)
 
 
-def _class_data(basis, coords, v):
-    """Everything a descent's coordinates determine.
-
-    Returns (coords as an FpVector, levels, rep, den): levels[m] is
-    sum c_i * lead_i over the generators of level m, rep is
-    basis.combination(coords) = pi^(v mod p) * prod g_i^c_i at working
-    precision, and den is the product of the g_i with c_i != 0.  The
-    descent cancelled with g_i^(p - c_i), so its p-th root divided by den
-    is the certificate.
-    """
-    den = basis.ctx.one()
-    levels = {}
-    for i in range(1, basis.dim()):
-        c = coords[i]
-        if c:
-            _, g, lvl = basis.vectors[i]
-            den = den.mul(g)
-            digit = basis.leads[i].scale(c)
-            levels[lvl] = levels[lvl].add(digit) if lvl in levels else digit
-    return FpVector(basis.ctx.p, coords), levels, basis.combination(coords), den
-
-
 def _cut(z, rel):
     """z known only to `rel` digits past its valuation (never more than it has)."""
     return z.truncate(min(z.P, val(z) + rel))
 
 
 class UnitClassReduction:
-    """Outcome of reducing x in K* modulo p-th powers, and modulo U_depth.
+    """Outcome of reducing x in K* modulo p-th powers, and modulo U_depth:
+    the coordinates of the class, its representative and its certificate.
 
-    status          "trivial" or "nontrivial"
-    coords          FpVector of the class in adapted_basis(ctx, "mult", window)
-    level_index     first obstruction level j (0 when the valuation is prime
-                    to p); None for trivial classes
-    levels          {m: k-digit} for every level with a nonzero coordinate
-    normalized_rep  pi^(v mod p) * prod g_i^c_i at working precision: a
-                    canonical representative of the whole class; the one()
-                    of the field for trivial classes
+    coords          FpVector of the class in adapted_basis(ctx, "mult", window);
+                    the class's level is the least level of a nonzero slot
+    normalized_rep  basis.combination(coords) = pi^(v mod p) * prod g_i^c_i at
+                    working precision, a canonical representative of the
+                    whole class (the one() of the field for trivial classes)
     certificate     y = root / den with y^p * normalized_rep = x up to U_depth
     depth           the level the descent stops at: the triviality threshold
                     in char 0, window + 1 in char p
@@ -210,27 +187,14 @@ class UnitClassReduction:
     certificate takes multiplications only.
     """
 
-    __slots__ = (
-        "status",
-        "coords",
-        "level_index",
-        "levels",
-        "normalized_rep",
-        "root",
-        "den",
-        "pi_exponent",
-        "unit_level",
-        "unit_leading",
-        "kill_steps",
-        "depth",
-    )
+    __slots__ = ("coords", "normalized_rep", "root", "den", "depth")
 
     def __init__(self, **kw):
         for name in self.__slots__:
             setattr(self, name, kw[name])
 
     def is_trivial(self):
-        return self.status == "trivial"
+        return self.coords.is_zero()
 
     @property
     def certificate(self):
@@ -264,12 +228,7 @@ class UnitClassReduction:
         return val(diff) - v >= depth
 
     def __repr__(self):
-        if self.status == "trivial":
-            return "UnitClassReduction(trivial, depth=%d)" % self.depth
-        return "UnitClassReduction(nontrivial, j=%d, rep=%r)" % (
-            self.level_index,
-            self.normalized_rep,
-        )
+        return "UnitClassReduction(coords=%r, depth=%d)" % (list(self.coords.coords), self.depth)
 
 
 def unit_class_reduce(x, window=None):
@@ -318,7 +277,6 @@ def unit_class_reduce(x, window=None):
     # and the same leading digit, which is all a level reads.
     D = one
     coords = [v % ctx.p] + [0] * (basis.dim() - 1)
-    steps = 0
     prev = 0
     while True:
         diff = z.sub(D)
@@ -335,58 +293,45 @@ def unit_class_reduce(x, window=None):
             factor = one.add(ctx.teichmuller(b, cut).shift(s))
             D = D.mul(factor.powi(ctx.p))
             y = y.mul(factor)
-            steps += 1
 
-    vec, levels, rep, den = _class_data(basis, coords, v)
-    first = min(levels) if levels else None
-    trivial = vec.is_zero()
+    # The descent cancelled each generator g_i with g_i^(p - c_i), so its
+    # p-th root divided by the product of those g_i is the certificate.
+    den = ctx.one()
+    for i in range(1, basis.dim()):
+        if coords[i]:
+            den = den.mul(basis.vectors[i][1])
     return UnitClassReduction(
-        status="trivial" if trivial else "nontrivial",
-        coords=vec,
-        level_index=None if trivial else (0 if v % ctx.p else first),
-        levels=levels,
-        normalized_rep=rep,
+        coords=FpVector(ctx.p, coords),
+        normalized_rep=basis.combination(coords),
         root=y.shift(v // ctx.p),
         den=den,
-        pi_exponent=v,
-        unit_level=first,
-        unit_leading=levels.get(first),
-        kill_steps=steps,
         depth=stop,
     )
 
 
 class ASClassReduction:
-    """Outcome of reducing x in K+ modulo wp(K+) = {y^p - y} (char p).
+    """Outcome of reducing x in K+ modulo wp(K+) = {y^p - y} (char p): the
+    normal form, which is the class's coordinates over an additive adapted
+    basis (coords_in), and its certificate.
 
-    status          "trivial" or "nontrivial"
     level           pole order delta of the normal form (0 for the trace
-                    line); None for trivial classes
+                    line), the deepest pole with a nonzero coordinate; None
+                    for trivial classes
     poles           {m: k-digit} for the surviving poles, all m prime to p
     trace_coeff     s in [0, p): the constant part reduces to s * theta,
                     theta the field's fixed trace-one element
     normal_form     sum of the surviving pole monomials plus s * theta
-    normalized_rep  leading monomial of normal_form (0 if trivial)
     certificate     y with x - wp(y) = normal_form + O(t^depth)
     """
 
-    __slots__ = (
-        "status",
-        "level",
-        "poles",
-        "trace_coeff",
-        "normal_form",
-        "normalized_rep",
-        "certificate",
-        "depth",
-    )
+    __slots__ = ("level", "poles", "trace_coeff", "normal_form", "certificate", "depth")
 
     def __init__(self, **kw):
         for name in self.__slots__:
             setattr(self, name, kw[name])
 
     def is_trivial(self):
-        return self.status == "trivial"
+        return self.level is None
 
     def coords_in(self, basis):
         """The normal form's coordinates over an additive adapted basis;
@@ -409,7 +354,7 @@ class ASClassReduction:
         return d == INF or d >= min(self.depth, lhs.prec)
 
     def __repr__(self):
-        if self.status == "trivial":
+        if self.level is None:
             return "ASClassReduction(trivial)"
         return "ASClassReduction(nontrivial, delta=%d, s=%d, poles=%r)" % (
             self.level,
@@ -483,28 +428,15 @@ def as_class_reduce(x):
     normal = const
     for m in sorted(poles):
         normal = normal.add(ctx.from_digits([(-m, poles[m])]))
-    if poles:
-        delta = max(poles)
-        rep = ctx.from_digits([(-delta, poles[delta])])
-        status = "nontrivial"
-    elif s:
-        delta = 0
-        rep = const
-        status = "nontrivial"
-    else:
-        delta = None
-        rep = ctx.zero()
-        status = "trivial"
-    if delta is not None and delta > 0 and delta % ctx.p == 0:
+    delta = max(poles) if poles else (0 if s else None)
+    if delta and delta % ctx.p == 0:
         raise InternalError("surviving pole order %d is divisible by p" % delta)
 
     return ASClassReduction(
-        status=status,
         level=delta,
         poles=poles,
         trace_coeff=s,
         normal_form=normal,
-        normalized_rep=rep,
         certificate=y,
         depth=depth,
     )
@@ -769,21 +701,24 @@ def _random_nonzero_digit(ctx, rng):
 
 def _crosscheck_dims(basis, profile):
     """Sample an element at each level m = |i| > 0 of the profile and confirm
-    that it reduces to level m exactly when the basis has a slot there.
+    that its coordinates are nonzero on a slot of level m exactly when the
+    basis has a slot there.
 
     Mult samples are units 1 + tau(a) pi^m, which cannot reduce below m;
     levels the working precision cannot reduce them at are skipped.  Add
     samples are pole monomials tau(a) t^(-m), exact at every pole order.
+    coordinates() checks each sample's certificate on the way.
     """
     ctx = basis.ctx
     rng = random.Random(0xD1)
+    levels = basis.levels()
     for i, codim in profile:
         m = abs(i)
         if m == 0:
             continue
         a = _random_nonzero_digit(ctx, rng)
         if basis.space == "add":
-            lvl = as_class_reduce(ctx.from_digits([(-m, a)])).level
+            x = ctx.from_digits([(-m, a)])
         elif m + _PRECISION_SLACK + 1 > ctx.default_precision:
             continue
         else:
@@ -791,10 +726,10 @@ def _crosscheck_dims(basis, profile):
                 # a random boundary digit may lie in the kill image and reduce
                 # away; the basis digit a* is the one that must survive
                 a = _boundary_data(ctx)[2]
-            u = ctx.one().add(ctx.teichmuller(a).shift(m))
-            lvl = unit_class_reduce(u, basis.window).unit_level
-        if (lvl == m) != bool(codim):
+            x = ctx.one().add(ctx.teichmuller(a).shift(m))
+        vec = coordinates(basis, x).coords
+        if any(c and lvl == m for c, lvl in zip(vec, levels)) != bool(codim):
             raise InternalError(
-                "level-%d sample reduced to level %r against a basis count of %d"
-                % (m, lvl, codim)
+                "level-%d sample reduced to coordinates %r against a basis count of %d"
+                % (m, list(vec), codim)
             )

@@ -69,6 +69,19 @@ def _mult_window(ctx, args):
     return None if ctx.characteristic == 0 else args.window
 
 
+def _first_element(ctx, args, command):
+    """The first argument of level, pair and norm-group: a class of K*/(K*)^p
+    from --elt in char 0, of K+/wp(K+) from --add in char p."""
+    char0 = ctx.characteristic == 0
+    flag = "elt" if char0 else "add"
+    text = getattr(args, flag)
+    if text is None:
+        raise MalformedInputError(
+            "compute %s over a char-%s field needs --%s" % (command, "0" if char0 else "p", flag)
+        )
+    return parse_element(ctx, text)
+
+
 def _monomial(labels, coords):
     parts = []
     for lbl, k in zip(labels, coords):
@@ -124,9 +137,7 @@ def cmd_describe(args):
 
 
 def _compute_line(ctx, args):
-    if args.elt is None:
-        raise MalformedInputError("compute level needs --elt")
-    line = line_of(parse_element(ctx, args.elt))
+    line = line_of(_first_element(ctx, args, "level"))
     return ["δ=%d" % line.level], {"delta": line.level, "space": line.space}
 
 
@@ -143,16 +154,11 @@ def _compute_pair(ctx, args):
     if args.mult is None:
         raise MalformedInputError("compute pair needs --mult for the second slot")
     b = parse_element(ctx, args.mult)
+    a_line = line_of(_first_element(ctx, args, "pair"))
     if ctx.characteristic == 0:
-        if args.elt is None:
-            raise MalformedInputError("compute pair over a char-0 field needs --elt")
-        a_line = line_of(parse_element(ctx, args.elt))
         trivial = pairs_trivially(a_line, b, window=args.window)
         value = None
     else:
-        if args.add is None:
-            raise MalformedInputError("compute pair over a char-p field needs --add")
-        a_line = line_of(parse_element(ctx, args.add))
         value = pairing_value(a_line, b, window=args.window)
         trivial = value == 0
     word = "trivial" if trivial else "nontrivial"
@@ -160,10 +166,7 @@ def _compute_pair(ctx, args):
 
 
 def _compute_norm_group(ctx, args):
-    flag = "elt" if ctx.characteristic == 0 else "add"
-    if getattr(args, flag) is None:
-        raise MalformedInputError("compute norm-group needs --%s" % flag)
-    line = line_of(parse_element(ctx, getattr(args, flag)))
+    line = line_of(_first_element(ctx, args, "norm-group"))
     ext = attach_extension(line)
     w = _mult_window(ctx, args)
     sub = norm_class_subgroup(ext, window=w)

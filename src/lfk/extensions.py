@@ -165,7 +165,8 @@ class ExtElement:
 
 
 class DegreePExtension:
-    """E = K[x]/(x^p - a) or K[y]/(y^p - y - a), cyclic of degree p over K.
+    """E = K[x]/(x^p - a) or K[y]/(y^p - y - a), cyclic of degree p over K,
+    attached to a line: K, the kind and a are read off the line.
 
     Immutable: the uniformizer and the ramification break are computed at
     construction.  Irreducibility of the defining polynomial is equivalent
@@ -185,11 +186,11 @@ class DegreePExtension:
         "zero",
     )
 
-    def __init__(self, base, kind, line, a):
-        self.base = base
-        self.kind = kind
+    def __init__(self, line):
+        self.base = base = line.ctx
+        self.kind = _kind(line)
         self.line = line
-        self.a = a
+        self.a = line.a
         self.is_unramified = line.level == 0
         # The one padding zero of generator coefficients that are zero by
         # construction.  Arithmetic tells it apart by identity (an exact
@@ -197,7 +198,7 @@ class DegreePExtension:
         # for an exact 0, so products with it add nothing.  Its char-0
         # precision tag is only the representation's cap.
         self.zero = base.zero() if base.characteristic else base.zero(10**9)
-        if kind == "kummer":
+        if self.kind == "kummer":
             zeta = base.zeta
             pows = [base.one()]
             for _ in range(base.p - 1):
@@ -323,26 +324,26 @@ class DegreePExtension:
         )
 
 
-def _defining_constant(line):
-    """(kind, a) of the extension attached to a nontrivial line.
+def _kind(line):
+    """The kind of extension attached to a line: Artin-Schreier over an add
+    line, Kummer over a mult line, which needs the p-th roots of unity.
 
-    a is the line's class representative pi^(v mod p) * prod g_i^c_i
-    (char 0) resp. sum c_i g_i, the normal form (char p), at working
-    precision, so equal classes give identical defining polynomials.
+    Its defining constant is line.a, the class representative
+    pi^(v mod p) * prod g_i^c_i (char 0) resp. sum c_i g_i (char p) at
+    working precision, so equal classes give identical defining polynomials.
     """
     if line.space == "add":
-        return "artin_schreier", line.a
+        return "artin_schreier"
     if not line.ctx.mu_p_present:
         raise UnsupportedCaseError(
             "Kummer extensions need the p-th roots of unity in the base field"
         )
-    return "kummer", line.a
+    return "kummer"
 
 
 def attach_extension(line):
     """Construct the degree-p cyclic extension attached to a nontrivial line."""
-    kind, a = _defining_constant(line)
-    return DegreePExtension(line.ctx, kind, line, a)
+    return DegreePExtension(line)
 
 
 def ramification_break(ext):
@@ -378,8 +379,8 @@ def line_break(line):
     candidate x - c (_uniformizer_candidate) gives the break: pc + v(a) - w
     for x^p = a, -w for y^p - y = a.
     """
-    kind, a = _defining_constant(line)
+    kind = _kind(line)
     if line.level == 0:
         return -1
-    _, w = _uniformizer_candidate(line.ctx, kind, a)
-    return line.ctx.pc + int(val(a)) - w if kind == "kummer" else -w
+    _, w = _uniformizer_candidate(line.ctx, kind, line.a)
+    return line.ctx.pc + int(val(line.a)) - w if kind == "kummer" else -w

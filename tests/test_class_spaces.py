@@ -16,6 +16,7 @@ from lfk.class_spaces import (
     AdaptedBasis,
     ASClassReduction,
     UnitClassReduction,
+    _kill_exponent,
     adapted_basis,
     as_class_reduce,
     coordinates,
@@ -104,7 +105,7 @@ def oracle_e3_level(u, squares):
 
 
 def oracle_windowed_reduce(x, window):
-    """(coords, levels, normalized_rep) of x modulo p-th powers and U_(window+1).
+    """(coords, normalized_rep) of x modulo p-th powers and U_(window+1).
 
     An independent char-p walk: a digit a at a level m divisible by p is
     divided out as the p-th power of 1 + a^(1/p) t^(m/p), read off the
@@ -135,13 +136,11 @@ def oracle_windowed_reduce(x, window):
             if c:
                 coords[i] = c
                 z = z.mul(basis.elements()[i].powi(ctx.p - c))
-    levels, rep = {}, ctx.pi().powi(v % ctx.p)
-    for i, (c, (_, g, lvl)) in enumerate(zip(coords, basis.vectors)):
+    rep = ctx.pi().powi(v % ctx.p)
+    for i, (c, g) in enumerate(zip(coords, basis.elements())):
         if c and i:
             rep = rep.mul(g.powi(c))
-            digit = basis.leads[i].scale(c)
-            levels[lvl] = levels[lvl].add(digit) if lvl in levels else digit
-    return tuple(coords), levels, rep
+    return tuple(coords), rep
 
 
 # -- exhaustive Artin-Schreier images for tiny Laurent supports over F_2
@@ -218,14 +217,56 @@ def unit_depth(u):
     return val(z.sub(u.ctx.one(z.P)))
 
 
+# -- a reduction is its coordinates: every level is read off them
+
+
+def basis_of(red):
+    """The mult adapted basis a unit reduction's coordinates are taken in."""
+    ctx = red.normalized_rep.ctx
+    return adapted_basis(ctx, "mult", None if ctx.characteristic == 0 else red.depth - 1)
+
+
+def least_level(red):
+    """The class's level index: the least level of a slot with a nonzero
+    coordinate, 0 when the pi slot is set; None for a trivial class."""
+    slots = zip(red.coords.coords, basis_of(red).levels())
+    return min((lvl for c, lvl in slots if c), default=None)
+
+
+def level_digits(red):
+    """{m: sum c_i * lead_i over the generators g_i of level m} for every
+    level whose unit slots carry a nonzero coordinate."""
+    basis = basis_of(red)
+    out = {}
+    for i, (c, lvl) in enumerate(zip(red.coords.coords, basis.levels())):
+        if c and i:
+            digit = basis.leads[i].scale(c)
+            out[lvl] = out[lvl].add(digit) if lvl in out else digit
+    return out
+
+
+def unit_level(red):
+    """The least level of a unit slot with a nonzero coordinate, or None."""
+    return min(level_digits(red), default=None)
+
+
+def first_kill_level(red):
+    """The exponent s of the first kill factor 1 + tau(b) pi^s whose p-th
+    power the descent cancelled, or INF if it cancelled none: the factors
+    go into the certificate root at strictly rising s, so s is where the
+    root's unit part first leaves its Teichmuller part."""
+    root = red.root
+    return unit_depth(root.shift(-int(val(root))))
+
+
 # ---------------------------------------------------------------- unit classes, Q_2
 
 
 def test_q2_known_reductions(q2):
     for n, status, j in [(17, "trivial", None), (5, "nontrivial", 2), (-1, "nontrivial", 1)]:
         r = unit_class_reduce(q2.from_int(n))
-        assert r.status == status
-        assert r.level_index == j
+        assert r.is_trivial() == (status == "trivial")
+        assert least_level(r) == j
         assert r.verify_against(q2.from_int(n))
 
 
@@ -234,20 +275,20 @@ def test_q2_all_odd_units_against_square_enumeration(q2):
         lvl = oracle_q2_level(u)
         r = unit_class_reduce(q2.from_int(u))
         if lvl >= first_trivial_level(q2):
-            assert r.status == "trivial", u
+            assert r.is_trivial(), u
         else:
-            assert r.status == "nontrivial" and r.level_index == lvl, u
+            assert not r.is_trivial() and least_level(r) == lvl, u
 
 
 def test_q2_nonunit_levels(q2):
     r = unit_class_reduce(q2.from_int(2))
-    assert r.status == "nontrivial" and r.level_index == 0
-    assert r.pi_exponent == 1 and r.unit_level is None
+    assert not r.is_trivial() and least_level(r) == 0
+    assert r.coords.coords[0] == 1 and unit_level(r) is None
     # 12 = 4 * 3: even valuation, so the class is carried by the unit part
     r = unit_class_reduce(q2.from_int(12))
-    assert r.level_index == 1 and r.pi_exponent == 2
+    assert least_level(r) == 1 and r.coords.coords[0] == 0
     r = unit_class_reduce(q2.from_int(80))  # 16 * 5
-    assert r.level_index == 2 and r.verify_against(q2.from_int(80))
+    assert least_level(r) == 2 and r.verify_against(q2.from_int(80))
 
 
 def test_q2_certificate_relation_exact(q2):
@@ -283,9 +324,9 @@ def test_e3_units_against_polynomial_oracle(q2e3):
         x = q2e3.from_digits([(0, 1)] + [(i, d) for i, d in enumerate(bits, start=1)])
         r = unit_class_reduce(x)
         if lvl >= stop:
-            assert r.status == "trivial", bits
+            assert r.is_trivial(), bits
         else:
-            assert r.status == "nontrivial" and r.level_index == lvl, bits
+            assert not r.is_trivial() and least_level(r) == lvl, bits
         seen[lvl] = seen.get(lvl, 0) + 1
     # graded pieces at 1, 3, 5 and the boundary 6 each halve the count
     assert set(seen) == {1, 3, 5, 6, 7}
@@ -341,10 +382,11 @@ def test_reduce_respects_class_invariance(q2e3, q3z):
             )
             r1 = unit_class_reduce(u)
             r2 = unit_class_reduce(u.mul(y.powi(ctx.p)))
-            assert r1.status == r2.status
-            assert r1.level_index == r2.level_index
-            if r1.status == "nontrivial" and r1.unit_level is not None:
-                assert r1.unit_leading == r2.unit_leading
+            assert r1.is_trivial() == r2.is_trivial()
+            assert least_level(r1) == least_level(r2)
+            j = unit_level(r1)
+            if j is not None:
+                assert level_digits(r1)[j] == level_digits(r2).get(j)
 
 
 def test_normalized_rep_is_class_exact(q2, q2e3, q3z):
@@ -360,9 +402,9 @@ def test_normalized_rep_is_class_exact(q2, q2e3, q3z):
                     u = u.add(ctx.teichmuller(nonzero[rng.randrange(len(nonzero))]).shift(i))
             u = u.shift(rng.randrange(0, 3))
             r = unit_class_reduce(u)
-            assert unit_class_reduce(u.mul(r.normalized_rep.inv())).status == "trivial"
+            assert unit_class_reduce(u.mul(r.normalized_rep.inv())).is_trivial()
     r = unit_class_reduce(q2.from_int(-1))
-    assert sorted(r.levels) == [1, 2]
+    assert sorted(level_digits(r)) == [1, 2]
 
 
 def test_pth_powers_reduce_trivial(q2, q2e3, q3z, q3u2):
@@ -376,13 +418,15 @@ def test_pth_powers_reduce_trivial(q2, q2e3, q3z, q3u2):
             )
             y = y.shift(rng.randrange(-2, 3))
             r = unit_class_reduce(y.powi(ctx.p))
-            assert r.status == "trivial"
+            assert r.is_trivial()
             assert r.verify_against(y.powi(ctx.p))
 
 
 def test_level_legality(q2, q2e3, q3z, q3u2):
     rng = random.Random(101)
     for ctx in (q2, q2e3, q3z, q3u2):
+        stop = first_trivial_level(ctx)
+        kill_exponents = {_kill_exponent(ctx, m) for m in range(1, stop)} - {None}
         nonzero = [a for a in ctx.k.elements() if not a.is_zero()]
         for _ in range(30):
             u = ctx.one()
@@ -390,17 +434,19 @@ def test_level_legality(q2, q2e3, q3z, q3u2):
                 if rng.randrange(2):
                     u = u.add(ctx.teichmuller(nonzero[rng.randrange(len(nonzero))]).shift(i))
             r = unit_class_reduce(u.shift(rng.randrange(0, 3)))
-            if r.status == "nontrivial" and r.unit_level is not None:
-                j = r.unit_level
+            j = unit_level(r)
+            if j is not None:
                 # absorbable levels cannot hold obstructions
                 assert j % ctx.p != 0 or j == ctx.pc
-            assert r.kill_steps <= first_trivial_level(ctx) + 2
+            # every p-th power cancelled kills a level below the threshold
+            s = first_kill_level(r)
+            assert s == INF or s in kill_exponents
 
 
 def test_nontrivial_soundness_statistical(q2):
     # no odd y^2 brings 5 closer to 1 than level 2 = the reported index
     r = unit_class_reduce(q2.from_int(5))
-    assert r.level_index == 2
+    assert least_level(r) == 2
     rng = random.Random(7)
     x = q2.from_int(5)
     for _ in range(200):
@@ -421,7 +467,7 @@ def test_precision_guard_fires(q2):
     with pytest.raises(PrecisionError):
         unit_class_reduce(ctx4.from_int(5))
     ctx5 = parse_field("Qp p=2 f=1 prec=5")
-    assert unit_class_reduce(ctx5.from_int(5)).level_index == 2
+    assert least_level(unit_class_reduce(ctx5.from_int(5))) == 2
 
 
 def test_unit_reduce_wrong_characteristic(f2t):
@@ -436,8 +482,8 @@ def test_unit_reduce_wrong_characteristic(f2t):
 def test_windowed_reduce_known(f2t):
     x = f2t.one().add(f2t.from_digits([(3, 1), (4, 1)]))
     r = unit_class_reduce(x, 5)
-    assert r.pi_exponent % 2 == 0
-    assert sorted(r.levels) == [3]
+    assert r.coords.coords[0] == 0
+    assert sorted(level_digits(r)) == [3]
     assert not r.is_trivial()
     # certificate relation: y^p * rep = x modulo levels beyond the window
     w = x.mul(r.certificate.powi(2).inv()).mul(r.normalized_rep.inv())
@@ -458,8 +504,8 @@ def test_windowed_reduce_class_invariance(f2t, f3t, f4t):
             ).shift(rng.randrange(-2, 3))
             r1 = unit_class_reduce(x, 7)
             r2 = unit_class_reduce(x.mul(y.powi(ctx.p)), 7)
-            assert r1.pi_exponent % ctx.p == r2.pi_exponent % ctx.p
-            assert r1.levels == r2.levels
+            assert r1.coords.coords[0] == r2.coords.coords[0]
+            assert level_digits(r1) == level_digits(r2)
             assert r1.normalized_rep.eq_to_precision(r2.normalized_rep)
 
 
@@ -495,9 +541,8 @@ def test_windowed_reduce_matches_division_oracle(f2t, f3t, f4t):
                     y = ctx.from_digits([(j, rng.choice(nonzero)) for j in rng.sample(range(-2, 5), 2)])
                     x = x.mul(y.powi(ctx.p))
                 red = unit_class_reduce(x, window)
-                coords, levels, rep = oracle_windowed_reduce(x, window)
+                coords, rep = oracle_windowed_reduce(x, window)
                 assert red.coords.coords == coords, (ctx, window, x)
-                assert red.levels == levels, (ctx, window, x)
                 assert red.normalized_rep.eq_to_precision(rep), (ctx, window, x)
 
 
@@ -506,12 +551,12 @@ def test_windowed_reduce_matches_division_oracle(f2t, f3t, f4t):
 
 def test_as_known_reductions(f2t):
     r = as_class_reduce(f2t.from_digits([(-2, 1)]))
-    assert r.status == "nontrivial" and r.level == 1
+    assert not r.is_trivial() and r.level == 1
     assert r.poles == {1: f2t.k.one()}
     r = as_class_reduce(f2t.pi())
-    assert r.status == "trivial" and r.level is None
+    assert r.is_trivial() and r.level is None
     r = as_class_reduce(f2t.one())
-    assert r.status == "nontrivial" and r.level == 0 and r.trace_coeff == 1
+    assert not r.is_trivial() and r.level == 0 and r.trace_coeff == 1
 
 
 def test_as_certificates_exact(f2t, f3t, f4t):
@@ -523,7 +568,7 @@ def test_as_certificates_exact(f2t, f3t, f4t):
             )
             r = as_class_reduce(x)
             assert r.verify_against(x)
-            if r.status == "nontrivial" and r.level:
+            if r.level:
                 assert r.level % ctx.p != 0
 
 
@@ -535,7 +580,7 @@ def test_as_against_exhaustive_wp_images(f2t):
         x = f2t.from_digits([(e, d) for e, d in zip(support, bits)])
         cands.append((bits, x, as_class_reduce(x)))
     for bits, x, r in cands:
-        assert (bits in images) == (r.status == "trivial"), bits
+        assert (bits in images) == r.is_trivial(), bits
     # same normal form exactly when the difference is a wp-image
     for (b1, x1, r1), (b2, x2, r2) in itertools.combinations(cands, 2):
         diff = tuple((a - b) % 2 for a, b in zip(b1, b2))
@@ -552,7 +597,7 @@ def test_as_class_invariance_under_wp_shifts(f3t, f4t):
             y = ctx.from_digits([(i, rng.randrange(ctx.p)) for i in range(-2, 4)])
             wp = y.powi(ctx.p).sub(y)
             r1, r2 = as_class_reduce(x), as_class_reduce(x.add(wp))
-            assert r1.status == r2.status
+            assert r1.is_trivial() == r2.is_trivial()
             assert r1.level == r2.level
             assert r1.trace_coeff == r2.trace_coeff
             assert r1.normal_form.eq_to_precision(r2.normal_form)
@@ -690,8 +735,8 @@ def test_char0_descent_inverts_nothing(monkeypatch):
     reductions = [unit_class_reduce(x, window) for x, window in samples]
     assert calls == []
     n0 = 6 * len(BUNDLED_CHAR0)
-    assert sum(red.kill_steps for red in reductions[:n0]) > 0
-    assert sum(red.kill_steps for red in reductions[n0:]) > 0
+    assert any(first_kill_level(red) != INF for red in reductions[:n0])
+    assert any(first_kill_level(red) != INF for red in reductions[n0:])
     for (x, _), red in zip(samples, reductions):
         assert red.verify_against(x)
 
@@ -785,7 +830,7 @@ def test_coordinates_exhaustive_q2(q2):
             if ci:
                 prod = prod.mul(g.powi(ci))
         # u and its coordinate product agree as classes
-        assert unit_class_reduce(u_over(q2, u, prod)).status == "trivial"
+        assert unit_class_reduce(u_over(q2, u, prod)).is_trivial()
 
 
 def u_over(ctx, n, g):

@@ -215,6 +215,24 @@ def test_compute_missing_argument(capsys):
     assert "--elt" in err
 
 
+def test_char_p_level_reads_the_add_flag(capsys):
+    code, out, err = run(capsys, "compute", "level", "--field", F2T, "--add", "t^-3")
+    assert code == 0, err
+    assert out.strip() == "δ=3"
+
+
+@pytest.mark.parametrize("command", ["level", "pair", "norm-group"])
+def test_first_argument_flag_follows_the_characteristic(capsys, command):
+    # level, pair and norm-group read their first argument from --elt in
+    # char 0 and from --add in char p, and name that flag when it is missing
+    for field, flag, other in ((Q2, "--elt", "--add"), (F2T, "--add", "--elt")):
+        code, _, err = run(
+            capsys, "compute", command, "--field", field, "--mult", "3", other, "5",
+            "--window", "3",
+        )
+        assert code == 2 and flag in err and other not in err, (field, err)
+
+
 # ------------------------------------------------------------ verify
 
 
@@ -429,7 +447,23 @@ SWEEP_EXIT_3 = {
     "Qp p=3 f=2 eis=3,0,1",
     "Qp p=3 f=3 eis=3,0,1",
     "Qp p=3 f=2 eis=-3,0,1",
+    "Qp p=3 f=1 eis=3,0,0,0,1",
+    "Qp p=3 f=1 eis=3,3,3,3,1",
+    "Qp p=3 f=1 eis=3,0,0,0,0,0,1",
+    "Qp p=3 f=1 eis=3,3,3,3,3,3,1",
+    "Qp p=5 f=1 eis=5,0,0,0,1",
+    "Qp p=5 f=1 eis=5,5,5,5,1",
 }
+# the deeper mu_p shapes above are swept at f = 1 only
+SWEEP += [(field, None) for field in sorted(SWEEP_EXIT_3 - {field for field, _ in SWEEP})]
+# Q2 shapes with e >= 5 exit 4, "descent failed to advance past level m":
+# a norm computed while G is built falls short of the digits the descent
+# reads, and nothing reports that as lost precision (ROADMAP item 1, step 1)
+SWEEP_EXIT_4 = (
+    ["Qp p=2 f=1 eis=2,%s1" % ("0," * (e - 1)) for e in range(5, 10)]
+    + ["Qp p=2 f=1 eis=%s1" % ("2," * e) for e in range(6, 10)]
+    + ["Qp p=2 f=2 eis=2,0,0,0,0,1"]
+)
 
 
 @pytest.mark.slow
@@ -441,6 +475,14 @@ def test_field_sweep_verify_all(capsys, field, window):
         assert code == 3 and "norm vanished to working precision" in err, (code, err)
     else:
         assert code == 0, err
+
+
+@pytest.mark.slow
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="exits 4: a precision shortfall reported as a bug")
+@pytest.mark.parametrize("field", SWEEP_EXIT_4)
+def test_field_sweep_precision_shortfall_is_not_a_bug(capsys, field):
+    code, _, err = run(capsys, "verify", "all", "--field", field)
+    assert code in (0, 3), (code, err)
 
 
 # ------------------------------------------------------------ fuzz

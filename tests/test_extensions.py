@@ -219,15 +219,22 @@ def test_attach_absorbs_deep_p_divisible_pole(f3t):
 # ------------------------------------------------------------ norms
 
 
+def gaussian(q2):
+    """Q2(i) = Q2(sqrt(-1)): the line of -1, with -1 itself as the
+    representative instead of the canonical 3 * 5."""
+    line = line_of(q2.from_int(-1))
+    return DegreePExtension(Line(line.basis, line.vec, q2.from_int(-1)))
+
+
 def test_norm_one_plus_i_is_two(q2):
-    E = DegreePExtension(q2, "kummer", line_of(q2.from_int(-1)), q2.from_int(-1))
+    E = gaussian(q2)
     z = E.embed(q2.one()).add(E.gen())
     n = E.norm(z)
     assert n.sub(q2.from_int(2)).is_zero_to_precision()
 
 
 def test_norm_gaussian_integers_against_integer_oracle(q2):
-    E = DegreePExtension(q2, "kummer", line_of(q2.from_int(-1)), q2.from_int(-1))
+    E = gaussian(q2)
     rng = random.Random(0xE2)
     for _ in range(40):
         x, y = rng.randrange(-50, 50), rng.randrange(-50, 50)
@@ -482,10 +489,10 @@ def test_line_break_is_the_extension_break(desc, window):
 
 def assert_catalog_lines_are_their_descents(desc, window=None):
     # a catalog line is built from its coordinate vector alone; the descent
-    # of its representative must give back the same line, at the level the
-    # reduction record reads.  A char-p descent reads the class over the
-    # window of its own level, so its vector is the catalog vector cut past
-    # that level.
+    # of its representative must give back the same line, at the level its
+    # coordinates read (in char 0, pc minus the least level of a nonzero
+    # slot).  A char-p descent reads the class over the window of its own
+    # level, so its vector is the catalog vector cut past that level.
     ctx = parse_field(desc)
     for cl in line_catalog(ctx, window):
         x = cl.basis.combination(cl.vec)
@@ -493,7 +500,8 @@ def assert_catalog_lines_are_their_descents(desc, window=None):
         n = len(got.vec)
         assert got.vec == cl.vec[:n] and not any(cl.vec[n:]), (desc, cl.label)
         if ctx.characteristic == 0:
-            level = ctx.pc - unit_class_reduce(x).level_index
+            slots = zip(unit_class_reduce(x).coords.coords, cl.basis.levels())
+            level = ctx.pc - min(lvl for c, lvl in slots if c)
         else:
             level = as_class_reduce(x).level
         assert got.level == cl.level == level, (desc, cl.label)
