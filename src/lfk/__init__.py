@@ -41,7 +41,6 @@ from .fp_linalg import (
 from .local_arith import (
     DEFAULT_PRECISION,
     FieldContext,
-    FieldDescriptor,
     bp_index,
     parse_element,
     parse_field,
@@ -67,7 +66,6 @@ __all__ = [
     "DegreePExtension",
     "DomainError",
     "FieldContext",
-    "FieldDescriptor",
     "FpSubspace",
     "FpVector",
     "InternalError",

@@ -26,16 +26,19 @@ representative pi^(v mod p) * prod g^c they name and the certificate
 x = y^p * prod g^c; a class's level is read off its coordinates, as the
 least level of a slot with a nonzero coordinate.
 
-Additive side (char p only).  The same walk for wp(y) = y^p - y: poles of
-order divisible by p are absorbed into the certificate, poles of order
-prime to p survive into the normal form, the constant digit collapses onto
-a fixed trace-one line, and everything of positive valuation is killed by a
-telescoping series.
+Additive side (char p only).  The same walk for wp(y) = y^p - y,
+as_class_reduce(x, window): poles of order divisible by p are absorbed
+into the certificate, poles of order prime to p survive as coordinates on
+the pole slots of adapted_basis(ctx, "add", window), the constant digit
+collapses onto the trace-one slot, and everything of positive valuation is
+killed by a telescoping series.  Both reductions thus return coordinates
+over their basis, a representative and a certificate.
 
-coordinates() reads the class coordinates off a reduction and checks its
-certificate identity with multiplications only.  filtration_dims() counts
-the graded pieces of either side off its adapted basis, and one loop checks
-both: a level-m sample must reduce to level m iff the basis has a slot there.
+coordinates() runs the reduction of the basis's space at the basis window
+and checks its certificate identity with multiplications only.
+filtration_dims() counts the graded pieces of either side off its adapted
+basis, and one loop checks both: a level-m sample must reduce to level m
+iff the basis has a slot there.
 """
 
 import random
@@ -173,8 +176,9 @@ class UnitClassReduction:
     """Outcome of reducing x in K* modulo p-th powers, and modulo U_depth:
     the coordinates of the class, its representative and its certificate.
 
-    coords          FpVector of the class in adapted_basis(ctx, "mult", window);
-                    the class's level is the least level of a nonzero slot
+    coords          FpVector of the class in basis = adapted_basis(ctx, "mult",
+                    window); the class's level is the least level of a
+                    nonzero slot
     normalized_rep  basis.combination(coords) = pi^(v mod p) * prod g_i^c_i at
                     working precision, a canonical representative of the
                     whole class (the one() of the field for trivial classes)
@@ -187,7 +191,7 @@ class UnitClassReduction:
     certificate takes multiplications only.
     """
 
-    __slots__ = ("coords", "normalized_rep", "root", "den", "depth")
+    __slots__ = ("basis", "coords", "normalized_rep", "root", "den", "depth")
 
     def __init__(self, **kw):
         for name in self.__slots__:
@@ -301,6 +305,7 @@ def unit_class_reduce(x, window=None):
         if coords[i]:
             den = den.mul(basis.vectors[i][1])
     return UnitClassReduction(
+        basis=basis,
         coords=FpVector(ctx.p, coords),
         normalized_rep=basis.combination(coords),
         root=y.shift(v // ctx.p),
@@ -311,75 +316,56 @@ def unit_class_reduce(x, window=None):
 
 class ASClassReduction:
     """Outcome of reducing x in K+ modulo wp(K+) = {y^p - y} (char p): the
-    normal form, which is the class's coordinates over an additive adapted
-    basis (coords_in), and its certificate.
+    coordinates of the class, its representative and its certificate.
 
-    level           pole order delta of the normal form (0 for the trace
-                    line), the deepest pole with a nonzero coordinate; None
-                    for trivial classes
-    poles           {m: k-digit} for the surviving poles, all m prime to p
-    trace_coeff     s in [0, p): the constant part reduces to s * theta,
-                    theta the field's fixed trace-one element
-    normal_form     sum of the surviving pole monomials plus s * theta
-    certificate     y with x - wp(y) = normal_form + O(t^depth)
+    coords          FpVector of the class in basis = adapted_basis(ctx, "add",
+                    window): the trace coefficient, then the k-digits of the
+                    surviving poles, all of order prime to p
+    normalized_rep  basis.combination(coords), the sum of the surviving pole
+                    monomials plus the trace coefficient times the field's
+                    fixed trace-one element
+    certificate     y with x - wp(y) = normalized_rep + O(t^depth)
     """
 
-    __slots__ = ("level", "poles", "trace_coeff", "normal_form", "certificate", "depth")
+    __slots__ = ("basis", "coords", "normalized_rep", "certificate", "depth")
 
     def __init__(self, **kw):
         for name in self.__slots__:
             setattr(self, name, kw[name])
 
     def is_trivial(self):
-        return self.level is None
-
-    def coords_in(self, basis):
-        """The normal form's coordinates over an additive adapted basis;
-        OutOfWindowError for a pole past the basis window."""
-        slots = {"c": self.trace_coeff}
-        for m, a in self.poles.items():
-            if m > basis.window:
-                raise OutOfWindowError(
-                    "normal form has a pole of order %d outside window %d"
-                    % (m, basis.window)
-                )
-            for sidx, c in enumerate(a.fp_vector().coords):
-                slots["a%d_%d" % (m, sidx)] = c
-        return FpVector(basis.ctx.p, [slots.get(lbl, 0) for lbl in basis.labels()])
+        return self.coords.is_zero()
 
     def verify_against(self, x):
         y = self.certificate
-        lhs = x.sub(y.powi(x.ctx.p).sub(y)).sub(self.normal_form)
+        lhs = x.sub(y.powi(x.ctx.p).sub(y)).sub(self.normalized_rep)
         d = val(lhs)
-        return d == INF or d >= min(self.depth, lhs.prec)
+        return d == INF or d >= min(self.depth, lhs.P)
 
     def __repr__(self):
-        if self.level is None:
-            return "ASClassReduction(trivial)"
-        return "ASClassReduction(nontrivial, delta=%d, s=%d, poles=%r)" % (
-            self.level,
-            self.trace_coeff,
-            {m: a for m, a in sorted(self.poles.items())},
-        )
+        return "ASClassReduction(coords=%r, depth=%d)" % (list(self.coords.coords), self.depth)
 
 
-def as_class_reduce(x):
-    """Reduce x modulo wp(K+) to its pole/trace normal form (char p).
+def as_class_reduce(x, window=None):
+    """Reduce x modulo wp(K+) to its coordinates over adapted_basis(ctx,
+    "add", window) (char p).
 
     Poles of order divisible by p are absorbed by subtracting wp of an exact
-    monomial; poles of prime-to-p order go straight into the normal form.
-    The constant digit keeps only its trace, carried on a fixed trace-one
+    monomial; poles of prime-to-p order survive as coordinates.  The
+    constant digit keeps only its trace, carried on a fixed trace-one
     element of k, and the positive-valuation tail is killed by the
-    telescoping series y = -(w + w^p + w^(p^2) + ...).
+    telescoping series y = -(w + w^p + w^(p^2) + ...).  A surviving pole
+    deeper than the window raises OutOfWindowError; with no window, the
+    basis is the one of the deepest surviving pole (window 1 if none).
     """
     ctx = x.ctx
     if ctx.characteristic != ctx.p:
         raise UnsupportedCaseError("as_class_reduce needs a char-p field")
-    if x.prec < 1:
+    if x.P < 1:
         raise PrecisionError(
-            "constant digit unknown at precision %s; cannot normalize" % x.prec
+            "constant digit unknown at precision %s; cannot normalize" % x.P
         )
-    depth = min(ctx.default_precision, x.prec)
+    depth = min(ctx.default_precision, x.P)
 
     z = x
     y = ctx.zero()
@@ -419,24 +405,29 @@ def as_class_reduce(x):
         raise InternalError("constant normalization left a level-0 digit behind")
     # wp(-(w + w^p + ...)) = w, and the series terminates at the depth cap
     acc = ctx.zero()
-    term = w.truncate(min(depth, w.prec))
+    term = w.truncate(min(depth, w.P))
     while val(term) != INF and val(term) < depth:
         acc = acc.add(term)
-        term = term.powi(ctx.p).truncate(min(depth, term.prec))
+        term = term.powi(ctx.p).truncate(min(depth, term.P))
     y = y.sub(acc)
 
-    normal = const
-    for m in sorted(poles):
-        normal = normal.add(ctx.from_digits([(-m, poles[m])]))
-    delta = max(poles) if poles else (0 if s else None)
-    if delta and delta % ctx.p == 0:
-        raise InternalError("surviving pole order %d is divisible by p" % delta)
-
+    deepest = max(poles, default=0)
+    basis = adapted_basis(ctx, "add", max(deepest, 1) if window is None else window)
+    if deepest > basis.window:
+        raise OutOfWindowError(
+            "normal form has a pole of order %d outside window %d" % (deepest, basis.window)
+        )
+    # the level-m generators are tau(theta_j) t^(-m), theta_j the k-basis
+    levels = basis.levels()
+    coords = [s] + [0] * (basis.dim() - 1)
+    for m, a in poles.items():
+        here = [i for i, lvl in enumerate(levels) if lvl == m]
+        for i, c in zip(here, a.fp_vector().coords):
+            coords[i] = c
     return ASClassReduction(
-        level=delta,
-        poles=poles,
-        trace_coeff=s,
-        normal_form=normal,
+        basis=basis,
+        coords=FpVector(ctx.p, coords),
+        normalized_rep=basis.combination(coords),
         certificate=y,
         depth=depth,
     )
@@ -627,12 +618,11 @@ def adapted_basis(ctx, space="mult", window=None):
 def coordinates(basis, x):
     """Coordinates of the class of x in the adapted basis, as an FpVector.
 
-    Multiplicative coordinates are read off the one descent,
-    unit_class_reduce at the basis window, which cancels against these very
-    generators (in char p: coordinates modulo U_(window+1), the quotient the
-    basis spans).  Additive coordinates are read off the normal form, which
-    already equals sum c_i * g_i; input whose normal form has a pole deeper
-    than the window is rejected with OutOfWindowError.
+    They are read off one reduction at the basis window, which works in
+    these very generators: unit_class_reduce for the mult space (in char p:
+    coordinates modulo U_(window+1), the quotient the basis spans),
+    as_class_reduce for the additive one, which rejects input whose normal
+    form has a pole deeper than the window with OutOfWindowError.
 
     The answer is checked by its certificate, with multiplications and no
     second descent: x = y^p * prod g_i^c_i up to U_stop in char 0 and up to
@@ -643,17 +633,13 @@ def coordinates(basis, x):
     ctx = basis.ctx
     if x.ctx is not ctx:
         raise DomainError("element and basis live over different fields")
-    if basis.space == "mult":
-        if basis is not adapted_basis(ctx, "mult", basis.window):
-            raise DomainError("mult coordinates are taken in the field's own adapted basis")
-        red = unit_class_reduce(x, basis.window)
-        coords = red.coords
-    else:
-        red = as_class_reduce(x)
-        coords = red.coords_in(basis)
+    if basis is not adapted_basis(ctx, basis.space, basis.window):
+        raise DomainError("coordinates are taken in the field's own adapted basis")
+    reduce = unit_class_reduce if basis.space == "mult" else as_class_reduce
+    red = reduce(x, basis.window)
     if not red.verify_against(x):
         raise InternalError("coordinate vector failed its certificate identity")
-    return coords
+    return red.coords
 
 
 # ---------------------------------------------------------------- filtration

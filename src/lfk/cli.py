@@ -264,13 +264,14 @@ def _build_parser():
     def common(sp):
         sp.add_argument("--field", required=True, help="field descriptor, e.g. 'Qp p=2 f=1'")
         sp.add_argument("--prec", type=int, default=None, help="precision override (else LFK_PREC, else default)")
+        sp.add_argument("--format", choices=("table", "json"), default="table")
+
+    def windowed(sp):
+        common(sp)
         sp.add_argument(
             "--window", type=_window_arg, default=None,
             help="working window for char-p quotients (a positive level; ignored in char 0)",
         )
-        sp.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
-        sp.add_argument("--format", choices=("table", "json"), default="table")
-        sp.add_argument("--out", default=None, help="directory for per-claim JSON reports")
 
     sp = sub.add_parser("describe", help="print the field constants")
     common(sp)
@@ -278,7 +279,7 @@ def _build_parser():
 
     sp = sub.add_parser("compute", help="one computation on one field")
     sp.add_argument("what", choices=sorted(_COMPUTE))
-    common(sp)
+    windowed(sp)
     sp.add_argument("--elt", help="element expression (char-0 class, e.g. '-1' or '2*pi')")
     sp.add_argument("--mult", help="multiplicative-side element expression")
     sp.add_argument("--add", help="additive-side element expression (char p, e.g. 't^-1')")
@@ -287,7 +288,9 @@ def _build_parser():
 
     sp = sub.add_parser("verify", help="run claim verifiers")
     sp.add_argument("claims", nargs="*", help="claim ids, or 'all' (default)")
-    common(sp)
+    windowed(sp)
+    sp.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
+    sp.add_argument("--out", default=None, help="directory for per-claim JSON reports")
     sp.set_defaults(func=cmd_verify)
 
     return parser

@@ -28,7 +28,7 @@ basis lines and the sample lines of the pairing matrix's certificate.
 
 import math
 
-from .class_spaces import adapted_basis, as_class_reduce, unit_class_reduce
+from .class_spaces import as_class_reduce, unit_class_reduce
 from .errors import (
     DomainError,
     InternalError,
@@ -87,19 +87,16 @@ def line_of(x):
     """The line spanned by the class of x, in the mult quotient in char 0 and
     in the add quotient in char p; DomainError if the class is trivial.
 
-    Its coordinates and representative come off one reduction of x; a char-p
-    line lies over the additive basis whose window is its level."""
-    ctx = x.ctx
-    if ctx.characteristic == 0:
-        red = unit_class_reduce(x)
-        if red.is_trivial():
-            raise DomainError("a line needs a nontrivial class; input is a p-th power")
-        return Line(adapted_basis(ctx), red.coords.coords, red.normalized_rep)
-    red = as_class_reduce(x)
+    Its basis, coordinates and representative come off one reduction of x
+    with no window: the whole mult quotient in char 0, and in char p the
+    additive basis whose window is the line's level."""
+    if x.ctx.characteristic == 0:
+        red, what = unit_class_reduce(x), "a p-th power"
+    else:
+        red, what = as_class_reduce(x), "in wp(K)"
     if red.is_trivial():
-        raise DomainError("a line needs a nontrivial class; input is in wp(K)")
-    basis = adapted_basis(ctx, "add", max(red.level, 1))
-    return Line(basis, red.coords_in(basis).coords, red.normal_form)
+        raise DomainError("a line needs a nontrivial class; input is %s" % what)
+    return Line(red.basis, red.coords.coords, red.normalized_rep)
 
 
 class ExtElement:

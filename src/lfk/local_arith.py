@@ -70,8 +70,10 @@ def _is_prime(n):
     return True
 
 
-class FieldDescriptor:
-    """Static description of a p-field, prior to derived constants."""
+class FieldContext:
+    """A p-field K: Qp-type (characteristic 0, given by an Eisenstein
+    polynomial over the unramified extension of degree f) or Fq((t))
+    (characteristic p), with its derived constants and caches."""
 
     def __init__(
         self,
@@ -90,11 +92,6 @@ class FieldDescriptor:
             raise MalformedInputError("characteristic must be 0 or p")
         if default_precision < 1:
             raise MalformedInputError("precision must be positive")
-        self.characteristic = characteristic
-        self.p = p
-        self.f = f
-        self.residue_poly = residue_poly
-        self.default_precision = default_precision
         if characteristic == 0:
             if eisenstein_poly is None:
                 eisenstein_poly = (-p, 1)  # unramified: pi = p
@@ -111,32 +108,24 @@ class FieldDescriptor:
                     raise MalformedInputError(
                         "Eisenstein check failed: middle coefficient %d is a unit" % c
                     )
-            self.eisenstein_poly = eisenstein_poly
-        else:
-            if eisenstein_poly is not None:
-                raise MalformedInputError("char-p fields take no Eisenstein polynomial")
-            self.eisenstein_poly = None
-
-
-class FieldContext:
-    def __init__(self, d):
-        self.descriptor = d
-        self.p = d.p
-        self.f = d.f
-        self.k = ResidueField(d.p, d.f, d.residue_poly)
+        elif eisenstein_poly is not None:
+            raise MalformedInputError("char-p fields take no Eisenstein polynomial")
+        self.characteristic = characteristic
+        self.p = p
+        self.f = f
+        self.eisenstein_poly = eisenstein_poly
+        self.k = ResidueField(p, f, residue_poly)
         self.q = self.k.q
-        self.default_precision = d.default_precision
-        self.characteristic = d.characteristic
+        self.default_precision = default_precision
         self._teich_cache = {}
         # derived data (kill maps, bases, extensions, norm groups), keyed by kind
         self.cache = {}
-        if d.characteristic == 0:
-            self.e = len(d.eisenstein_poly) - 1
+        if characteristic == 0:
+            self.e = len(eisenstein_poly) - 1
             # coefficient arithmetic is exact modulo p^coeff_prec throughout
-            self.coeff_prec = d.default_precision + 2 * self.e + 16
-            self.pmod = d.p**self.coeff_prec
+            self.coeff_prec = default_precision + 2 * self.e + 16
+            self.pmod = p**self.coeff_prec
             self._m_int = tuple(int(c) for c in self.k.poly)
-            self._eis = d.eisenstein_poly
             self._conv_pos, self._conv_low, self._conv_fold = self._build_fold()
             self._xinv_num = self._build_xinv()
             self._xinv_pow_cache = {0: self._const_num(1)}
@@ -147,10 +136,10 @@ class FieldContext:
                 self.c = None
                 self.pc = None
             min_prec = (self.pc if self.pc is not None else self.e) + 2
-            if d.default_precision < min_prec:
+            if default_precision < min_prec:
                 raise PrecisionError(
                     "construction needs precision >= %d to certify the root-of-unity "
-                    "decision, got %d" % (min_prec, d.default_precision)
+                    "decision, got %d" % (min_prec, default_precision)
                 )
             self.mu_p_present, self.zeta = self._decide_mu_p()
         else:
@@ -175,12 +164,11 @@ class FieldContext:
 
     def field_label(self):
         """Stable one-line identifier used in reports."""
-        d = self.descriptor
         if self.characteristic == 0:
-            eis = ",".join(str(c) for c in d.eisenstein_poly)
-            return "Qp p=%d f=%d eis=%s prec=%d" % (self.p, self.f, eis, d.default_precision)
+            eis = ",".join(str(c) for c in self.eisenstein_poly)
+            return "Qp p=%d f=%d eis=%s prec=%d" % (self.p, self.f, eis, self.default_precision)
         resf = ",".join(str(c) for c in self.k.poly)
-        return "Fq((t)) p=%d f=%d resf=%s prec=%d" % (self.p, self.f, resf, d.default_precision)
+        return "Fq((t)) p=%d f=%d resf=%s prec=%d" % (self.p, self.f, resf, self.default_precision)
 
     def dim_mult_classes(self):
         """dim of K*/K*^p over F_p (char 0 only): ef + 1 + (1 if mu_p)."""
@@ -245,7 +233,7 @@ class FieldContext:
         f, e = self.f, self.e
         width = 2 * e - 1
         wpow = _powers_mod(self._m_int, 2 * f - 1)
-        xpow = _powers_mod(self._eis, 2 * e - 1)
+        xpow = _powers_mod(self.eisenstein_poly, 2 * e - 1)
         pos = [a * width + b for a in range(f) for b in range(e)]
         fold = {}
         for a in range(2 * f - 1):
@@ -262,7 +250,7 @@ class FieldContext:
     def _build_xinv(self):
         """num with x^(-1) = p^(-1) * xinv_num, from the Eisenstein relation."""
         e, p = self.e, self.p
-        c0 = self._eis[0]
+        c0 = self.eisenstein_poly[0]
         w_unit = c0 // p  # exact: v_p(c0) = 1
         w_inv = pow(w_unit % self.pmod, -1, self.pmod)
         num = [[0] * e for _ in range(self.f)]
@@ -272,7 +260,7 @@ class FieldContext:
             return num
         # x*(x^(e-1) + E_{e-1} x^(e-2) + ... + E_1) = -c0 = -p*w
         for j in range(1, e + 1):
-            coeff = 1 if j == e else self._eis[j]
+            coeff = 1 if j == e else self.eisenstein_poly[j]
             num[0][j - 1] = (-w_inv * coeff) % self.pmod
         return num
 
@@ -319,7 +307,7 @@ class FieldContext:
         """A fixed uniformizer: the class of x (char 0) or t (char p)."""
         if self.characteristic == 0:
             if self.e == 1:
-                return self.from_int(-self._eis[0], prec)
+                return self.from_int(-self.eisenstein_poly[0], prec)
             num = self._const_num(0)
             num[0][1] = 1
             return self._make(num, 0, prec)
@@ -585,7 +573,7 @@ class ZqElement:
                 # x^e folds down through the Eisenstein relation
                 xe = ctx._const_num(0)
                 for j in range(ctx.e):
-                    xe[0][j] = (-ctx._eis[j]) % ctx.pmod
+                    xe[0][j] = (-ctx.eisenstein_poly[j]) % ctx.pmod
                 num = ctx._num_mul(num, ctx._num_pow(xe, q))
             return ZqElement(ctx, num, self.t, self.P + i)
         m = -i
@@ -720,18 +708,14 @@ class ZqElement:
 
 
 class LaurentElement:
-    """Sparse Laurent polynomial over k; prec = INF means exact."""
+    """Sparse Laurent polynomial over k, known below t^P; P = INF means exact."""
 
-    __slots__ = ("ctx", "coeffs", "prec")
+    __slots__ = ("ctx", "coeffs", "P")
 
-    def __init__(self, ctx, coeffs, prec):
+    def __init__(self, ctx, coeffs, P):
         self.ctx = ctx
-        self.coeffs = {i: c for i, c in coeffs.items() if c.index and i < prec}
-        self.prec = prec
-
-    @property
-    def P(self):
-        return self.prec
+        self.coeffs = {i: c for i, c in coeffs.items() if c.index and i < P}
+        self.P = P
 
     def valuation(self):
         if not self.coeffs:
@@ -748,17 +732,17 @@ class LaurentElement:
         for i, c in other.coeffs.items():
             s = out.get(i)
             out[i] = c if s is None else s.add(c)
-        return LaurentElement(self.ctx, out, min(self.prec, other.prec))
+        return LaurentElement(self.ctx, out, min(self.P, other.P))
 
     def neg(self):
-        return LaurentElement(self.ctx, {i: c.neg() for i, c in self.coeffs.items()}, self.prec)
+        return LaurentElement(self.ctx, {i: c.neg() for i, c in self.coeffs.items()}, self.P)
 
     def sub(self, other):
         return self.add(other.neg())
 
     def scale(self, r):
         r = self.ctx.k.elt(r)
-        return LaurentElement(self.ctx, {i: c.mul(r) for i, c in self.coeffs.items()}, self.prec)
+        return LaurentElement(self.ctx, {i: c.mul(r) for i, c in self.coeffs.items()}, self.P)
 
     def scale_int(self, s):
         return self.scale(self.ctx.k.elt(s % self.ctx.p))
@@ -766,9 +750,9 @@ class LaurentElement:
     def mul(self, other):
         if self.ctx is not other.ctx:
             raise DomainError("elements from different fields")
-        v1 = min(self.valuation(), self.prec)
-        v2 = min(other.valuation(), other.prec)
-        prec = min(self.prec + v2, other.prec + v1)
+        v1 = min(self.valuation(), self.P)
+        v2 = min(other.valuation(), other.P)
+        prec = min(self.P + v2, other.P + v1)
         out = {}
         for i, c in self.coeffs.items():
             for j, d in other.coeffs.items():
@@ -786,7 +770,7 @@ class LaurentElement:
         if v == INF:
             raise DomainError("inverse of (truncated) zero")
         lead = self.coeffs[v]
-        rel = self.prec - v  # relative precision of the input
+        rel = self.P - v  # relative precision of the input
         if rel == INF:
             if len(self.coeffs) == 1:
                 return LaurentElement(ctx, {-v: lead.inv()}, INF)
@@ -823,7 +807,7 @@ class LaurentElement:
 
     def shift(self, i):
         return LaurentElement(
-            self.ctx, {j + i: c for j, c in self.coeffs.items()}, self.prec + i
+            self.ctx, {j + i: c for j, c in self.coeffs.items()}, self.P + i
         )
 
     def derivative(self):
@@ -833,7 +817,7 @@ class LaurentElement:
             s = c.scale(i % self.ctx.p)
             if not s.is_zero():
                 out[i - 1] = s
-        return LaurentElement(self.ctx, out, self.prec - 1)
+        return LaurentElement(self.ctx, out, self.P - 1)
 
     def residue(self):
         v = self.valuation()
@@ -842,8 +826,8 @@ class LaurentElement:
         return self.coeffs[0]
 
     def digit(self, m):
-        if m >= self.prec:
-            raise PrecisionError("digit at t^%d unknown: precision is %s" % (m, self.prec))
+        if m >= self.P:
+            raise PrecisionError("digit at t^%d unknown: precision is %s" % (m, self.P))
         return self.coeffs.get(m, self.ctx.k.zero())
 
     def digits(self, lo=None, hi=None):
@@ -854,13 +838,13 @@ class LaurentElement:
         return self.sub(other).is_zero_to_precision()
 
     def truncate(self, P):
-        return LaurentElement(self.ctx, self.coeffs, min(self.prec, P))
+        return LaurentElement(self.ctx, self.coeffs, min(self.P, P))
 
     def __repr__(self):
         if not self.coeffs:
-            return "0" if self.prec == INF else "O(t^%s)" % self.prec
+            return "0" if self.P == INF else "O(t^%s)" % self.P
         parts = ["%r*t^%d" % (c, i) for i, c in sorted(self.coeffs.items())]
-        tail = "" if self.prec == INF else " + O(t^%s)" % self.prec
+        tail = "" if self.P == INF else " + O(t^%s)" % self.P
         return " + ".join(parts) + tail
 
     def to_literal(self):
@@ -910,10 +894,10 @@ def series_residue_and_dlog(x, u):
     # mod t^(n+1).  So u is cut to relative precision n + 2, one digit of
     # slack, and du/u still carries precision n + 1, which keeps the digit
     # known whenever it was known before the cut.
-    low = min(val(x), x.prec)
+    low = min(val(x), x.P)
     u = u.truncate(val(u) + max(0, -low) + 2)
     w = x.mul(u.derivative().mul(u.inv()))
-    if w.prec <= -1:
+    if w.P <= -1:
         raise PrecisionError("t^-1 coefficient of x * du/u is not determined")
     return w.digit(-1).trace()
 
@@ -966,13 +950,12 @@ def parse_field(text, prec_override=None):
         eis = int_list(kv.pop("eis")) if "eis" in kv else None
         if kv:
             raise MalformedInputError("unknown keys for Qp: %s" % sorted(kv))
-        d = FieldDescriptor(0, p, f, eisenstein_poly=eis, default_precision=prec)
+        return FieldContext(0, p, f, eisenstein_poly=eis, default_precision=prec)
     else:
         resf = int_list(kv.pop("resf")) if "resf" in kv else None
         if kv:
             raise MalformedInputError("unknown keys for Fq((t)): %s" % sorted(kv))
-        d = FieldDescriptor(p, p, f, residue_poly=resf, default_precision=prec)
-    return FieldContext(d)
+        return FieldContext(p, p, f, residue_poly=resf, default_precision=prec)
 
 
 class _Tokens:

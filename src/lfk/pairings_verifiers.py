@@ -88,13 +88,13 @@ def _window(window):
 
 
 def _line_key(line):
-    """Mult lines: the coordinate vector scaled to a leading 1, so every
-    class on the line shares one key; add lines: the digits of the normal
-    form, which do not depend on the window the line was read over."""
-    if line.space == "mult":
-        inv = pow(next(c for c in line.vec if c), -1, line.ctx.p)
-        return ("mult",) + tuple(inv * c % line.ctx.p for c in line.vec)
-    return ("add",) + tuple(line.a.digits())
+    """The coordinate vector scaled to a leading 1, so every class on the
+    line shares one key, and cut after its last nonzero slot, so an add
+    line's key does not depend on the window it was read over."""
+    p, vec = line.ctx.p, line.vec
+    last = max(i for i, c in enumerate(vec) if c)
+    inv = pow(next(c for c in vec if c), -1, p)
+    return tuple(inv * c % p for c in vec[: last + 1])
 
 
 def _attached(line):

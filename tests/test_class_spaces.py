@@ -34,6 +34,8 @@ from lfk.errors import (
 from lfk.fp_linalg import solve
 from lfk.local_arith import INF, LaurentElement, ZqElement, parse_field, val
 
+from additive_coords import as_level, poles_and_trace
+
 
 # ---------------------------------------------------------------- oracles
 
@@ -551,12 +553,12 @@ def test_windowed_reduce_matches_division_oracle(f2t, f3t, f4t):
 
 def test_as_known_reductions(f2t):
     r = as_class_reduce(f2t.from_digits([(-2, 1)]))
-    assert not r.is_trivial() and r.level == 1
-    assert r.poles == {1: f2t.k.one()}
+    assert not r.is_trivial() and as_level(r) == 1
+    assert poles_and_trace(r)[0] == {1: f2t.k.one()}
     r = as_class_reduce(f2t.pi())
-    assert r.is_trivial() and r.level is None
+    assert r.is_trivial() and as_level(r) is None
     r = as_class_reduce(f2t.one())
-    assert not r.is_trivial() and r.level == 0 and r.trace_coeff == 1
+    assert not r.is_trivial() and as_level(r) == 0 and poles_and_trace(r)[1] == 1
 
 
 def test_as_certificates_exact(f2t, f3t, f4t):
@@ -568,8 +570,8 @@ def test_as_certificates_exact(f2t, f3t, f4t):
             )
             r = as_class_reduce(x)
             assert r.verify_against(x)
-            if r.level:
-                assert r.level % ctx.p != 0
+            if as_level(r):
+                assert as_level(r) % ctx.p != 0
 
 
 def test_as_against_exhaustive_wp_images(f2t):
@@ -585,7 +587,7 @@ def test_as_against_exhaustive_wp_images(f2t):
     for (b1, x1, r1), (b2, x2, r2) in itertools.combinations(cands, 2):
         diff = tuple((a - b) % 2 for a, b in zip(b1, b2))
         same_class = diff in images
-        same_normal = r1.normal_form.eq_to_precision(r2.normal_form)
+        same_normal = r1.normalized_rep.eq_to_precision(r2.normalized_rep)
         assert same_class == same_normal, (b1, b2)
 
 
@@ -598,9 +600,31 @@ def test_as_class_invariance_under_wp_shifts(f3t, f4t):
             wp = y.powi(ctx.p).sub(y)
             r1, r2 = as_class_reduce(x), as_class_reduce(x.add(wp))
             assert r1.is_trivial() == r2.is_trivial()
-            assert r1.level == r2.level
-            assert r1.trace_coeff == r2.trace_coeff
-            assert r1.normal_form.eq_to_precision(r2.normal_form)
+            assert as_level(r1) == as_level(r2)
+            assert poles_and_trace(r1) == poles_and_trace(r2)
+            assert r1.normalized_rep.eq_to_precision(r2.normalized_rep)
+
+
+def test_as_window_coords_are_a_prefix(f2t, f3t, f4t):
+    # over window w the coordinates are those of the windowless reduction
+    # padded with zeros; a surviving pole deeper than w is OutOfWindowError,
+    # and nothing else is
+    rng = random.Random(97)
+    for ctx in (f2t, f3t, f4t):
+        for _ in range(8):
+            x = ctx.from_digits([(i, rng.randrange(ctx.p)) for i in range(-12, 4)])
+            full = as_class_reduce(x)
+            deepest = max(poles_and_trace(full)[0], default=0)
+            vec = full.coords.coords
+            for w in range(1, 12):
+                if deepest > w:
+                    with pytest.raises(OutOfWindowError):
+                        as_class_reduce(x, w)
+                    continue
+                red = as_class_reduce(x, w)
+                assert red.basis is adapted_basis(ctx, "add", w)
+                got = red.coords.coords
+                assert got[: len(vec)] == vec and not any(got[len(vec):]), (x, w)
 
 
 def test_as_wrong_characteristic(q2):

@@ -371,6 +371,20 @@ def test_char0_pair_rejects_nonpositive_window(capsys):
                 assert "window" in err
 
 
+def test_flags_a_command_never_reads_are_rejected(capsys, tmp_path):
+    # --seed and --out belong to verify alone, --window to compute and verify
+    for argv, flag in (
+        (("describe", "--field", Q2, "--seed", "1"), "--seed"),
+        (("describe", "--field", Q2, "--out", str(tmp_path)), "--out"),
+        (("compute", "class", "--field", Q2, "--elt", "5", "--seed", "1"), "--seed"),
+        (("compute", "class", "--field", Q2, "--elt", "5", "--out", str(tmp_path)), "--out"),
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert flag in err
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize(
     "field,q", [("Fq((t)) p=2 f=12", 4096), ("Qp p=101 f=3", 101**3)]
 )

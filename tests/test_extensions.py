@@ -32,6 +32,8 @@ from lfk.extensions import (
 from lfk.local_arith import parse_field, val
 from lfk.pairings_verifiers import _line_key, line_catalog
 
+from additive_coords import as_level
+
 
 @pytest.fixture(scope="module")
 def q2():
@@ -503,13 +505,13 @@ def assert_catalog_lines_are_their_descents(desc, window=None):
             slots = zip(unit_class_reduce(x).coords.coords, cl.basis.levels())
             level = ctx.pc - min(lvl for c, lvl in slots if c)
         else:
-            level = as_class_reduce(x).level
+            level = as_level(as_class_reduce(x))
         assert got.level == cl.level == level, (desc, cl.label)
         assert _line_key(got) == _line_key(cl), (desc, cl.label)
         if ctx.characteristic == 0:
             assert (got.a.num, got.a.t, got.a.P) == (cl.a.num, cl.a.t, cl.a.P), (desc, cl.label)
         else:
-            assert (got.a.coeffs, got.a.prec) == (cl.a.coeffs, cl.a.prec), (desc, cl.label)
+            assert (got.a.coeffs, got.a.P) == (cl.a.coeffs, cl.a.P), (desc, cl.label)
 
 
 @pytest.mark.parametrize("desc, window", BENCHMARK_FIELDS)

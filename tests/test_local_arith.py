@@ -21,7 +21,6 @@ import lfk
 from lfk.errors import DomainError, MalformedInputError, PrecisionError
 from lfk.local_arith import (
     INF,
-    FieldDescriptor,
     ZqElement,
     bp_index,
     parse_element,
@@ -58,7 +57,7 @@ def oracle_num_mul(ctx, A, B):
     """Product of two char-0 numerators: convolve, then fold by m(w) and
     E(x), reducing mod p^coeff_prec after every step."""
     f, e, mod = ctx.f, ctx.e, ctx.pmod
-    m, eis = ctx.k.poly, ctx.descriptor.eisenstein_poly
+    m, eis = ctx.k.poly, ctx.eisenstein_poly
     big = [[0] * (2 * e - 1) for _ in range(2 * f - 1)]
     for a1 in range(f):
         for b1 in range(e):
@@ -506,9 +505,9 @@ def test_dlog_residue_cut_matches_untruncated(f2t, f3t, f4t):
                 + [(rng.randint(v + 1, cut), rng.choice(nonzero)) for _ in range(3)]
                 + [(cut + j, rng.choice(nonzero)) for j in rng.sample(range(1, 9), 2)]
             )
-            assert u.prec == INF and max(u.coeffs) > cut
+            assert u.P == INF and max(u.coeffs) > cut
             w = x.mul(u.derivative().mul(u.inv()))
-            assert w.prec > -1
+            assert w.P > -1
             want = w.digit(-1).trace()
             assert series_residue_and_dlog(x, u) == want
             seen.add(want)

@@ -255,7 +255,7 @@ def test_schmid_same_on_normal_form(f3t):
             continue
         b = _random_mult_unit(f3t, rng)
         assert series_residue_and_dlog(x, b) == series_residue_and_dlog(
-            red.normal_form, b
+            red.normalized_rep, b
         )
 
 
