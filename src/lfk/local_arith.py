@@ -22,6 +22,12 @@ Two implementations sit behind one interface:
   are the interned, table-coded elements of residues.ResidueField.
 
 The class of a uniformizer is `pi` in both cases (x resp. t).
+
+ZqElement and LaurentElement each implement add, neg, mul, inv, shift,
+valuation, digit and digits on their own representation; a char-0 shift is
+one product by the context's cached pi^i.  Their common base _Element
+derives sub, powi, residue, is_zero_to_precision and eq_to_precision from
+those, the same way in both characteristics.
 """
 
 import math
@@ -34,7 +40,7 @@ from .errors import (
     PrecisionError,
     UnsupportedCaseError,
 )
-from .residues import ResidueField
+from .residues import ResidueField, _prime_factors
 
 INF = math.inf
 
@@ -59,17 +65,6 @@ def _powers_mod(poly, count):
     return out
 
 
-def _is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 class FieldContext:
     """A p-field K: Qp-type (characteristic 0, given by an Eisenstein
     polynomial over the unramified extension of degree f) or Fq((t))
@@ -84,7 +79,7 @@ class FieldContext:
         eisenstein_poly=None,
         default_precision=DEFAULT_PRECISION,
     ):
-        if not _is_prime(p):
+        if _prime_factors(p) != [p]:
             raise MalformedInputError("p must be prime, got %r" % (p,))
         if f < 1:
             raise MalformedInputError("f must be >= 1")
@@ -128,7 +123,7 @@ class FieldContext:
             self._m_int = tuple(int(c) for c in self.k.poly)
             self._conv_pos, self._conv_low, self._conv_fold = self._build_fold()
             self._xinv_num = self._build_xinv()
-            self._xinv_pow_cache = {0: self._const_num(1)}
+            self._pi_pow_cache = {0: (self._const_num(1), 0), 1: (self.pi().num, 0)}
             if (self.p - 1) and self.e % (self.p - 1) == 0:
                 self.c = self.e // (self.p - 1)
                 self.pc = self.e + self.c
@@ -155,12 +150,6 @@ class FieldContext:
         if self.characteristic == 0:
             return "FieldContext(Qp p=%d f=%d e=%d)" % (self.p, self.f, self.e)
         return "FieldContext(Fq((t)) p=%d f=%d)" % (self.p, self.f)
-
-    def __eq__(self, other):
-        return self is other
-
-    def __hash__(self):
-        return id(self)
 
     def field_label(self):
         """Stable one-line identifier used in reports."""
@@ -264,15 +253,25 @@ class FieldContext:
             num[0][j - 1] = (-w_inv * coeff) % self.pmod
         return num
 
-    def _xinv_pow(self, m):
-        cache = self._xinv_pow_cache
-        if m not in cache:
-            top = max(cache)
-            cur = cache[top]
-            for i in range(top + 1, m + 1):
-                cur = self._num_mul(cur, self._xinv_num)
-                cache[i] = cur
-        return cache[m]
+    def _pi_pow(self, i):
+        """(num, t) with pi^i = p^t * num, for any integer i; cached.
+
+        The cache holds every power between its least and greatest exponent,
+        so a new one is built from the nearest, one factor of pi (or of
+        pi^(-1) = p^(-1) * xinv_num) at a time.
+        """
+        cache = self._pi_pow_cache
+        if i not in cache:
+            step, factor, dt = (1, cache[1][0], 0) if i > 0 else (-1, self._xinv_num, -1)
+            j = i
+            while j not in cache:
+                j -= step
+            num, t = cache[j]
+            while j != i:
+                j += step
+                num, t = self._num_mul(num, factor), t + dt
+                cache[j] = num, t
+        return cache[i]
 
     def _num_pival(self, A):
         """Exact pi-valuation of a num (INF if zero mod p^coeff_prec)."""
@@ -293,7 +292,9 @@ class FieldContext:
     # ------------------------------------------------------------ constructors
 
     def zero(self, prec=None):
-        return self._make(self._const_num(0), 0, prec) if self.characteristic == 0 else self._lmake({}, self._lprec(prec))
+        if self.characteristic == 0:
+            return self._make(self._const_num(0), 0, prec)
+        return LaurentElement(self, {}, self._lprec(prec))
 
     def one(self, prec=None):
         return self.from_int(1, prec)
@@ -301,7 +302,7 @@ class FieldContext:
     def from_int(self, n, prec=None):
         if self.characteristic == 0:
             return self._make(self._const_num(n), 0, prec)
-        return self._lmake({0: self.k.elt(n % self.p)} if n % self.p else {}, self._lprec(prec))
+        return LaurentElement(self, {0: self.k.elt(n % self.p)} if n % self.p else {}, self._lprec(prec))
 
     def pi(self, prec=None):
         """A fixed uniformizer: the class of x (char 0) or t (char p)."""
@@ -311,7 +312,7 @@ class FieldContext:
             num = self._const_num(0)
             num[0][1] = 1
             return self._make(num, 0, prec)
-        return self._lmake({1: self.k.one()}, self._lprec(prec))
+        return LaurentElement(self, {1: self.k.one()}, self._lprec(prec))
 
     def w_gen(self, prec=None):
         """The unramified ring generator w (char 0, f >= 2)."""
@@ -327,7 +328,7 @@ class FieldContext:
         if r.is_zero():
             raise DomainError("teichmuller lift of zero")
         if self.characteristic == self.p:
-            return self._lmake({0: r}, INF)
+            return LaurentElement(self, {0: r}, INF)
         key = r.coords
         if key not in self._teich_cache:
             num = self._num_from_residue(r)
@@ -369,9 +370,6 @@ class FieldContext:
     def _make(self, num, t, prec):
         P = self.default_precision if prec is None else prec
         return ZqElement(self, num, t, P)
-
-    def _lmake(self, coeffs, prec):
-        return LaurentElement(self, coeffs, prec)
 
     # ------------------------------------------------------------ mu_p
 
@@ -455,10 +453,48 @@ class FieldContext:
         return self.cache["trace_one"]
 
 
+# ================================================================ elements
+
+
+class _Element:
+    """What both element types derive from their own add, neg, mul, inv,
+    valuation and digit."""
+
+    __slots__ = ()
+
+    def sub(self, other):
+        return self.add(other.neg())
+
+    def is_zero_to_precision(self):
+        return self.valuation() == INF
+
+    def eq_to_precision(self, other):
+        return self.sub(other).is_zero_to_precision()
+
+    def powi(self, n):
+        if n < 0:
+            return self.inv().powi(-n)
+        if n == 0:
+            return self.ctx.one()
+        out = self
+        for bit in bin(n)[3:]:
+            out = out.mul(out)
+            if bit == "1":
+                out = out.mul(self)
+        return out
+
+    def residue(self):
+        """Image in k of a unit (valuation 0) element."""
+        v = self.valuation()
+        if v != 0:
+            raise DomainError("residue needs a unit, valuation is %s" % v)
+        return self.digit(0)
+
+
 # ================================================================ char 0
 
 
-class ZqElement:
+class ZqElement(_Element):
     """z = p^t * num, num a polynomial in (w, x); known modulo pi^P."""
 
     __slots__ = ("ctx", "num", "t", "P", "_val")
@@ -472,7 +508,7 @@ class ZqElement:
         self.P = min(P, ctx.e * (t + ctx.coeff_prec))
         self._val = None
 
-    # -- valuation and zero tests
+    # -- valuation
 
     def valuation(self):
         """Exact valuation, or INF when indistinguishable from 0 at precision P."""
@@ -481,9 +517,6 @@ class ZqElement:
             v = INF if pv == INF else self.ctx.e * self.t + pv
             self._val = INF if v >= self.P else v
         return self._val
-
-    def is_zero_to_precision(self):
-        return self.valuation() == INF
 
     # -- ring operations
 
@@ -501,9 +534,6 @@ class ZqElement:
 
     def neg(self):
         return ZqElement(self.ctx, self.ctx._num_scale(self.num, -1), self.t, self.P)
-
-    def sub(self, other):
-        return self.add(other.neg())
 
     def scale_int(self, s):
         return ZqElement(self.ctx, self.ctx._num_scale(self.num, s), self.t, self.P)
@@ -559,47 +589,13 @@ class ZqElement:
 
     def shift(self, i):
         """Multiply by pi^i (exact; i may be negative)."""
-        ctx = self.ctx
         if i == 0:
             return self
-        if i > 0:
-            q, r = divmod(i, ctx.e)
-            num = self.num
-            if r:
-                xnum = ctx._const_num(0)
-                xnum[0][r] = 1
-                num = ctx._num_mul(num, xnum)
-            if q:
-                # x^e folds down through the Eisenstein relation
-                xe = ctx._const_num(0)
-                for j in range(ctx.e):
-                    xe[0][j] = (-ctx.eisenstein_poly[j]) % ctx.pmod
-                num = ctx._num_mul(num, ctx._num_pow(xe, q))
-            return ZqElement(ctx, num, self.t, self.P + i)
-        m = -i
-        num = ctx._num_mul(self.num, ctx._xinv_pow(m))
-        return ZqElement(ctx, num, self.t - m, self.P + i)
-
-    def powi(self, n):
-        if n < 0:
-            return self.inv().powi(-n)
-        if n == 0:
-            return self.ctx.one()
-        out = self
-        for bit in bin(n)[3:]:
-            out = out.mul(out)
-            if bit == "1":
-                out = out.mul(self)
-        return out
+        ctx = self.ctx
+        num, t = ctx._pi_pow(i)
+        return ZqElement(ctx, ctx._num_mul(self.num, num), self.t + t, self.P + i)
 
     # -- digits
-
-    def residue(self):
-        """Image in k of a unit (valuation 0) element."""
-        v = self.valuation()
-        if v != 0:
-            raise DomainError("residue needs a unit, valuation is %s" % v)
-        return self.digit(0)
 
     def digit(self, m):
         """The pi^m digit (coefficient in k of the Teichmuller expansion)."""
@@ -652,11 +648,7 @@ class ZqElement:
         hi = self.P if hi is None else min(hi, self.P)
         return [(i, d) for i, d in self._peel(v, hi)[0] if lo is None or i >= lo]
 
-    # -- comparisons / misc
-
-    def eq_to_precision(self, other):
-        d = self.sub(other)
-        return d.is_zero_to_precision()
+    # -- misc
 
     def truncate(self, P):
         if P > self.P:
@@ -707,7 +699,7 @@ class ZqElement:
 # ================================================================ char p
 
 
-class LaurentElement:
+class LaurentElement(_Element):
     """Sparse Laurent polynomial over k, known below t^P; P = INF means exact."""
 
     __slots__ = ("ctx", "coeffs", "P")
@@ -722,9 +714,6 @@ class LaurentElement:
             return INF
         return min(self.coeffs)
 
-    def is_zero_to_precision(self):
-        return not self.coeffs
-
     def add(self, other):
         if self.ctx is not other.ctx:
             raise DomainError("elements from different fields")
@@ -736,9 +725,6 @@ class LaurentElement:
 
     def neg(self):
         return LaurentElement(self.ctx, {i: c.neg() for i, c in self.coeffs.items()}, self.P)
-
-    def sub(self, other):
-        return self.add(other.neg())
 
     def scale(self, r):
         r = self.ctx.k.elt(r)
@@ -793,18 +779,6 @@ class LaurentElement:
         out = {i - v: c.mul(linv) for i, c in acc.coeffs.items()}
         return LaurentElement(ctx, out, rel - v if rel != INF else INF)
 
-    def powi(self, n):
-        if n < 0:
-            return self.inv().powi(-n)
-        if n == 0:
-            return LaurentElement(self.ctx, {0: self.ctx.k.one()}, INF)
-        out = self
-        for bit in bin(n)[3:]:
-            out = out.mul(out)
-            if bit == "1":
-                out = out.mul(self)
-        return out
-
     def shift(self, i):
         return LaurentElement(
             self.ctx, {j + i: c for j, c in self.coeffs.items()}, self.P + i
@@ -819,12 +793,6 @@ class LaurentElement:
                 out[i - 1] = s
         return LaurentElement(self.ctx, out, self.P - 1)
 
-    def residue(self):
-        v = self.valuation()
-        if v != 0:
-            raise DomainError("residue needs a unit, valuation is %s" % v)
-        return self.coeffs[0]
-
     def digit(self, m):
         if m >= self.P:
             raise PrecisionError("digit at t^%d unknown: precision is %s" % (m, self.P))
@@ -833,9 +801,6 @@ class LaurentElement:
     def digits(self, lo=None, hi=None):
         items = sorted(self.coeffs.items())
         return [(i, c) for i, c in items if (lo is None or i >= lo) and (hi is None or i < hi)]
-
-    def eq_to_precision(self, other):
-        return self.sub(other).is_zero_to_precision()
 
     def truncate(self, P):
         return LaurentElement(self.ctx, self.coeffs, min(self.P, P))

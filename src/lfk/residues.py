@@ -21,7 +21,7 @@ import functools
 import itertools
 
 from .errors import DomainError, InternalError, MalformedInputError
-from .fp_linalg import FpVector
+from .fp_linalg import FpVector, solve
 
 
 def _poly_trim(c):
@@ -140,7 +140,6 @@ class ResidueField:
         self.f = f
         self.q = p**f
         self.poly = poly
-        self._wp_table = None  # cache for the Artin-Schreier solve on k
 
     def __eq__(self, other):
         return (
@@ -250,14 +249,25 @@ class ResidueField:
             yield self._elts[self._index(coords)]
 
     def wp_preimage(self, a):
-        """Solve x^p - x = a in k, or None.  Lookup table built once."""
-        if self._wp_table is None:
-            table = {}
-            for x in self.elements():
-                key = x.pow(self.p).sub(x)
-                table.setdefault(key, x)
-            self._wp_table = table
-        return self._wp_table.get(a)
+        """Solve x^p - x = a in k, or None when no x exists (trace of a nonzero).
+
+        x -> x^p - x is F_p-linear with kernel F_p, so it is one-to-one on
+        the span of u, ..., u^(f-1).  Each requested a is solved once, on
+        the power basis against the columns b^p - b, and the answer is kept:
+        the solution whose constant coordinate is 0, which is also the
+        lexicographically first.
+        """
+        return self._wp_solutions[a]
+
+    @functools.cached_property
+    def _wp_solutions(self):
+        cols = [b.pow(self.p).sub(b).fp_vector() for b in self.basis()[1:]]
+
+        def solve_for(a):
+            x = solve(cols, a.fp_vector())
+            return None if x is None else self.elt((0,) + x)
+
+        return _Interned(solve_for)
 
 
 class ResidueElement:

@@ -411,6 +411,37 @@ def test_digit_agrees_with_digits_past_the_valuation(desc):
             assert z.digit(m) == expansion.get(m, ctx.k.zero()), (desc, z, m)
 
 
+@pytest.mark.parametrize(
+    "desc",
+    [
+        "Qp p=2 f=1",
+        "Qp p=2 f=2",
+        "Qp p=3 f=1 eis=3,3,1",
+        "Qp p=2 f=1 eis=-2,0,0,1",
+        "Qp p=3 f=2 eis=3,3,1",
+    ],
+)
+def test_shift_is_a_product_by_a_power_of_pi(desc):
+    # shift reads pi^i off one cached power table, in both directions
+    ctx = parse_field(desc)
+    rng = random.Random(desc)
+    e = ctx.e
+    # the last two sit at the representation cap e * (t + coeff_prec)
+    samples = [_random_element(ctx, rng) for _ in range(4)]
+    samples += [ctx.one(prec=10**6), ctx.zero(prec=10**6)]
+    for x in samples:
+        for i in range(-3 * e, 3 * e + 1):
+            y = x.shift(i)
+            assert y.P == min(x.P + i, e * (y.t + ctx.coeff_prec)), (desc, x, i)
+            v = val(x) + i
+            assert val(y) == (v if v < y.P else INF), (desc, x, i)
+            if i > 0:
+                # powi(i) for i > 0 uses mul only, never shift
+                assert y.eq_to_precision(x.mul(ctx.pi().powi(i))), (desc, x, i)
+            elif i < 0:
+                assert y.shift(-i).eq_to_precision(x), (desc, x, i)
+
+
 def test_teichmuller_is_root_of_unity(q2u2, q3z):
     for ctx in (q2u2, q3z):
         for r in ctx.k.elements():

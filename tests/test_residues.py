@@ -103,6 +103,29 @@ def test_wp_preimage_table():
                 assert got is None and not want
 
 
+@pytest.mark.parametrize(
+    "p, f, poly",
+    [(2, 2, None), (2, 3, None), (3, 2, None), (5, 2, None), (3, 3, None), (3, 2, (1, 0, 1))],
+)
+def test_wp_preimage_is_the_first_preimage(p, f, poly):
+    # brute force: the lexicographically first x with x^p - x = a
+    k = ResidueField(p, f, poly)
+    first = {}
+    for x in k.elements():
+        first.setdefault(x.pow(p).sub(x), x)
+    for a in k.elements():
+        got = k.wp_preimage(a)
+        assert got == first.get(a), (a, got)
+        assert (got is None) == (a.trace() != 0), a
+
+
+def test_wp_preimage_makes_few_elements():
+    # the solve runs on the power basis: no table over all 3^8 elements
+    k = ResidueField(3, 8)
+    k.wp_preimage(k.gen())
+    assert len(k._elts) < 100
+
+
 # ---------------------------------------------------------------- table oracle
 
 
