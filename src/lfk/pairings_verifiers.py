@@ -28,11 +28,11 @@ A note on linearity.  The pairing is bilinear and nondegenerate, and the
 norm group of the line of a is a's orthogonal (Serre, Local Fields, XIV
 2).  So one matrix G per field (_pairing_matrix) answers every norm-group
 question of the verifiers as a kernel of G, and every pairing bit or value
-is (x.G).y, read by _pairing_at.  In char p, G holds the Schmid values; in
-char 0 it is read off 2d - 1 norm groups.  In both, it is certified when
-it is built, against the walked norm groups of d sample lines.  The tests
-compare ker(x.G) with the walked norm group of every line of the bundled
-fields.
+is (x.G).y, read off the row x.G by _row_dot.  In char p, G holds the
+Schmid values; in char 0 it is read off 2d - 1 norm groups.  In both, it
+is certified when it is built, against the walked norm groups of d sample
+lines.  The tests compare ker(x.G) with the walked norm group of every
+line of the bundled fields.
 
 A note on breaks.  S4.22, S5.27 and S5.28 read each line's break off the
 closed-form norm of line_break and build no extension per line; the built
@@ -40,11 +40,14 @@ extension's break certifies the closed form on the d basis lines and the
 d sample lines of G's certificate (_break_entries).  The tests compare
 the two breaks on every line of the bundled fields.
 
-A note on S7.31(c).  The perturbations u = 1 + tau(d) pi^(i + r) take few
-values, so the coordinates of each distinct product b u are read once per
-claim, and every bit is read off coordinates as (x.G).y, x the line's
-catalog vector.  The seeded draws do not depend on the memo, so neither
-does the report.
+A note on S7.31.  Each catalog line's row x.G is formed once, x the
+line's catalog vector.  The perturbations u = 1 + tau(d) pi^(i + r) of part
+(c) take few values, so the coordinates y of each distinct product b u are
+read once per claim, and every bit is the length-d product of the row with
+y.  Part (d) asks whether the U_i classes lie in the line's norm group,
+ker(x.G); that is the row vanishing on the mult slots of level >= i, the
+same set as _complement(ctx, w, i, "first").  The seeded draws do not
+depend on the memo, so neither does the report.
 """
 
 import itertools
@@ -265,9 +268,13 @@ def _line_value(a_line, b, window):
 def _pairing_at(ctx, x, y, window):
     """(x.G).y over F_p with G = _pairing_matrix(ctx, window): the pairing of
     the first-argument class with coordinates x and the mult class with
-    coordinates y.  Every pairing bit or value is read here."""
-    row = _row_times(x, _pairing_matrix(ctx, window), ctx.p)
-    return sum(r * c for r, c in zip(row, y)) % ctx.p
+    coordinates y."""
+    return _row_dot(_row_times(x, _pairing_matrix(ctx, window), ctx.p), y, ctx.p)
+
+
+def _row_dot(row, y, p):
+    """(x.G).y over F_p from the row x.G.  Every pairing bit or value is read here."""
+    return sum(r * c for r, c in zip(row, y)) % p
 
 
 def _pairing_matrix(ctx, window=None):
@@ -631,8 +638,12 @@ def _break_entries(ctx, window, seed):
     The conjugate-product break of the attached extension certifies the
     closed form on the d basis lines and on the d sample lines of G's
     certificate; in char 0, G builds those extensions anyway.  A
-    disagreement is an InternalError.
+    disagreement is an InternalError.  The entries are cached next to the
+    catalog, so S4.22 and S5.27/S5.28 share one pass.
     """
+    key = ("breaks", window, seed)
+    if key in ctx.cache:
+        return ctx.cache[key]
     basis = adapted_basis(ctx, "add" if ctx.characteristic else "mult", window)
     d = basis.dim()
     units = [tuple(int(k == i) for k in range(d)) for i in range(d)]
@@ -644,7 +655,8 @@ def _break_entries(ctx, window, seed):
                 "closed-form break %d of line %s disagrees with the extension's %d"
                 % (got, line.label, want)
             )
-    return [(cl.label, cl.level, line_break(cl)) for cl in line_catalog(ctx, window, seed)]
+    ctx.cache[key] = [(cl.label, cl.level, line_break(cl)) for cl in line_catalog(ctx, window, seed)]
+    return ctx.cache[key]
 
 
 def verify_breaks(ctx, window=None, seed=0):
@@ -720,11 +732,12 @@ def verify_reciprocity(ctx, window=None, seed=0):
 
     w, basis, i_top = _setting(ctx, window)
     catalog = line_catalog(ctx, w, seed)
+    G, p = _pairing_matrix(ctx, w), ctx.p
     # a sampled char-p catalog keeps every basis line, the trace line among them
     unram = [cl for cl in catalog if cl.level == 0]
     if len(unram) != 1:
         raise InternalError("expected exactly one unramified line, found %d" % len(unram))
-    x0 = unram[0].vec
+    row0 = _row_times(unram[0].vec, G, p)
     g = ctx.k.gen() if ctx.f > 1 else ctx.k.elt(1)
     units = [
         ctx.one(),
@@ -740,20 +753,21 @@ def verify_reciprocity(ctx, window=None, seed=0):
         third_b = ctx.teichmuller(g) if ctx.f > 1 else ctx.one().add(ctx.pi().shift(1))
     sample_b = [ctx.pi(), ctx.one().add(ctx.pi()), third_b]
 
-    # every bit is read off coordinates, (x.G).y == 0 with x the line's
-    # catalog vector; counterexamples name elements by their literals
+    # every bit is read off coordinates, (x.G).y == 0 with x.G the row of
+    # the line's catalog vector; counterexamples name elements by literals
     # (a) every uniformizer pairs nontrivially with the unramified line
     # (b) unit quotients of uniformizers pair trivially (well-definedness)
     frob_ok = 0
     for u, unif in zip(units, uniformizers):
-        if not _pairing_at(ctx, x0, coordinates(basis, unif).coords, w):
+        if not _row_dot(row0, coordinates(basis, unif).coords, p):
             counterexample = {"part": "frobenius", "uniformizer_unit": u.to_literal()}
             break
-        if _pairing_at(ctx, x0, coordinates(basis, u).coords, w):
+        if _row_dot(row0, coordinates(basis, u).coords, p):
             counterexample = {"part": "well-definedness", "unit": u.to_literal()}
             break
         frob_ok += 1
     witnesses.append({"uniformizers_checked": frob_ok})
+    rows = [_row_times(cl.vec, G, p) for cl in catalog]  # x.G, for (c) and (d)
 
     # (c) pairing bits depend only on b modulo U_(level+1).  The coordinates
     # of the samples are read once, and those of a perturbed product b u,
@@ -771,13 +785,13 @@ def verify_reciprocity(ctx, window=None, seed=0):
             return products[key]
 
         stable = 0
-        for cl in catalog:
+        for cl, row in zip(catalog, rows):
             i = cl.level + 1
             for k, (b, y) in enumerate(zip(sample_b, ys)):
-                base_bit = _pairing_at(ctx, cl.vec, y, w) == 0
+                base_bit = _row_dot(row, y, p) == 0
                 for _ in range(2):
                     u, bu, yu = perturbed(k, i)
-                    if (_pairing_at(ctx, cl.vec, yu, w) == 0) != base_bit:
+                    if (_row_dot(row, yu, p) == 0) != base_bit:
                         counterexample = {
                             "part": "perturbation",
                             "line": cl.label,
@@ -795,11 +809,13 @@ def verify_reciprocity(ctx, window=None, seed=0):
     # (d) U_i classes land in a line's norm group exactly when level < i
     if counterexample is None:
         checked = 0
+        levels = basis.levels()
         for i in range(0, i_top + 1):
-            # a line's norm group holds the U_i classes iff the line is in their complement
-            ui_perp, _ = _complement(ctx, w, i, "first")
-            for cl in catalog:
-                contained = member(ui_perp, FpVector(ctx.p, cl.vec))
+            # a line's norm group ker(x.G) holds the U_i classes iff its row
+            # vanishes on their slots
+            deep = [c for c, lvl in enumerate(levels) if lvl >= i]
+            for cl, row in zip(catalog, rows):
+                contained = not any(row[c] for c in deep)
                 if contained != (cl.level < i):
                     counterexample = {
                         "part": "kernel-filtration",

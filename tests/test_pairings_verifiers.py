@@ -633,6 +633,25 @@ def test_verify_all_builds_extensions_only_for_certificate_lines(desc, window, b
     assert sum(key[0] == "ext" for key in ctx.cache) == built
 
 
+@pytest.mark.parametrize("desc, window", [("Qp p=3 f=2 eis=3,3,1", None), ("Fq((t)) p=2 f=2", 5)])
+def test_verify_all_reads_each_break_once(monkeypatch, desc, window):
+    # S4.22 and S5.27/S5.28 share one pass of the break entries: one
+    # closed-form break per catalog line and per certificate line, where
+    # each claim used to read them all again
+    real = pairings_verifiers.line_break
+    calls = []
+
+    def counting(line):
+        calls.append(line)
+        return real(line)
+
+    monkeypatch.setattr(pairings_verifiers, "line_break", counting)
+    ctx = parse_field(desc)
+    assert all(r.passed() for r in verify_all(ctx, window=window))
+    certificate = _certificate_vectors(ctx, window)
+    assert len(calls) == len(certificate) + len(line_catalog(ctx, window)), desc
+
+
 # ---------------------------------------------------------------- S7.31 perturbations
 
 # The eight benchmark fields, with the windows they are verified at.
@@ -644,20 +663,27 @@ BENCHMARK_FIELDS = [(desc, None) for desc in CHAR0_MU_P] + [
 
 
 def _reciprocity_reads(monkeypatch, ctx, window):
-    """S7.31's report and the (x, y, value) of each pairing value it reads
-    through _pairing_at, in call order."""
-    real = pairings_verifiers._pairing_at
+    """S7.31's report and the (row, y, value) of each pairing value it reads
+    through _row_dot, in call order; row is x.G for the line's vector x."""
+    real = pairings_verifiers._row_dot
     reads = []
 
-    def recording(c, x, y, w):
-        value = real(c, x, y, w)
-        reads.append((tuple(x), tuple(y), value))
+    def recording(row, y, p):
+        value = real(row, y, p)
+        reads.append((tuple(row), tuple(y), value))
         return value
 
-    monkeypatch.setattr(pairings_verifiers, "_pairing_at", recording)
+    monkeypatch.setattr(pairings_verifiers, "_row_dot", recording)
     report = verify_claim(ctx, "S7.31", window=window)
     monkeypatch.undo()
     return report, reads
+
+
+def _row_of(ctx, window, vec):
+    """x.G for the first-argument vector x = vec; G is nonsingular, so the
+    row names the line."""
+    G = pairings_verifiers._pairing_matrix(ctx, window)
+    return tuple(sum(a * G[r][c] for r, a in enumerate(vec)) % ctx.p for c in range(len(G[0])))
 
 
 def _reciprocity_samples(ctx):
@@ -684,20 +710,21 @@ def test_reciprocity_perturbed_bits_match_a_fresh_pairing(monkeypatch, desc, win
     basis = adapted_basis(ctx, "mult", window)
     assert report.passed() and len(reads) == 10 + 9 * len(catalog)
     unram = next(cl for cl in catalog if cl.level == 0)
-    assert all(x == unram.vec for x, _, _ in reads[:10])
+    assert all(row == _row_of(ctx, window, unram.vec) for row, _, _ in reads[:10])
     assert [value != 0 for _, _, value in reads[:10]] == [True, False] * 5
     samples = _reciprocity_samples(ctx)
     rng = random.Random(0x7E31)
     for n, cl in enumerate(catalog):
         group = reads[10 + 9 * n: 10 + 9 * n + 9]
+        row_cl = _row_of(ctx, window, cl.vec)
         for k, b in enumerate(samples):
-            (x, y, base), *perturbed = group[3 * k: 3 * k + 3]
-            assert x == cl.vec and y == coordinates(basis, b).coords, (desc, cl.label, k)
-            for x, yu, value in perturbed:
+            (row, y, base), *perturbed = group[3 * k: 3 * k + 3]
+            assert row == row_cl and y == coordinates(basis, b).coords, (desc, cl.label, k)
+            for row, yu, value in perturbed:
                 d = _random_nonzero_digit(ctx, rng)
                 u = ctx.one().add(ctx.teichmuller(d).shift(cl.level + 1 + rng.randrange(0, 2)))
                 fresh = b.mul(u)
-                assert x == cl.vec and yu == coordinates(basis, fresh).coords, (desc, cl.label, k)
+                assert row == row_cl and yu == coordinates(basis, fresh).coords, (desc, cl.label, k)
                 trivial = pairs_trivially(cl, fresh, window)
                 assert (value == 0) == (base == 0) == trivial, (desc, cl.label, k)
 
@@ -710,18 +737,19 @@ def test_reciprocity_counterexample_names_a_deep_perturbation(monkeypatch):
     ctx = parse_field("Qp p=2 f=1 eis=-2,0,0,1")
     catalog = line_catalog(ctx)
     n = next(n for n, cl in enumerate(catalog) if cl.level == ctx.pc)
-    real = pairings_verifiers._pairing_at
+    row_n = _row_of(ctx, None, catalog[n].vec)
+    real = pairings_verifiers._row_dot
     reads = []
 
-    def flipping(c, x, y, w):
-        value = real(c, x, y, w)
-        if tuple(x) == catalog[n].vec:
+    def flipping(row, y, p):
+        value = real(row, y, p)
+        if tuple(row) == row_n:
             reads.append(y)
             if len(reads) == 2:
-                return (value + 1) % c.p
+                return (value + 1) % p
         return value
 
-    monkeypatch.setattr(pairings_verifiers, "_pairing_at", flipping)
+    monkeypatch.setattr(pairings_verifiers, "_row_dot", flipping)
     ce = verify_claim(ctx, "S7.31").counterexample
     assert ce["part"] == "perturbation" and ce["line"] == catalog[n].label
     # replay the seeded draws: six per earlier line, then this line's first
@@ -753,6 +781,76 @@ def test_reciprocity_reads_each_perturbed_product_once(monkeypatch):
     monkeypatch.setattr(pairings_verifiers, "coordinates", counting)
     assert verify_claim(ctx, "S7.31").passed()
     assert len(reads) <= 120
+
+
+@pytest.mark.parametrize("desc, window", BENCHMARK_FIELDS)
+def test_reciprocity_row_containment_is_the_complement_membership(desc, window):
+    # Oracle for part (d): the U_i classes lie in the norm group ker(x.G)
+    # of a line iff x.G vanishes on the mult slots of level >= i, which is
+    # membership of x in the left kernel _complement(ctx, w, i, "first")
+    ctx = parse_field(desc)
+    w, basis, i_top = pairings_verifiers._setting(ctx, window)
+    levels = basis.levels()
+    for i in range(0, i_top + 1):
+        ui_perp, _ = pairings_verifiers._complement(ctx, w, i, "first")
+        deep = [c for c, lvl in enumerate(levels) if lvl >= i]
+        for cl in line_catalog(ctx, w):
+            row = _row_of(ctx, w, cl.vec)
+            contained = not any(row[c] for c in deep)
+            assert contained == member(ui_perp, FpVector(ctx.p, cl.vec)), (desc, i, cl.label)
+
+
+@pytest.mark.parametrize("desc, window", BENCHMARK_FIELDS)
+def test_reciprocity_fails_on_a_corrupted_pairing_matrix(desc, window):
+    # G is certified when it is built and cached; S7.31 must still catch a
+    # later change to it.  Each entry changed, one at a time, is one the
+    # filtration forces to zero: row r of a basis line of level L, column c
+    # of level > L.  Then the U_(L+1) classes leave that line's norm group,
+    # which part (d) sees unless an earlier part already failed.
+    ctx = parse_field(desc)
+    w, basis, _ = pairings_verifiers._setting(ctx, window)
+    G = pairings_verifiers._pairing_matrix(ctx, w)
+    d = len(G)
+    line_level = {cl.vec: cl.level for cl in line_catalog(ctx, w)}
+    forced = [
+        (r, c)
+        for r in range(d)
+        for c, lvl in enumerate(basis.levels())
+        if lvl > line_level[tuple(int(k == r) for k in range(d))]
+    ]
+    assert forced and verify_claim(ctx, "S7.31", window=window).passed()
+    for r, c in forced:
+        assert G[r][c] == 0, (desc, r, c)
+        G[r][c] = 1
+        assert verify_claim(ctx, "S7.31", window=window).status == "fail", (desc, r, c)
+        G[r][c] = 0
+
+
+# Oracle fields of the Steinberg relation: char 0 with the p-th roots of
+# unity, the five verify-char0 benchmark fields and Q2 f=4.
+STEINBERG_FIELDS = CHAR0_MU_P + ("Qp p=2 f=4",)
+
+
+@pytest.mark.parametrize("desc", STEINBERG_FIELDS)
+def test_pairing_satisfies_the_steinberg_relation(desc):
+    # (x, 1 - x) = 1 for every x != 0, 1 (Serre, Local Fields, XIV 1): x
+    # has 12 seeded Teichmuller digits from a valuation in -2..3, and a
+    # draw whose class is trivial has no line to pair
+    ctx = parse_field(desc)
+    rng = random.Random(0x57E1)
+    checked = 0
+    for _ in range(40):
+        v = rng.randrange(-2, 4)
+        digits = [(v, _random_nonzero_digit(ctx, rng))]
+        digits += [(v + j, [rng.randrange(ctx.p) for _ in range(ctx.f)]) for j in range(1, 12)]
+        x = ctx.from_digits(digits)
+        try:
+            line = line_of(x)
+        except DomainError:
+            continue
+        assert pairs_trivially(line, ctx.one().sub(x)), (desc, x.to_literal())
+        checked += 1
+    assert checked >= 30, (desc, checked)
 
 
 @pytest.mark.parametrize("claim_id", ["S2.10", "S6.29", "S7.31", "S8.33"])
