@@ -51,7 +51,6 @@ from .pairings_verifiers import (
     PairingReport,
     VerificationReport,
     claims_for,
-    hilbert_symbol_q2,
     line_catalog,
     norm_class_subgroup,
     pairing_value,
@@ -85,7 +84,6 @@ __all__ = [
     "coordinates",
     "filtration_dims",
     "first_trivial_level",
-    "hilbert_symbol_q2",
     "left_kernel",
     "line_break",
     "line_catalog",

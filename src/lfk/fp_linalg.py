@@ -41,9 +41,6 @@ class FpVector:
         _check_compatible(self, other)
         return FpVector(self.p, [a + b for a, b in zip(self.coords, other.coords)])
 
-    def scale(self, s):
-        return FpVector(self.p, [s * a for a in self.coords])
-
 
 class FpSubspace:
     """A subspace of F_p^n held as a reduced-row-echelon basis matrix.
@@ -81,10 +78,6 @@ class FpSubspace:
             self.ambient_dim,
             [list(r) for r in self.basis],
         )
-
-    def vectors(self):
-        """Basis rows as FpVectors."""
-        return [FpVector(self.p, row) for row in self.basis]
 
 
 def _check_compatible(a, b):
@@ -148,6 +141,17 @@ def rref(vectors, p=None, ambient_dim=None):
 
 def member(space, v):
     """True iff v lies in the row space of `space`."""
+    return extend(space, v) is space
+
+
+def extend(space, v):
+    """The span of `space` and v, in canonical reduced echelon form.
+
+    `space` itself when v lies in it; otherwise v's residual against the
+    basis, scaled to a pivot 1, is cleared from the other rows and joins
+    them in pivot order.  Adding rows one at a time this way gives the same
+    FpSubspace as rref of all of them.
+    """
     if space.p != v.p or space.ambient_dim != len(v):
         raise MalformedInputError("vector/subspace dimension or modulus mismatch")
     p = space.p
@@ -157,7 +161,18 @@ def member(space, v):
         f = residual[lead]
         if f:
             residual = [(a - f * b) % p for a, b in zip(residual, row)]
-    return all(x == 0 for x in residual)
+    lead = next((i for i, x in enumerate(residual) if x), None)
+    if lead is None:
+        return space
+    inv = pow(residual[lead], -1, p)
+    new = tuple(inv * x % p for x in residual)
+    rows = [
+        tuple((a - row[lead] * b) % p for a, b in zip(row, new)) if row[lead] else row
+        for row in space.basis
+    ]
+    rows.append(new)
+    rows.sort(key=lambda row: next(i for i, x in enumerate(row) if x))
+    return FpSubspace(p, space.ambient_dim, rows)
 
 
 def solve(columns, target):

@@ -5,8 +5,6 @@ lies in the norm-class group of the degree-p extension attached to a's
 line.  Every bit or value is read off one certified matrix per field and
 window (see the note on linearity); in characteristic p that matrix holds
 the Schmid residues S(res(x db/b)), which give values, not only bits.
-Over Q_2 the classical quadratic Hilbert symbol provides an independent
-check.
 
 Verifiers turn the structure theorems into pass/fail reports: filtration
 shape, break/level equality, break positions, norm-group intersections,
@@ -18,8 +16,8 @@ Char p is each statement read with e = infinity, so the verifiers take
 one path for both characteristics and the characteristic picks the data.
 line_catalog enumerates the lines of the first-argument space (K*/(K*)^p
 in char 0, the windowed K+/wp(K+) in char p), each a Line built from its
-coordinate vector with no descent, as are the lines that the pairing
-matrix and the break certificate walk; _setting fixes a verifier's
+coordinate vector with no descent, as are the lines that the certificates
+of the pairing matrix and of the breaks walk; _setting fixes a verifier's
 window, mult basis and last level index; _graded_dim is the one filtration
 rule behind S2.10/S3.16 and S5.27/S5.28; and _CLAIMS lists, per claim id,
 the fields it applies to, its verifier and its statement.
@@ -29,10 +27,12 @@ norm group of the line of a is a's orthogonal (Serre, Local Fields, XIV
 2).  So one matrix G per field (_pairing_matrix) answers every norm-group
 question of the verifiers as a kernel of G, and every pairing bit or value
 is (x.G).y, read off the row x.G by _row_dot.  In char p, G holds the
-Schmid values; in char 0 it is read off 2d - 1 norm groups.  In both, it
-is certified when it is built, against the walked norm groups of d sample
-lines.  The tests compare ker(x.G) with the walked norm group of every
-line of the bundled fields.
+Schmid values; in char 0 it is the one solution, up to a global factor,
+of the Steinberg relations (x, 1 - x) = 1 on seeded draws x.  Neither
+walks a norm group.  In both, G is certified when it is built, against the
+walked norm groups of d sample lines, and those are the only norm groups
+that verify_all walks.  The tests compare ker(x.G) with the walked norm
+group of every line of the bundled fields.
 
 A note on breaks.  S4.22, S5.27 and S5.28 read each line's break off the
 closed-form norm of line_break and build no extension per line; the built
@@ -63,22 +63,27 @@ from .class_spaces import (
 from .errors import (
     DomainError,
     InternalError,
-    PrecisionError,
     UnsupportedCaseError,
 )
 from .extensions import Line, attach_extension, line_break
 from .fp_linalg import (
     FpVector,
+    extend,
     left_kernel,
     member,
     rref,
-    solve,
 )
-from .local_arith import series_residue_and_dlog, val
+from .local_arith import series_residue_and_dlog
 
 _ADD_CATALOG_BUDGET = 128
 _DEFAULT_WINDOW = 9
 _SAMPLE_SEED = 0x6A11
+# the draws x = combination(v) z^p of the char-0 Steinberg system: the
+# seed, the Teichmuller digits of z, and the draws allowed per entry of G
+# before the system is declared stuck
+_STEINBERG_SEED = 0x5731
+_STEINBERG_DIGITS = 12
+_STEINBERG_DRAWS_PER_ENTRY = 4
 
 
 def _window(window):
@@ -138,13 +143,8 @@ def norm_class_subgroup(E, window=None):
     # is all of K* and the image is the whole windowed space.
     target = n - 1 if window is None or E.ramification_break <= window else n
     space = rref([], p=ctx.p, ambient_dim=n)
-    rows = []
     for cand in _norm_generator_schedule(E, window):
-        vec = coordinates(basis, E.norm(cand))
-        if member(space, vec):
-            continue
-        rows.append(vec)
-        space = rref(rows)
+        space = extend(space, coordinates(basis, E.norm(cand)))
         if space.dim() == target:
             break
     if space.dim() != target:
@@ -284,10 +284,9 @@ def _pairing_matrix(ctx, window=None):
     group of the line with coordinates x is the kernel of y -> (x.G).y.
     Char p: the Schmid values S(res(g_r dh_c/h_c)), one series residue
     each.  Char 0 fixes no normalization, so G is known up to one global
-    factor, which no kernel sees: row i is c_i n_i, n_i the normal of the
-    norm group of the line of g_i, and the normal of the line of g_0 g_j,
-    proportional to n_0 + c_j n_j, fixes c_j (c_0 = 1).  That takes 2d - 1
-    norm groups.  _certify_pairing_matrix checks G in both characteristics.
+    factor, which no kernel sees: _steinberg_matrix solves for it.  Neither
+    builds an extension; _certify_pairing_matrix checks G in both
+    characteristics.
     """
     cache = ctx.cache
     key = ("pairing", window)
@@ -300,32 +299,47 @@ def _pairing_matrix(ctx, window=None):
             for g in adapted_basis(ctx, "add", window).elements()
         ]
     else:
-        basis = adapted_basis(ctx)
-        d = basis.dim()
-
-        def normal(*idx):  # of the line of prod g_i over idx; codimension 1
-            vec = [int(k in idx) for k in range(d)]
-            sub = norm_class_subgroup(_attached(Line(basis, vec)))
-            return _perp(sub.basis, ctx.p, d).vectors()[0]
-
-        n = [normal(i) for i in range(d)]
-        G = [list(n[0].coords)]
-        for j in range(1, d):
-            if rref([n[0], n[j]]).dim() < 2:
-                raise InternalError(
-                    "the norm groups of generators 0 and %d have parallel "
-                    "normals; the pairing would be degenerate" % j
-                )
-            ab = solve([n[0], n[j]], normal(0, j))
-            if ab is None or 0 in ab:
-                raise InternalError(
-                    "the norm group of g_0 g_%d is not the orthogonal of the "
-                    "sum of the generators' rows; the pairing is not bilinear" % j
-                )
-            G.append(list(n[j].scale(ab[1] * pow(ab[0], -1, ctx.p)).coords))
+        G = _steinberg_matrix(ctx)
     _certify_pairing_matrix(ctx, G, window)
     cache[key] = G
     return G
+
+
+def _steinberg_matrix(ctx):
+    """Char-0 G from the Steinberg relations, scaled to a leading 1.
+
+    K_2(K)/p is mu_p (Moore; Milnor, Introduction to Algebraic K-Theory,
+    appendix), so the bilinear forms on K*/(K*)^p with (x, 1 - x) = 1 for
+    every x != 0, 1 form one line, which the Hilbert pairing spans.  A draw
+    x = combination(v) z^p has coordinates v with no descent, z^p being a
+    p-th power; one descent of 1 - x gives its coordinates y and the
+    equation v.G.y = 0 in the d^2 entries of G.  Draws stop when the
+    equations reach rank d^2 - 1, and G is the solution.  Running out of
+    draws first is an InternalError that names the rank reached.
+    """
+    if not ctx.mu_p_present:
+        raise UnsupportedCaseError("the char-0 pairing needs the p-th roots of unity")
+    basis = adapted_basis(ctx)
+    p, d = ctx.p, basis.dim()
+    rng = random.Random(_STEINBERG_SEED)
+    system = rref([], p=p, ambient_dim=d * d)
+    draws = _STEINBERG_DRAWS_PER_ENTRY * d * d
+    for _ in range(draws):
+        v = [rng.randrange(p) for _ in range(d)]
+        t = rng.randrange(-1, 2)
+        z = ctx.from_digits([(t + j, _random_nonzero_digit(ctx, rng)) for j in range(_STEINBERG_DIGITS)])
+        x = basis.combination(v).mul(z.powi(p))
+        y = coordinates(basis, ctx.one().sub(x)).coords
+        system = extend(system, FpVector(p, [a * b for a in v for b in y]))
+        if system.dim() == d * d - 1:
+            break
+    else:
+        raise InternalError(
+            "the Steinberg system reached rank %d of %d in %d draws"
+            % (system.dim(), d * d - 1, draws)
+        )
+    (g,) = _perp(system.basis, p, d * d).basis
+    return [list(g[r * d : (r + 1) * d]) for r in range(d)]
 
 
 def _certify_pairing_matrix(ctx, G, window=None):
@@ -356,15 +370,12 @@ def _certify_pairing_matrix(ctx, G, window=None):
 
 
 def _sample_lines(ctx, d):
-    """d normalized coordinate vectors off the lines the construction of G
-    walked (each g_i and each g_0 g_j in char 0, none in char p), drawn with
-    a fixed seed; all of them when fewer are left."""
+    """d normalized coordinate vectors off the d basis lines, whose breaks
+    _break_entries certifies on their own, drawn with a fixed seed; all of
+    them when fewer are left."""
     p = ctx.p
-    used = set()
-    if ctx.characteristic == 0:
-        used = {tuple(int(k == i) for k in range(d)) for i in range(d)}
-        used |= {tuple(int(k in (0, j)) for k in range(d)) for j in range(1, d)}
-    size = min(d, (p**d - 1) // (p - 1) - len(used))
+    used = {tuple(int(k == i) for k in range(d)) for i in range(d)}
+    size = min(d, (p**d - 1) // (p - 1) - d)
     return _draw_lines(p, d, used, size, random.Random(_SAMPLE_SEED))
 
 
@@ -376,37 +387,6 @@ def _row_times(x, G, p):
 def _perp(rows, p, n):
     """{y in F_p^n : r . y == 0 for every r in rows}, as an FpSubspace."""
     return left_kernel([[r[k] for r in rows] for k in range(n)], p)
-
-
-def hilbert_symbol_q2(a, b):
-    """The classical quadratic Hilbert symbol (a, b) over Q_2, as +/-1.
-
-    Computed by the exponent formula eps(u)eps(v) + alpha*omega(v) +
-    beta*omega(u) on unit parts mod 8 — no norm equations are solved, so
-    this is an independent oracle for pairs_trivially at p=2.
-    """
-    ctx = a.ctx
-    if ctx.characteristic != 0 or ctx.p != 2 or ctx.e != 1 or ctx.f != 1:
-        raise UnsupportedCaseError("the classical symbol is implemented over Q_2 only")
-    if b.ctx is not ctx:
-        raise DomainError("pairing arguments live over different fields")
-
-    def split(z):
-        if z.is_zero_to_precision():
-            raise DomainError("hilbert symbol of zero")
-        v = val(z)
-        u = z.mul(ctx.pi().powi(-int(v)))
-        for m in (1, 3, 5, 7):
-            if val(u.sub(ctx.from_int(m))) >= 3:
-                return int(v), m
-        raise PrecisionError("unit part of a symbol argument is not known mod 8")
-
-    va, ua = split(a)
-    vb, ub = split(b)
-    eps = lambda m: ((m - 1) // 2) % 2
-    omega = lambda m: ((m * m - 1) // 8) % 2
-    exponent = eps(ua) * eps(ub) + va * omega(ub) + vb * omega(ua)
-    return -1 if exponent % 2 else 1
 
 
 # ================================================================ reports
@@ -637,9 +617,9 @@ def _break_entries(ctx, window, seed):
 
     The conjugate-product break of the attached extension certifies the
     closed form on the d basis lines and on the d sample lines of G's
-    certificate; in char 0, G builds those extensions anyway.  A
-    disagreement is an InternalError.  The entries are cached next to the
-    catalog, so S4.22 and S5.27/S5.28 share one pass.
+    certificate, whose norm groups that certificate walks, so verify_all
+    builds 2d extensions.  A disagreement is an InternalError.  The entries
+    are cached next to the catalog, so S4.22 and S5.27/S5.28 share one pass.
     """
     key = ("breaks", window, seed)
     if key in ctx.cache:

@@ -29,7 +29,6 @@ from lfk.extensions import attach_extension, line_of, ramification_break
 from lfk.fp_linalg import member, rref
 from lfk.local_arith import INF, bp_index, parse_field, val
 from lfk.pairings_verifiers import (
-    hilbert_symbol_q2,
     line_catalog,
     norm_class_subgroup,
     pairing_value,
@@ -38,6 +37,7 @@ from lfk.pairings_verifiers import (
 )
 
 from additive_coords import poles_and_trace
+from hilbert_q2 import hilbert_symbol_q2
 
 Q2 = "Qp p=2 f=1"
 Q2F2 = "Qp p=2 f=2"

@@ -8,6 +8,7 @@ from lfk.errors import MalformedInputError
 from lfk.fp_linalg import (
     FpSubspace,
     FpVector,
+    extend,
     left_kernel,
     member,
     rref,
@@ -80,7 +81,7 @@ def test_rref_duplicate_row():
 def test_rref_idempotent():
     rows = [FpVector(3, (1, 2, 0)), FpVector(3, (2, 1, 1)), FpVector(3, (0, 0, 2))]
     sp = rref(rows)
-    again = rref(sp.vectors())
+    again = rref([FpVector(3, row) for row in sp.basis])
     assert sp == again
 
 
@@ -107,6 +108,37 @@ def test_rref_rank_matches_elimination_oracle(p, n, data):
     assert sp.dim() == rank_by_elimination_oracle(rows, p)
     for r in rows:
         assert member(sp, FpVector(p, r))
+
+
+# ---------------------------------------------------------------- extend
+
+@given(
+    p=st.sampled_from([2, 3, 5]),
+    n=st.integers(min_value=1, max_value=6),
+    data=st.data(),
+)
+def test_extend_row_by_row_is_the_rref_of_all_rows(p, n, data):
+    # canonical form: adding rows one at a time gives the very FpSubspace
+    # that rref gives on all of them, after every row
+    nrows = data.draw(st.integers(min_value=0, max_value=8))
+    rows = [
+        FpVector(p, data.draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n)))
+        for _ in range(nrows)
+    ]
+    sp = rref([], p=p, ambient_dim=n)
+    for k, row in enumerate(rows):
+        grown = extend(sp, row)
+        assert (grown is sp) == member(sp, row)
+        sp = grown
+        assert sp == rref(rows[: k + 1])
+
+
+def test_extend_shape_check():
+    sp = rref([FpVector(3, (1, 0))])
+    with pytest.raises(MalformedInputError):
+        extend(sp, FpVector(3, (1, 0, 0)))
+    with pytest.raises(MalformedInputError):
+        extend(sp, FpVector(2, (0, 1)))
 
 
 # ---------------------------------------------------------------- member

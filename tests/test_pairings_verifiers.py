@@ -5,8 +5,8 @@ Independent oracles:
 * exhaustive integer norm enumeration for the three quadratic extensions
   of Q_2 — x^2 - a*y^2 over [0, 64)^2 in exact integers classifies every
   attainable square class, no p-adics involved;
-* the classical quadratic Hilbert symbol over Q_2, computed from unit
-  parts mod 8 by the textbook exponent formula;
+* the classical quadratic Hilbert symbol over Q_2 (tests/hilbert_q2.py,
+  with its own tests in tests/test_hilbert_q2.py);
 * hand-computed Schmid residues for one-term series, e.g.
   res(t^-1 * d(1+t)/(1+t)) = 1;
 * the vanishing S(res(wp(z) db/b)) = 0, which is what makes the residue
@@ -18,7 +18,9 @@ Independent oracles:
   complements of S8.33 re-derived from the walked norm groups over all
   p^n vectors;
 * Schmid residues computed in a fresh context, which the char-p pairing
-  matrix must equal entry by entry.
+  matrix must equal entry by entry;
+* the Steinberg relation (x, 1 - x) = 1 on seeded draws that the char-0
+  construction of the pairing matrix never used.
 """
 
 import itertools
@@ -37,7 +39,6 @@ from lfk.pairings_verifiers import (
     PairingReport,
     VerificationReport,
     claims_for,
-    hilbert_symbol_q2,
     line_catalog,
     norm_class_subgroup,
     pairing_value,
@@ -144,63 +145,6 @@ def test_q2_norm_span_equals_subgroup(q2):
                     seen.add(coordinates(basis, q2.from_int(n)).coords)
         span = rref([FpVector(2, c) for c in seen])
         assert span == sub
-
-
-# ---------------------------------------------------------------- hilbert
-
-
-def test_hilbert_classical_values(q2):
-    f = q2.from_int
-    assert hilbert_symbol_q2(f(-1), f(-1)) == -1
-    assert hilbert_symbol_q2(f(2), f(5)) == -1
-    assert hilbert_symbol_q2(f(5), f(2)) == -1
-    assert hilbert_symbol_q2(f(2), f(7)) == 1   # 7 = 9 - 2 = N(3 + sqrt(2))
-    assert hilbert_symbol_q2(f(3), f(3)) == -1
-    assert hilbert_symbol_q2(f(5), f(-1)) == 1
-
-
-def test_hilbert_a_minus_a(q2):
-    # (a, -a) = 1 always: -a = N(sqrt(a)) up to squares
-    for a in (2, 3, 5, 6, 7, 10, -1, -2, -6):
-        x = q2.from_int(a)
-        assert hilbert_symbol_q2(x, x.neg()) == 1
-
-
-def test_hilbert_symmetry_and_bimultiplicativity(q2):
-    vals = [-2, -1, 2, 3, 5, 6, 7, 10, 14, 15]
-    elems = {a: q2.from_int(a) for a in vals}
-    for a in vals:
-        for b in vals:
-            assert hilbert_symbol_q2(elems[a], elems[b]) == hilbert_symbol_q2(
-                elems[b], elems[a]
-            )
-    rng = random.Random(5)
-    for _ in range(40):
-        a, b, c = rng.choice(vals), rng.choice(vals), rng.choice(vals)
-        lhs = hilbert_symbol_q2(q2.from_int(a * b), elems[c])
-        assert lhs == hilbert_symbol_q2(elems[a], elems[c]) * hilbert_symbol_q2(
-            elems[b], elems[c]
-        )
-
-
-def test_hilbert_agrees_with_kernel_pairing(q2):
-    cat = line_catalog(q2)
-    assert len(cat) == 7
-    for a in cat:
-        for b in cat:
-            classical = hilbert_symbol_q2(a.a, b.a) == 1
-            assert pairs_trivially(a, b.a) == classical
-
-
-def test_hilbert_rejects_other_fields():
-    q3 = parse_field("Qp p=3 f=1")
-    with pytest.raises(UnsupportedCaseError):
-        hilbert_symbol_q2(q3.from_int(2), q3.from_int(3))
-
-
-def test_hilbert_rejects_zero(q2):
-    with pytest.raises(DomainError):
-        hilbert_symbol_q2(q2.zero(), q2.from_int(3))
 
 
 # ---------------------------------------------------------------- schmid
@@ -497,7 +441,7 @@ def test_char_p_pairing_matrix_is_the_schmid_table(desc, window):
     + list(CHAR_P_WINDOWED) + [("Fq((t)) p=2 f=1", 1)],
 )
 def test_pairing_matrix_certificate_catches_every_flipped_entry(desc, window):
-    # char p builds G without walking a norm group, so there the walked
+    # neither characteristic builds G from a norm group, so the walked
     # sample lines are all that tie G to the norm map
     ctx = parse_field(desc)
     G = pairings_verifiers._pairing_matrix(ctx, window)
@@ -510,10 +454,11 @@ def test_pairing_matrix_certificate_catches_every_flipped_entry(desc, window):
             pairings_verifiers._certify_pairing_matrix(ctx, bad, window)
 
 
-@pytest.mark.parametrize("desc, window", CHAR_P_WINDOWED)
-def test_char_p_verify_all_walks_at_most_d_norm_groups(monkeypatch, desc, window):
+@pytest.mark.parametrize("desc, window", CHAR_P_WINDOWED + (("Qp p=3 f=2 eis=3,3,1", None),))
+def test_verify_all_walks_at_most_d_norm_groups(monkeypatch, desc, window):
     # only the certificate of G walks norm groups, one per sample line; when
-    # S7.31 cross-checked each catalog line it took 63 / 68 / 127 walks
+    # S7.31 cross-checked each catalog line it took 63 / 68 / 127 walks, and
+    # Q3f2e2 took 17 when G was read off the norm groups of 2d - 1 lines
     schedule = pairings_verifiers._norm_generator_schedule
     walks = []
 
@@ -523,43 +468,52 @@ def test_char_p_verify_all_walks_at_most_d_norm_groups(monkeypatch, desc, window
 
     monkeypatch.setattr(pairings_verifiers, "_norm_generator_schedule", counting)
     ctx = parse_field(desc)
-    d = adapted_basis(ctx, "add", window).dim()
+    d = adapted_basis(ctx, "add" if ctx.characteristic else "mult", window).dim()
     assert all(r.passed() for r in verify_all(ctx, window=window))
-    assert 0 < len(walks) <= d, (desc, len(walks), d)
+    assert 0 < len(walks) == len(pairings_verifiers._sample_lines(ctx, d)) <= d, (desc, len(walks), d)
 
 
-def _patch_generator_norm_group(monkeypatch, ctx, k, wrong):
-    """norm_class_subgroup answers `wrong` for the line of generator k."""
-    real = pairings_verifiers.norm_class_subgroup
-    key = pairings_verifiers._line_key(line_of(adapted_basis(ctx).elements()[k]))
-
-    def fake(E, window=None):
-        if pairings_verifiers._line_key(E.line) == key:
-            return wrong
-        return real(E, window)
-
-    monkeypatch.setattr(pairings_verifiers, "norm_class_subgroup", fake)
-
-
-@pytest.mark.parametrize("k, j", [(0, 1), (1, 2), (3, 1)])
-def test_pairing_matrix_rejects_a_wrong_generator_norm_group(monkeypatch, k, j):
-    # generator k gets the (true, codimension-1) norm group of the line of
-    # g_k g_j instead of its own
-    ctx = parse_field("Qp p=3 f=1 eis=3,3,1")
-    gens = adapted_basis(ctx).elements()
-    wrong = norm_class_subgroup(attach_extension(line_of(gens[k].mul(gens[j]))))
-    _patch_generator_norm_group(monkeypatch, ctx, k, wrong)
-    with pytest.raises(InternalError):
+def test_char0_pairing_matrix_walks_only_its_certificate(monkeypatch):
+    # G solves the Steinberg system, so building it attaches no extension
+    # and walks no norm group; its certificate then walks one per sample line
+    events = []
+    attach = pairings_verifiers.attach_extension
+    schedule = pairings_verifiers._norm_generator_schedule
+    certify = pairings_verifiers._certify_pairing_matrix
+    monkeypatch.setattr(
+        pairings_verifiers, "attach_extension", lambda line: events.append("attach") or attach(line)
+    )
+    monkeypatch.setattr(
+        pairings_verifiers, "_norm_generator_schedule", lambda E, w: events.append("walk") or schedule(E, w)
+    )
+    monkeypatch.setattr(
+        pairings_verifiers, "_certify_pairing_matrix", lambda *a: events.append("certify") or certify(*a)
+    )
+    for desc in CHAR0_MU_P:
+        del events[:]
+        ctx = parse_field(desc)
         pairings_verifiers._pairing_matrix(ctx)
+        lines = pairings_verifiers._sample_lines(ctx, adapted_basis(ctx).dim())
+        assert events == ["certify"] + ["attach", "walk"] * len(lines), desc
 
 
-def test_pairing_matrix_rejects_parallel_normals(monkeypatch):
-    ctx = parse_field("Qp p=3 f=1 eis=3,3,1")
-    gens = adapted_basis(ctx).elements()
-    wrong = norm_class_subgroup(attach_extension(line_of(gens[0])))
-    _patch_generator_norm_group(monkeypatch, ctx, 2, wrong)
-    with pytest.raises(InternalError, match="parallel"):
+def test_a_rank_deficient_steinberg_system_is_an_internal_error(monkeypatch):
+    # every 1 - x read as the class of pi: the equations v.G.y = 0 then span
+    # at most d = 3 of the 8 dimensions the solution needs
+    ctx = parse_field("Qp p=2 f=1")
+    y = coordinates(adapted_basis(ctx), ctx.pi())
+    monkeypatch.setattr(pairings_verifiers, "coordinates", lambda basis, x: y)
+    with pytest.raises(InternalError, match="reached rank 3 of 8"):
         pairings_verifiers._pairing_matrix(ctx)
+    assert ("pairing", None) not in ctx.cache
+
+
+def test_char0_pairing_without_mu_p_is_unsupported():
+    # pc = 3 but mu_3 is absent: K_2(K)/3 is trivial, so the Steinberg
+    # system has no nonzero solution to find
+    ctx = parse_field("Qp p=3 f=1 eis=-3,0,1")
+    with pytest.raises(UnsupportedCaseError, match="p-th roots of unity"):
+        pairs_trivially(line_of(ctx.one().add(ctx.pi())), ctx.pi())
 
 
 def test_char_p_claims_check_every_index_up_to_the_window(f2t):
@@ -621,8 +575,9 @@ def test_a_wrong_closed_form_break_off_the_certificate_fails_the_claim(monkeypat
 
 @pytest.mark.parametrize(
     "desc, window, built",
-    # 3d - 1 in char 0, all of them lines of G (d = 6); 2d in char p
-    [("Qp p=3 f=2 eis=3,3,1", None, 17), ("Fq((t)) p=2 f=1", 9, 12),
+    # 2d: the basis lines and the sample lines of G's certificate (17 in
+    # char 0 when G was read off the norm groups of 2d - 1 lines)
+    [("Qp p=3 f=2 eis=3,3,1", None, 12), ("Fq((t)) p=2 f=1", 9, 12),
      ("Fq((t)) p=3 f=1", 6, 10), ("Fq((t)) p=2 f=2", 5, 14)],
 )
 def test_verify_all_builds_extensions_only_for_certificate_lines(desc, window, built):
@@ -831,13 +786,15 @@ def test_reciprocity_fails_on_a_corrupted_pairing_matrix(desc, window):
 STEINBERG_FIELDS = CHAR0_MU_P + ("Qp p=2 f=4",)
 
 
-@pytest.mark.parametrize("desc", STEINBERG_FIELDS)
-def test_pairing_satisfies_the_steinberg_relation(desc):
-    # (x, 1 - x) = 1 for every x != 0, 1 (Serre, Local Fields, XIV 1): x
-    # has 12 seeded Teichmuller digits from a valuation in -2..3, and a
-    # draw whose class is trivial has no line to pair
+def assert_steinberg_relation(desc):
+    """(x, 1 - x) = 1 for every x != 0, 1 (Serre, Local Fields, XIV 1): x
+    has 12 seeded Teichmuller digits from a valuation in -2..3, drawn with
+    a seed and a shape that the construction of G does not use, and a draw
+    whose class is trivial has no line to pair."""
+    seed = 0x57E1
+    assert seed != pairings_verifiers._STEINBERG_SEED
     ctx = parse_field(desc)
-    rng = random.Random(0x57E1)
+    rng = random.Random(seed)
     checked = 0
     for _ in range(40):
         v = rng.randrange(-2, 4)
@@ -851,6 +808,16 @@ def test_pairing_satisfies_the_steinberg_relation(desc):
         assert pairs_trivially(line, ctx.one().sub(x)), (desc, x.to_literal())
         checked += 1
     assert checked >= 30, (desc, checked)
+
+
+@pytest.mark.parametrize("desc", STEINBERG_FIELDS)
+def test_pairing_satisfies_the_steinberg_relation(desc):
+    assert_steinberg_relation(desc)
+
+
+@pytest.mark.slow
+def test_pairing_satisfies_the_steinberg_relation_q5_zeta5():
+    assert_steinberg_relation("Qp p=5 f=1 eis=5,10,10,5,1")
 
 
 @pytest.mark.parametrize("claim_id", ["S2.10", "S6.29", "S7.31", "S8.33"])
