@@ -69,17 +69,10 @@ def _mult_window(ctx, args):
     return None if ctx.characteristic == 0 else args.window
 
 
-def _first_element(ctx, args, command):
+def _first_element(ctx, args):
     """The first argument of level, pair and norm-group: a class of K*/(K*)^p
     from --elt in char 0, of K+/wp(K+) from --add in char p."""
-    char0 = ctx.characteristic == 0
-    flag = "elt" if char0 else "add"
-    text = getattr(args, flag)
-    if text is None:
-        raise MalformedInputError(
-            "compute %s over a char-%s field needs --%s" % (command, "0" if char0 else "p", flag)
-        )
-    return parse_element(ctx, text)
+    return parse_element(ctx, args.elt if ctx.characteristic == 0 else args.add)
 
 
 def _monomial(labels, coords):
@@ -137,13 +130,11 @@ def cmd_describe(args):
 
 
 def _compute_line(ctx, args):
-    line = line_of(_first_element(ctx, args, "level"))
+    line = line_of(_first_element(ctx, args))
     return ["δ=%d" % line.level], {"delta": line.level, "space": line.space}
 
 
 def _compute_break(ctx, args):
-    if args.line is None:
-        raise MalformedInputError("compute break needs --line")
     line = line_of(parse_element(ctx, args.line))
     ext = attach_extension(line)
     eps = ramification_break(ext)
@@ -151,10 +142,8 @@ def _compute_break(ctx, args):
 
 
 def _compute_pair(ctx, args):
-    if args.mult is None:
-        raise MalformedInputError("compute pair needs --mult for the second slot")
     b = parse_element(ctx, args.mult)
-    a_line = line_of(_first_element(ctx, args, "pair"))
+    a_line = line_of(_first_element(ctx, args))
     if ctx.characteristic == 0:
         trivial = pairs_trivially(a_line, b, window=args.window)
         value = None
@@ -166,7 +155,7 @@ def _compute_pair(ctx, args):
 
 
 def _compute_norm_group(ctx, args):
-    line = line_of(_first_element(ctx, args, "norm-group"))
+    line = line_of(_first_element(ctx, args))
     ext = attach_extension(line)
     w = _mult_window(ctx, args)
     sub = norm_class_subgroup(ext, window=w)
@@ -182,20 +171,12 @@ def _compute_norm_group(ctx, args):
 
 
 def _compute_class(ctx, args):
-    mult = args.elt if ctx.characteristic == 0 else args.mult
-    if mult is not None:
+    text = args.elt if ctx.characteristic == 0 else args.mult
+    if text is not None:
         basis = adapted_basis(ctx, "mult", _mult_window(ctx, args))
-        x = parse_element(ctx, mult)
-    elif ctx.characteristic == 0:
-        raise MalformedInputError("compute class needs --elt")
-    elif args.add is not None:
-        basis = adapted_basis(ctx, "add", args.window)
-        x = parse_element(ctx, args.add)
     else:
-        raise MalformedInputError(
-            "compute class over a char-p field needs --mult or --add"
-        )
-    vec = coordinates(basis, x)
+        basis, text = adapted_basis(ctx, "add", args.window), args.add
+    vec = coordinates(basis, parse_element(ctx, text))
     labels = basis.labels()
     lines = [
         "labels: %s" % " ".join(labels),
@@ -213,9 +194,39 @@ _COMPUTE = {
     "class": _compute_class,
 }
 
+# the element flags each kind reads, in char 0 and in char p: every word is
+# needed, and a word "a|b" takes the first of --a and --b that is given
+_READS = {
+    "level": ("elt", "add"),
+    "break": ("line", "line"),
+    "pair": ("mult elt", "mult add"),
+    "norm-group": ("elt", "add"),
+    "class": ("elt", "mult|add"),
+}
+
+
+def _check_element_flags(ctx, args):
+    """MalformedInputError (exit 2) naming the first element flag that the
+    kind needs and lacks, else one that it was given and does not read."""
+    where = "compute %s over a char-%s field" % (args.what, "p" if ctx.characteristic else "0")
+    read = []
+    for word in _READS[args.what][1 if ctx.characteristic else 0].split():
+        given = [f for f in word.split("|") if getattr(args, f) is not None]
+        if not given:
+            raise MalformedInputError(
+                "%s needs %s" % (where, " or ".join("--" + f for f in word.split("|")))
+            )
+        read.append(given[0])
+    for flag in ("elt", "mult", "add", "line"):
+        if flag not in read and getattr(args, flag) is not None:
+            raise MalformedInputError(
+                "%s reads %s, not --%s" % (where, " and ".join("--" + f for f in read), flag)
+            )
+
 
 def cmd_compute(args):
     ctx = _context(args)
+    _check_element_flags(ctx, args)
     table_lines, payload = _COMPUTE[args.what](ctx, args)
     _emit(args, table_lines, payload)
     return 0

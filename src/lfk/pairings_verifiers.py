@@ -26,13 +26,16 @@ A note on linearity.  The pairing is bilinear and nondegenerate, and the
 norm group of the line of a is a's orthogonal (Serre, Local Fields, XIV
 2).  So one matrix G per field (_pairing_matrix) answers every norm-group
 question of the verifiers as a kernel of G, and every pairing bit or value
-is (x.G).y, read off the row x.G by _row_dot.  In char p, G holds the
-Schmid values; in char 0 it is the one solution, up to a global factor,
-of the Steinberg relations (x, 1 - x) = 1 on seeded draws x.  Neither
-walks a norm group.  In both, G is certified when it is built, against the
-walked norm groups of d sample lines, and those are the only norm groups
-that verify_all walks.  The tests compare ker(x.G) with the walked norm
-group of every line of the bundled fields.
+is (x.G).y, read off the row x.G (_line_row) by _row_dot.
+norm_class_subgroup reads ker(x.G) too whenever G is already cached;
+without G it walks the norms and builds no G, so a one-shot query pays
+for one walk only.  In char p, G holds the Schmid values; in char 0 it is
+the one solution, up to a global factor, of the Steinberg relations
+(x, 1 - x) = 1 on seeded draws x.  Neither walks a norm group.  In both,
+G is certified when it is built, against the walked norm groups of d
+sample lines, and those are the only norm groups that verify_all walks.
+The tests compare ker(x.G) with the walked norm group of every line of
+the bundled fields.
 
 A note on breaks.  S4.22, S5.27 and S5.28 read each line's break off the
 closed-form norm of line_break and build no extension per line; the built
@@ -119,16 +122,39 @@ def _attached(line):
 def norm_class_subgroup(E, window=None):
     """The image of the norm map in the class space, as an FpSubspace.
 
+    The norm group of a line is its orthogonal under the pairing (Serre,
+    Local Fields, XIV), so when ctx.cache holds the certified pairing matrix
+    G of the window, the answer is ker(x.G), x.G the line's row, and no norm
+    is taken; a char-p line deeper than the window gives the whole windowed
+    space, as a break past the window does.  Otherwise the norms are walked
+    (_walk_norm_group) and G is not built, so a one-shot query costs one
+    walk, not G's construction and certificate.
+    """
+    ctx = E.base
+    if ctx.characteristic == 0:
+        window = None  # the whole class space; char p needs a window
+    G = ctx.cache.get(("pairing", window))
+    if G is None:
+        return _walk_norm_group(E, window)
+    line, n = E.line, len(G[0])
+    if ctx.characteristic and line.level > window:
+        return _perp([], ctx.p, n)
+    return _perp([_line_row(line, G)], ctx.p, n)
+
+
+def _walk_norm_group(E, window):
+    """The norm group of E, walked: window None in char 0.
+
     Norms of a fixed generator schedule (the uniformizer of E, then units
     tau(theta) pi^j +/- the generator) are reduced to coordinates and
     accumulated until their span reaches the dimension that class field
     theory fixes: codimension 1 in char 0 and in a char-p window that
     holds the break, codimension 0 in a char-p window the break lies
-    past.  A schedule that ends short of it is an InternalError.
+    past.  A schedule that ends short of it is an InternalError.  It never
+    reads G, so it certifies G (_certify_pairing_matrix) and serves the
+    tests as G's oracle.
     """
     ctx = E.base
-    if ctx.characteristic == 0:
-        window = None  # the whole class space; char p needs a window
     basis = adapted_basis(ctx, "mult", window)
     cache = ctx.cache
     key = ("normsub", window) + _line_key(E.line)
@@ -253,16 +279,18 @@ def _line_value(a_line, b, window):
     w = _window(window)  # char 0 has no use for it, but rejects a bad one too
     if b.ctx is not ctx:
         raise DomainError("pairing arguments live over different fields")
-    if ctx.characteristic == 0:
-        w, x = None, a_line.vec
-    else:
-        # the window-w basis extends the line's basis, or cuts it past the
-        # level, where the line has no nonzero coordinate
-        w = max(w, a_line.level)
-        d = adapted_basis(ctx, "add", w).dim()
-        x = (a_line.vec + (0,) * d)[:d]
+    w = None if ctx.characteristic == 0 else max(w, a_line.level)
     y = coordinates(adapted_basis(ctx, "mult", w), b)
-    return _pairing_at(ctx, x, y.coords, w)
+    return _row_dot(_line_row(a_line, _pairing_matrix(ctx, w)), y.coords, ctx.p)
+
+
+def _line_row(line, G):
+    """The row x.G of a line, x its coordinate vector padded with zeros or
+    cut to G's rows.  Pair, pairing value and norm group read a line's row
+    here.  A char-p G of window w extends the basis of a line of level <= w,
+    or cuts it past the level, where the line has no nonzero coordinate."""
+    d = len(G)
+    return _row_times((line.vec + (0,) * d)[:d], G, line.ctx.p)
 
 
 def _pairing_at(ctx, x, y, window):
@@ -349,6 +377,8 @@ def _certify_pairing_matrix(ctx, G, window=None):
     arguments live in one space, (a, b)(b, a) = 1 makes G skew-symmetric
     (symmetric at p = 2); and d lines the construction did not walk, from
     a fixed-seed sample, must have the directly walked norm group ker(x.G).
+    Those walks call _walk_norm_group by name: norm_class_subgroup reads G
+    once G is cached, and a certificate must not read what it certifies.
     Any failure is an InternalError.
     """
     p, d = ctx.p, len(G)
@@ -361,8 +391,8 @@ def _certify_pairing_matrix(ctx, G, window=None):
         raise InternalError("pairing matrix is singular")
     basis = adapted_basis(ctx, "add" if ctx.characteristic else "mult", window)
     for vec in _sample_lines(ctx, d):
-        E = _attached(Line(basis, vec))
-        if norm_class_subgroup(E, window) != _perp([_row_times(vec, G, p)], p, d):
+        line = Line(basis, vec)
+        if _walk_norm_group(_attached(line), window) != _perp([_line_row(line, G)], p, d):
             raise InternalError(
                 "pairing matrix disagrees with the walked norm group of line %s"
                 % "".join(map(str, vec))
@@ -717,7 +747,7 @@ def verify_reciprocity(ctx, window=None, seed=0):
     unram = [cl for cl in catalog if cl.level == 0]
     if len(unram) != 1:
         raise InternalError("expected exactly one unramified line, found %d" % len(unram))
-    row0 = _row_times(unram[0].vec, G, p)
+    row0 = _line_row(unram[0], G)
     g = ctx.k.gen() if ctx.f > 1 else ctx.k.elt(1)
     units = [
         ctx.one(),
@@ -747,7 +777,7 @@ def verify_reciprocity(ctx, window=None, seed=0):
             break
         frob_ok += 1
     witnesses.append({"uniformizers_checked": frob_ok})
-    rows = [_row_times(cl.vec, G, p) for cl in catalog]  # x.G, for (c) and (d)
+    rows = [_line_row(cl, G) for cl in catalog]  # x.G, for (c) and (d)
 
     # (c) pairing bits depend only on b modulo U_(level+1).  The coordinates
     # of the samples are read once, and those of a perturbed product b u,

@@ -28,9 +28,12 @@ from lfk.class_spaces import (
 from lfk.extensions import attach_extension, line_of, ramification_break
 from lfk.fp_linalg import member, rref
 from lfk.local_arith import INF, bp_index, parse_field, val
+# the norm walk by name: once a field holds its pairing matrix,
+# norm_class_subgroup reads norm groups off it, and these checks set the
+# norm groups against the pairing, not the pairing against itself
 from lfk.pairings_verifiers import (
+    _walk_norm_group,
     line_catalog,
-    norm_class_subgroup,
     pairing_value,
     verify_all,
     verify_claim,
@@ -135,7 +138,7 @@ def test_criterion_1_q2_full_suite():
 
     named = {5: (-1, 5), -1: (2, 5), 2: (-1, 2)}
     for a, gens in named.items():
-        sub = norm_class_subgroup(attach_extension(line_of(ctx.from_int(a))))
+        sub = _walk_norm_group(attach_extension(line_of(ctx.from_int(a))), None)
         span = rref([coordinates(basis, ctx.from_int(g)) for g in gens])
         if sub != span:
             problems.append("norm group of sqrt(%d) is not <%d, %d>" % (a, *gens))
@@ -229,7 +232,7 @@ def test_criterion_3_f2_laurent_window9():
     rng = random.Random(20260814)
     checked = mismatches = 0
     for entry in catalog[:10]:
-        sub = norm_class_subgroup(attach_extension(entry), window=9)
+        sub = _walk_norm_group(attach_extension(entry), 9)
         for _ in range(20):
             pairs = [(0, 1)] + [
                 (j, rng.choice(kelts).coords[0]) for j in rng.sample(range(1, 11), 4)

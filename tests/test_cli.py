@@ -386,6 +386,29 @@ def test_flags_a_command_never_reads_are_rejected(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("level", "--field", Q2, "--elt", "5", "--add", "t^-3"), "--add"),
+        (("norm-group", "--field", Q2, "--elt", "5", "--add", "t"), "--add"),
+        (("break", "--field", Q2, "--line", "5", "--add", "3"), "--add"),
+        (("pair", "--field", Q2, "--elt", "5", "--mult", "2", "--line", "3"), "--line"),
+        (("class", "--field", Q2, "--elt", "5", "--mult", "3"), "--mult"),
+        (("level", "--field", F2T, "--add", "t^-3", "--elt", "5"), "--elt"),
+        (("break", "--field", F2T, "--line", "t^-3", "--mult", "1+t"), "--mult"),
+        (("norm-group", "--field", F2T, "--add", "t^-1", "--window", "3", "--mult", "1+t"), "--mult"),
+        (("pair", "--field", F2T, "--add", "t^-1", "--mult", "1+t", "--elt", "5"), "--elt"),
+        (("class", "--field", F2T, "--mult", "1+t", "--add", "t^-1", "--window", "3"), "--add"),
+    ],
+)
+def test_element_flags_compute_does_not_read_are_rejected(capsys, argv, flag):
+    # an element flag the kind and characteristic ignore is bad input, as
+    # --seed is for describe; class in char p reads --mult when both are given
+    code, out, err = run(capsys, "compute", *argv)
+    assert code == 2 and out == "", err
+    assert err.rstrip().endswith(", not " + flag), err
+
+
+@pytest.mark.parametrize(
     "field,q", [("Fq((t)) p=2 f=12", 4096), ("Qp p=101 f=3", 101**3)]
 )
 def test_describe_large_residue_field(capsys, field, q):
@@ -584,7 +607,15 @@ def test_fuzz_describe_and_compute_never_break(field, command, left, right, wind
     argv = ["describe"] if command == "describe" else ["compute", command]
     argv += ["--field", field, "--format", fmt]
     if command != "describe":
-        argv += ["--elt", left, "--line", left, "--add", left, "--mult", right]
+        # the element flags the command reads, so the literals reach it: an
+        # unread flag is exit 2 before any literal is parsed
+        first = "--add" if field.startswith("Fq") else "--elt"
+        flags = {
+            "level": [first], "norm-group": [first], "pair": [first, "--mult"],
+            "break": ["--line"], "class": ["--mult" if first == "--add" else "--elt"],
+        }[command]
+        for flag in flags:
+            argv += [flag, right if flag == "--mult" else left]
     if window is not None:
         argv += ["--window", window]
     out, err = io.StringIO(), io.StringIO()

@@ -12,11 +12,13 @@ Independent oracles:
 * the vanishing S(res(wp(z) db/b)) = 0, which is what makes the residue
   pairing well defined on classes;
 * the span of the norm classes of the whole generator schedule, walked to
-  its end, which norm_class_subgroup must reproduce when it stops early;
+  its end, which the norm walk must reproduce when it stops early;
 * the walked norm group of every line, which must be the kernel of that
   line's row of the pairing matrix in both characteristics, and the U_i
   complements of S8.33 re-derived from the walked norm groups over all
-  p^n vectors;
+  p^n vectors.  These call the walk (_walk_norm_group) by name: once the
+  pairing matrix is cached, norm_class_subgroup reads its kernels off it,
+  and an oracle for the matrix must not read the matrix;
 * Schmid residues computed in a fresh context, which the char-p pairing
   matrix must equal entry by entry;
 * the Steinberg relation (x, 1 - x) = 1 on seeded draws that the char-0
@@ -282,8 +284,8 @@ def full_schedule_span(E, window=None):
     """Oracle: the span of the norm classes of the whole generator schedule.
 
     Every candidate is normed and reduced, with no stopping rule and no
-    target dimension, so it shows what the early stop in
-    norm_class_subgroup must leave unchanged.
+    target dimension, so it shows what the early stop in the walk
+    (_walk_norm_group) must leave unchanged.
     """
     ctx = E.base
     basis = adapted_basis(ctx) if window is None else adapted_basis(ctx, "mult", window)
@@ -318,7 +320,7 @@ def test_norm_subgroup_stop_matches_full_schedule(desc, window):
         n = adapted_basis(ctx, "mult", window).dim()
     for cl in catalog:
         E = attach_extension(cl)
-        sub = norm_class_subgroup(E, window)
+        sub = pairings_verifiers._walk_norm_group(E, window)
         assert sub == full_schedule_span(E, window), (desc, cl.label)
         assert sub.dim() == n - 1, (desc, cl.label)
 
@@ -330,7 +332,7 @@ def test_norm_subgroup_break_past_window_is_whole_space():
     E = attach_extension(line_of(parse_element(ctx, "t^-11")))
     assert E.ramification_break == 11
     n = adapted_basis(ctx, "mult", 9).dim()
-    sub = norm_class_subgroup(E, 9)
+    sub = pairings_verifiers._walk_norm_group(E, 9)
     assert sub == identity_space(2, n)
     assert sub == full_schedule_span(E, 9)
 
@@ -377,7 +379,7 @@ def assert_kernels_match_walked_norm_groups(desc, window=None):
     p, d = ctx.p, len(G)
     for cl in line_catalog(ctx, window):
         row = [sum(x * G[r][c] for r, x in enumerate(cl.vec)) % p for c in range(d)]
-        walked = norm_class_subgroup(attach_extension(cl), window)
+        walked = pairings_verifiers._walk_norm_group(attach_extension(cl), window)
         assert any(row) and walked.dim() == d - 1, (desc, cl.label)
         for h in walked.basis:
             assert sum(a * b for a, b in zip(row, h)) % p == 0, (desc, cl.label)
@@ -394,6 +396,51 @@ def test_pairing_matrix_kernels_are_the_walked_norm_groups_q5_zeta5():
     assert_kernels_match_walked_norm_groups("Qp p=5 f=1 eis=5,10,10,5,1")
 
 
+@pytest.mark.parametrize("desc, window", [(d, None) for d in CHAR0_MU_P] + list(CHAR_P_WINDOWED))
+def test_norm_groups_read_off_the_pairing_matrix_are_the_walked_ones(desc, window):
+    # a field that holds G reads each norm group as ker(x.G); the walk reads
+    # no G.  In char p two lines lie past the window (t^-11 and t^-11 + t^-1
+    # at window 9 on F2((t))): their norm group is the whole windowed space,
+    # as their break past the window makes the walk find, although the
+    # second has nonzero coordinates inside the window
+    ctx = parse_field(desc)
+    pairings_verifiers._pairing_matrix(ctx, window)
+    lines = line_catalog(ctx, window)
+    if window is not None:
+        deep = next(m for m in itertools.count(window + 1) if m % ctx.p)
+        lines += [line_of(parse_element(ctx, "t^-%d%s" % (deep, tail))) for tail in ("", "+t^-1")]
+    for cl in lines:
+        E = attach_extension(cl)
+        read = norm_class_subgroup(E, window)
+        assert read == pairings_verifiers._walk_norm_group(E, window), (desc, cl.label)
+        if window is not None and cl.level > window:
+            assert read == identity_space(ctx.p, read.ambient_dim), (desc, cl.label)
+
+
+@pytest.mark.parametrize(
+    "desc, elt, window", [("Qp p=3 f=2 eis=3,3,1", "1+pi", None), ("Fq((t)) p=2 f=2", "t^-3+g", 5)]
+)
+def test_norm_class_subgroup_walks_only_without_the_pairing_matrix(monkeypatch, desc, elt, window):
+    # a fresh field walks once and builds no G, so a one-shot query stays
+    # one walk; a field that holds G walks none (the line is no sample line
+    # of G's certificate, so no walk of it is cached)
+    schedule = pairings_verifiers._norm_generator_schedule
+    walks = []
+    monkeypatch.setattr(
+        pairings_verifiers, "_norm_generator_schedule", lambda E, w: walks.append(E.line) or schedule(E, w)
+    )
+    fresh = parse_field(desc)
+    walked = norm_class_subgroup(attach_extension(line_of(parse_element(fresh, elt))), window)
+    assert len(walks) == 1
+    assert not any(key[0] == "pairing" for key in fresh.cache)
+    ctx = parse_field(desc)
+    pairings_verifiers._pairing_matrix(ctx, window)
+    E = attach_extension(line_of(parse_element(ctx, elt)))
+    del walks[:]
+    assert norm_class_subgroup(E, window) == walked
+    assert walks == []
+
+
 @pytest.mark.parametrize("desc", CHAR0_MU_P)
 def test_kummer_complements_match_brute_force(desc):
     # the U_i complement of S8.33, from the definition: every vector of
@@ -403,7 +450,7 @@ def test_kummer_complements_match_brute_force(desc):
     levels = adapted_basis(ctx).levels()
     report = verify_claim(ctx, "S8.33")
     claimed = {entry["i"]: entry for entry in report.claimed_orthogonals}
-    walked = [(cl.level, norm_class_subgroup(attach_extension(cl)))
+    walked = [(cl.level, pairings_verifiers._walk_norm_group(attach_extension(cl), None))
               for cl in line_catalog(ctx)]
     for i in range(0, ctx.pc + 2):
         groups = [sub for level, sub in walked if level <= ctx.pc - i]
