@@ -34,8 +34,8 @@ from .extensions import (
 from .fp_linalg import (
     FpSubspace,
     FpVector,
-    left_kernel,
     member,
+    perp,
     rref,
 )
 from .local_arith import (
@@ -84,7 +84,6 @@ __all__ = [
     "coordinates",
     "filtration_dims",
     "first_trivial_level",
-    "left_kernel",
     "line_break",
     "line_catalog",
     "line_of",
@@ -94,6 +93,7 @@ __all__ = [
     "pairs_trivially",
     "parse_element",
     "parse_field",
+    "perp",
     "ramification_break",
     "rref",
     "series_residue_and_dlog",

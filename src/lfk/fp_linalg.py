@@ -1,10 +1,15 @@
 """Exact linear algebra over the prime field F_p.
 
 Everything is tiny (ambient dimension is a handful), so matrices are lists
-of tuples and elimination is the schoolbook algorithm.  The canonical form
-of a subspace is its reduced row echelon basis with pivots 1, which makes
-subspace equality a plain data comparison.
+of tuples.  The canonical form of a subspace is its reduced row echelon
+basis with pivots 1, which makes subspace equality a plain data
+comparison.  One elimination builds it: extend adds one row to a reduced
+basis, rref folds extend over its rows, solve reads a solution off the
+rref of the augmented rows, and perp reads an orthogonal complement off
+the rref of the rows with their columns reversed.
 """
+
+from bisect import bisect
 
 from .errors import MalformedInputError
 
@@ -16,7 +21,7 @@ class FpVector:
 
     def __init__(self, p, coords):
         self.p = p
-        self.coords = tuple(c % p for c in coords)
+        self.coords = tuple([c % p for c in coords])
 
     def __len__(self):
         return len(self.coords)
@@ -37,25 +42,24 @@ class FpVector:
     def is_zero(self):
         return all(c == 0 for c in self.coords)
 
-    def add(self, other):
-        _check_compatible(self, other)
-        return FpVector(self.p, [a + b for a, b in zip(self.coords, other.coords)])
-
 
 class FpSubspace:
     """A subspace of F_p^n held as a reduced-row-echelon basis matrix.
 
     Rows are nonzero, pivots are 1, pivot columns strictly increase and are
     cleared above and below.  Two FpSubspace values are equal iff they are
-    the same subspace.
+    the same subspace.  `pivots` holds each row's pivot column.
     """
 
-    __slots__ = ("p", "ambient_dim", "basis")
+    __slots__ = ("p", "ambient_dim", "basis", "pivots")
 
-    def __init__(self, p, ambient_dim, basis):
+    def __init__(self, p, ambient_dim, basis, pivots=None):
         self.p = p
         self.ambient_dim = ambient_dim
         self.basis = tuple(basis)  # tuple of coordinate tuples, already reduced
+        if pivots is None:
+            pivots = tuple(next(i for i, x in enumerate(row) if x) for row in self.basis)
+        self.pivots = pivots
 
     def dim(self):
         return len(self.basis)
@@ -80,63 +84,22 @@ class FpSubspace:
         )
 
 
-def _check_compatible(a, b):
-    if a.p != b.p or len(a.coords) != len(b.coords):
-        raise MalformedInputError(
-            "incompatible vectors: p=%s/%s, len=%s/%s"
-            % (a.p, b.p, len(a.coords), len(b.coords))
-        )
-
-
-def _row_reduce(rows, p):
-    """In-place Gauss-Jordan over F_p on a list of lists; returns pivot cols."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if rows[i][col] % p != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = pow(rows[r][col], -1, p)
-        rows[r] = [(inv * x) % p for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][col] % p != 0:
-                f = rows[i][col]
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == nrows:
-            break
-    return rows[:r], pivots
-
-
 def rref(vectors, p=None, ambient_dim=None):
     """Row space of the given FpVectors in canonical reduced echelon form.
 
-    `p` and `ambient_dim` are only needed when `vectors` is empty.
+    `p` and `ambient_dim` are only needed when `vectors` is empty; given
+    otherwise, they must agree with every row.
     """
     vectors = list(vectors)
-    if not vectors:
-        if p is None or ambient_dim is None:
-            raise MalformedInputError("empty row list needs explicit p and ambient_dim")
-        return FpSubspace(p, ambient_dim, ())
-    p0 = vectors[0].p
-    n = len(vectors[0])
+    if vectors:
+        p = vectors[0].p if p is None else p
+        ambient_dim = len(vectors[0]) if ambient_dim is None else ambient_dim
+    elif p is None or ambient_dim is None:
+        raise MalformedInputError("empty row list needs explicit p and ambient_dim")
+    space = FpSubspace(p, ambient_dim, (), ())
     for v in vectors:
-        if v.p != p0 or len(v) != n:
-            raise MalformedInputError("mixed moduli or lengths in rref input")
-    if p is not None and p != p0:
-        raise MalformedInputError("explicit p disagrees with row modulus")
-    if ambient_dim is not None and ambient_dim != n:
-        raise MalformedInputError("explicit ambient_dim disagrees with row length")
-    rows, _ = _row_reduce([list(v.coords) for v in vectors], p0)
-    return FpSubspace(p0, n, tuple(tuple(r) for r in rows))
+        space = extend(space, v)
+    return space
 
 
 def member(space, v):
@@ -149,91 +112,76 @@ def extend(space, v):
 
     `space` itself when v lies in it; otherwise v's residual against the
     basis, scaled to a pivot 1, is cleared from the other rows and joins
-    them in pivot order.  Adding rows one at a time this way gives the same
-    FpSubspace as rref of all of them.
+    them in pivot order.  This is the library's one elimination.
     """
-    if space.p != v.p or space.ambient_dim != len(v):
+    p, pivots = space.p, space.pivots
+    residual = v.coords
+    if p != v.p or space.ambient_dim != len(residual):
         raise MalformedInputError("vector/subspace dimension or modulus mismatch")
-    p = space.p
-    residual = list(v.coords)
-    for row in space.basis:
-        lead = next(i for i, x in enumerate(row) if x != 0)
+    for lead, row in zip(pivots, space.basis):
         f = residual[lead]
         if f:
             residual = [(a - f * b) % p for a, b in zip(residual, row)]
-    lead = next((i for i, x in enumerate(residual) if x), None)
-    if lead is None:
+    for lead, f in enumerate(residual):
+        if f:
+            break
+    else:
         return space
-    inv = pow(residual[lead], -1, p)
-    new = tuple(inv * x % p for x in residual)
+    if f != 1:
+        inv = pow(f, -1, p)
+        residual = [inv * x % p for x in residual]
+    new = tuple(residual)
     rows = [
-        tuple((a - row[lead] * b) % p for a, b in zip(row, new)) if row[lead] else row
+        tuple([(a - row[lead] * b) % p for a, b in zip(row, new)]) if row[lead] else row
         for row in space.basis
     ]
-    rows.append(new)
-    rows.sort(key=lambda row: next(i for i, x in enumerate(row) if x))
-    return FpSubspace(p, space.ambient_dim, rows)
+    k = bisect(pivots, lead)
+    rows.insert(k, new)
+    return FpSubspace(p, space.ambient_dim, rows, pivots[:k] + (lead,) + pivots[k:])
 
 
 def solve(columns, target):
     """Solve sum_j x_j * columns[j] == target over F_p.
 
     Returns one solution as a tuple of residues, or None when the target is
-    outside the column span.  Elimination runs on the augmented matrix, so a
-    rank-deficient column set is fine (one preimage of possibly many comes
-    back).
+    outside the column span.  It is read off the rref of the augmented rows
+    [A | b]: each pivot coordinate from its row, every free coordinate 0,
+    so a rank-deficient column set is fine (one preimage of possibly many
+    comes back).
     """
-    if not columns:
-        return () if target.is_zero() else None
-    p = target.p
-    n = len(target)
+    p, m = target.p, len(columns)
     for col in columns:
-        _check_compatible(col, target)
-    m = len(columns)
-    # rows of [A | b] where A's j-th column is columns[j]
-    rows = [[columns[j].coords[i] for j in range(m)] + [target.coords[i]] for i in range(n)]
-    reduced, _ = _row_reduce(rows, p)
+        if col.p != p or len(col) != len(target):
+            raise MalformedInputError(
+                "incompatible vectors: p=%s/%s, len=%s/%s" % (col.p, p, len(col), len(target))
+            )
+    rows = [FpVector(p, row) for row in zip(*[col.coords for col in columns], target.coords)]
+    space = rref(rows, p=p, ambient_dim=m + 1)
     x = [0] * m
-    for row in reduced:
-        lead = next(i for i, v in enumerate(row) if v != 0)
+    for lead, row in zip(space.pivots, space.basis):
         if lead == m:
             return None  # row (0 ... 0 | nonzero): inconsistent
         x[lead] = row[m]
     return tuple(x)
 
 
-def left_kernel(pairing_table, p):
-    """{v in F_p^n : v · pairing_table = 0}, n the number of rows.
+def perp(rows, p, n):
+    """{y in F_p^n : r . y == 0 for every r in rows}, as an FpSubspace.
 
-    pairing_table[r][c] is the pairing of the r-th basis vector of F_p^n
-    against the c-th column.
+    The rows are reduced with their columns reversed, so each reduced row,
+    read back in the original order, ends at its pivot.  Each free column f
+    then gives the complement vector e_f - sum_i row_i[f] e_(pivot_i), which
+    is zero before f and at every other free column: together they are
+    already the canonical basis.
     """
-    n = len(pairing_table)
-    ncols = len(pairing_table[0]) if n else 0
-    for row in pairing_table:
-        if len(row) != ncols:
-            raise MalformedInputError("ragged pairing table")
-    rows = [FpVector(p, v) for v in _kernel_basis(pairing_table, p)]
-    return rref(rows, p=p, ambient_dim=n)
-
-
-def _kernel_basis(matrix, p):
-    """Basis of {x : x·matrix = 0} for a dense list-of-lists matrix."""
-    m = len(matrix)
-    if m == 0:
-        return []
-    # Transpose and find the null space of matrix^T · x^T = 0 column-wise:
-    # row-reduce the transpose and read off free variables.
-    ncols = len(matrix[0])
-    tr = [[matrix[r][c] % p for r in range(m)] for c in range(ncols)]
-    reduced, pivots = _row_reduce(tr, p) if tr else ([], [])
-    pivot_set = set(pivots)
-    free = [j for j in range(m) if j not in pivot_set]
+    space = rref([FpVector(p, row[::-1]) for row in rows], p=p, ambient_dim=n)
+    ends = {n - 1 - lead: row[::-1] for lead, row in zip(space.pivots, space.basis)}
+    free = [f for f in range(n) if f not in ends]
     basis = []
-    for fj in free:
-        x = [0] * m
-        x[fj] = 1
-        for row, pc in zip(reduced, pivots):
-            x[pc] = (-row[fj]) % p
-        basis.append(x)
-    return basis
+    for f in free:
+        y = [0] * n
+        y[f] = 1
+        for c, row in ends.items():
+            y[c] = -row[f] % p
+        basis.append(tuple(y))
+    return FpSubspace(p, n, basis, tuple(free))

@@ -25,17 +25,18 @@ the fields it applies to, its verifier and its statement.
 A note on linearity.  The pairing is bilinear and nondegenerate, and the
 norm group of the line of a is a's orthogonal (Serre, Local Fields, XIV
 2).  So one matrix G per field (_pairing_matrix) answers every norm-group
-question of the verifiers as a kernel of G, and every pairing bit or value
-is (x.G).y, read off the row x.G (_line_row) by _row_dot.
-norm_class_subgroup reads ker(x.G) too whenever G is already cached;
-without G it walks the norms and builds no G, so a one-shot query pays
-for one walk only.  In char p, G holds the Schmid values; in char 0 it is
-the one solution, up to a global factor, of the Steinberg relations
-(x, 1 - x) = 1 on seeded draws x.  Neither walks a norm group.  In both,
-G is certified when it is built, against the walked norm groups of d
-sample lines, and those are the only norm groups that verify_all walks.
-The tests compare ker(x.G) with the walked norm group of every line of
-the bundled fields.
+question of the verifiers as an orthogonal complement, fp_linalg.perp of
+rows of G or of its columns, and every pairing bit or value is (x.G).y,
+read off the row x.G (_line_row) by _row_dot.  norm_class_subgroup reads
+ker(x.G) = perp([x.G]) too whenever G is already cached; without G it
+walks the norms and builds no G, so a one-shot query pays for one walk
+only.  In char p, G holds the Schmid values; in char 0 it is the one
+solution, up to a global factor, of the Steinberg relations (x, 1 - x) = 1
+on seeded draws x, the perp of their equations.  Neither walks a norm
+group.  In both, G is certified when it is built, against the walked norm
+groups of d sample lines, and those are the only norm groups that
+verify_all walks.  The tests compare ker(x.G) with the walked norm group
+of every line of the bundled fields.
 
 A note on breaks.  S4.22, S5.27 and S5.28 read each line's break off the
 closed-form norm of line_break and build no extension per line; the built
@@ -72,8 +73,8 @@ from .extensions import Line, attach_extension, line_break
 from .fp_linalg import (
     FpVector,
     extend,
-    left_kernel,
     member,
+    perp,
     rref,
 )
 from .local_arith import series_residue_and_dlog
@@ -138,8 +139,8 @@ def norm_class_subgroup(E, window=None):
         return _walk_norm_group(E, window)
     line, n = E.line, len(G[0])
     if ctx.characteristic and line.level > window:
-        return _perp([], ctx.p, n)
-    return _perp([_line_row(line, G)], ctx.p, n)
+        return perp([], ctx.p, n)
+    return perp([_line_row(line, G)], ctx.p, n)
 
 
 def _walk_norm_group(E, window):
@@ -156,10 +157,6 @@ def _walk_norm_group(E, window):
     """
     ctx = E.base
     basis = adapted_basis(ctx, "mult", window)
-    cache = ctx.cache
-    key = ("normsub", window) + _line_key(E.line)
-    if key in cache:
-        return cache[key]
     n = basis.dim()
     # N(E*) has index p in K* and contains U_(b+1), b the ramification
     # break (Serre, Local Fields, XIV).  Char 0 reads all of K*/(K*)^p, so
@@ -178,7 +175,6 @@ def _walk_norm_group(E, window):
             "norm subgroup stuck at codimension %d > %d after the full "
             "generator schedule" % (n - space.dim(), n - target)
         )
-    cache[key] = space
     return space
 
 
@@ -293,13 +289,6 @@ def _line_row(line, G):
     return _row_times((line.vec + (0,) * d)[:d], G, line.ctx.p)
 
 
-def _pairing_at(ctx, x, y, window):
-    """(x.G).y over F_p with G = _pairing_matrix(ctx, window): the pairing of
-    the first-argument class with coordinates x and the mult class with
-    coordinates y."""
-    return _row_dot(_row_times(x, _pairing_matrix(ctx, window), ctx.p), y, ctx.p)
-
-
 def _row_dot(row, y, p):
     """(x.G).y over F_p from the row x.G.  Every pairing bit or value is read here."""
     return sum(r * c for r, c in zip(row, y)) % p
@@ -366,7 +355,7 @@ def _steinberg_matrix(ctx):
             "the Steinberg system reached rank %d of %d in %d draws"
             % (system.dim(), d * d - 1, draws)
         )
-    (g,) = _perp(system.basis, p, d * d).basis
+    (g,) = perp(system.basis, p, d * d).basis
     return [list(g[r * d : (r + 1) * d]) for r in range(d)]
 
 
@@ -392,7 +381,7 @@ def _certify_pairing_matrix(ctx, G, window=None):
     basis = adapted_basis(ctx, "add" if ctx.characteristic else "mult", window)
     for vec in _sample_lines(ctx, d):
         line = Line(basis, vec)
-        if _walk_norm_group(_attached(line), window) != _perp([_line_row(line, G)], p, d):
+        if _walk_norm_group(_attached(line), window) != perp([_line_row(line, G)], p, d):
             raise InternalError(
                 "pairing matrix disagrees with the walked norm group of line %s"
                 % "".join(map(str, vec))
@@ -412,11 +401,6 @@ def _sample_lines(ctx, d):
 def _row_times(x, G, p):
     """The row vector x.G over F_p."""
     return [sum(a * row[c] for a, row in zip(x, G)) % p for c in range(len(G[0]))]
-
-
-def _perp(rows, p, n):
-    """{y in F_p^n : r . y == 0 for every r in rows}, as an FpSubspace."""
-    return left_kernel([[r[k] for r in rows] for k in range(n)], p)
 
 
 # ================================================================ reports
@@ -588,7 +572,7 @@ def _complement(ctx, window, i, side):
         orth, keep, n = [G[r] for r in low], deep, len(col_levels)
     else:
         orth, keep, n = [[row[c] for row in G] for c in deep], low, len(G)
-    return _perp(orth, ctx.p, n), _slice(ctx.p, n, keep)
+    return perp(orth, ctx.p, n), _slice(ctx.p, n, keep)
 
 
 # ================================================================ verifiers
@@ -932,7 +916,7 @@ def verify_orthogonality_as(ctx, window=None, seed=0):
             mv = [rng.randrange(ctx.p) for _ in range(dm)]
             if not any(av) or not any(mv):
                 continue
-            predicted = _pairing_at(ctx, av, mv, w)
+            predicted = _row_dot(_row_times(av, gram, ctx.p), mv, ctx.p)
             # the Schmid residue itself, so the check does not read G
             got = series_residue_and_dlog(ab.combination(av), mb.combination(mv))
             if got != predicted:

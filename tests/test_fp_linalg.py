@@ -9,9 +9,10 @@ from lfk.fp_linalg import (
     FpSubspace,
     FpVector,
     extend,
-    left_kernel,
     member,
+    perp,
     rref,
+    solve,
 )
 
 
@@ -53,6 +54,43 @@ def rank_by_elimination_oracle(rows, p):
                 rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[rank])]
         rank += 1
     return rank
+
+
+def gauss_jordan_oracle(rows, p):
+    """Batch Gauss-Jordan over F_p: (reduced rows, pivot columns).
+
+    Column by column it swaps a pivot row up, scales it to 1 and clears the
+    column in every other row, an elimination independent of the
+    row-at-a-time extend that rref, solve and perp run on.
+    """
+    rows = [[x % p for x in r] for r in rows]
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        if r == nrows:
+            break
+        pivot_row = next((i for i in range(r, nrows) if rows[i][col]), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = pow(rows[r][col], -1, p)
+        rows[r] = [(inv * x) % p for x in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+    return [tuple(row) for row in rows[:r]], pivots
+
+
+def random_rows(data, p, n, nrows):
+    return [
+        tuple(data.draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n)))
+        for _ in range(nrows)
+    ]
 
 
 # ---------------------------------------------------------------- rref
@@ -118,19 +156,18 @@ def test_rref_rank_matches_elimination_oracle(p, n, data):
     data=st.data(),
 )
 def test_extend_row_by_row_is_the_rref_of_all_rows(p, n, data):
-    # canonical form: adding rows one at a time gives the very FpSubspace
-    # that rref gives on all of them, after every row
+    # canonical form: adding rows one at a time gives, after every row, the
+    # very rows and pivots that batch Gauss-Jordan gives on all of them
     nrows = data.draw(st.integers(min_value=0, max_value=8))
-    rows = [
-        FpVector(p, data.draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n)))
-        for _ in range(nrows)
-    ]
+    rows = [FpVector(p, r) for r in random_rows(data, p, n, nrows)]
     sp = rref([], p=p, ambient_dim=n)
     for k, row in enumerate(rows):
         grown = extend(sp, row)
         assert (grown is sp) == member(sp, row)
         sp = grown
-        assert sp == rref(rows[: k + 1])
+        want, pivots = gauss_jordan_oracle([r.coords for r in rows[: k + 1]], p)
+        assert sp.basis == tuple(want) and sp.pivots == tuple(pivots)
+        assert rref(rows[: k + 1]).basis == tuple(want)
 
 
 def test_extend_shape_check():
@@ -167,24 +204,23 @@ def test_member_shape_check():
         member(sp, FpVector(2, (1, 0, 0)))
 
 
-# ---------------------------------------------------------------- left_kernel
+# ---------------------------------------------------------------- perp
 
-def test_left_kernel_zero_table():
+def test_perp_zero_rows():
     full = identity_space(2, 3)
-    table = [[0, 0], [0, 0], [0, 0]]
-    assert left_kernel(table, 2) == full
+    rows = [[0, 0, 0], [0, 0, 0]]
+    assert perp(rows, 2, 3) == full
 
 
-def test_left_kernel_identity_table_nondegenerate():
-    table = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    assert left_kernel(table, 2).dim() == 0
+def test_perp_identity_rows_nondegenerate():
+    rows = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert perp(rows, 2, 3).dim() == 0
 
 
-def test_left_kernel_single_column_is_hyperplane():
-    # one nonzero column c: kernel = {v : v·c = 0}, oracle by enumeration
+def test_perp_single_row_is_hyperplane():
+    # one nonzero row c: perp = {v : v·c = 0}, oracle by enumeration
     c = (1, 1, 0)
-    table = [[c[i]] for i in range(3)]
-    got = left_kernel(table, 2)
+    got = perp([c], 2, 3)
     want = {
         v
         for v in itertools.product(range(2), repeat=3)
@@ -193,30 +229,49 @@ def test_left_kernel_single_column_is_hyperplane():
     assert span_enumerate(got.basis, 2, 3) == want
 
 
-def test_left_kernel_shape_check():
+def test_perp_shape_check():
     with pytest.raises(MalformedInputError):
-        left_kernel([[1], [0, 1]], 2)
+        perp([[1, 0], [1]], 2, 2)
+    with pytest.raises(MalformedInputError):
+        perp([[1, 0, 1]], 2, 2)
 
 
-def test_left_kernel_random_against_enumeration():
+def test_perp_random_against_enumeration():
     rng = random.Random(7)
     for _ in range(30):
         p = rng.choice([2, 3])
         n = rng.randint(1, 4)
         m = rng.randint(1, 3)
-        table = [[rng.randrange(p) for _ in range(m)] for _ in range(n)]
-        got = left_kernel(table, p)
+        rows = [[rng.randrange(p) for _ in range(n)] for _ in range(m)]
+        got = perp(rows, p, n)
         want = {
             v
             for v in itertools.product(range(p), repeat=n)
-            if all(sum(v[r] * table[r][c] for r in range(n)) % p == 0 for c in range(m))
+            if all(sum(a * b for a, b in zip(v, row)) % p == 0 for row in rows)
         }
         assert span_enumerate(got.basis, p, n) == want
 
 
-def test_solve_random_against_brute_force():
-    from lfk.fp_linalg import solve
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 5]),
+    n=st.integers(min_value=1, max_value=6),
+    data=st.data(),
+)
+def test_perp_of_perp_is_the_row_space(p, n, data):
+    # the basis perp reads off is already canonical, and the complement of
+    # the complement is the row space
+    rows = random_rows(data, p, n, data.draw(st.integers(min_value=0, max_value=6)))
+    comp = perp(rows, p, n)
+    want, pivots = gauss_jordan_oracle(comp.basis, p)
+    assert comp.basis == tuple(want) and comp.pivots == tuple(pivots)
+    assert comp.dim() == n - rank_by_elimination_oracle(rows, p)
+    assert perp(comp.basis, p, n) == rref([FpVector(p, r) for r in rows], p=p, ambient_dim=n)
 
+
+# ---------------------------------------------------------------- solve
+
+def test_solve_random_against_brute_force():
     rng = random.Random(11)
     for _ in range(60):
         p = rng.choice([2, 3, 5])
@@ -243,8 +298,28 @@ def test_solve_random_against_brute_force():
             assert tuple(a % p for a in acc) == target.coords
 
 
-def test_solve_empty_columns():
-    from lfk.fp_linalg import solve
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 5]),
+    n=st.integers(min_value=0, max_value=5),
+    m=st.integers(min_value=0, max_value=5),
+    data=st.data(),
+)
+def test_solve_is_the_gauss_jordan_solution_with_free_coordinates_zero(p, n, m, data):
+    cols = [FpVector(p, r) for r in random_rows(data, p, n, m)]
+    target = FpVector(p, data.draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n)))
+    augmented = [[col.coords[i] for col in cols] + [target.coords[i]] for i in range(n)]
+    reduced, pivots = gauss_jordan_oracle(augmented, p)
+    if m in pivots:
+        want = None
+    else:
+        x = [0] * m
+        for row, lead in zip(reduced, pivots):
+            x[lead] = row[m]
+        want = tuple(x)
+    assert solve(cols, target) == want
 
+
+def test_solve_empty_columns():
     assert solve([], FpVector(3, (0, 0))) == ()
     assert solve([], FpVector(3, (1, 0))) is None

@@ -25,6 +25,7 @@ Independent oracles:
   construction of the pairing matrix never used.
 """
 
+import functools
 import itertools
 import json
 import random
@@ -371,15 +372,28 @@ CHAR0_MU_P = (
 CHAR_P_WINDOWED = (("Fq((t)) p=2 f=1", 9), ("Fq((t)) p=3 f=1", 6), ("Fq((t)) p=2 f=2", 5))
 
 
+@functools.lru_cache(maxsize=None)
+def walked_norm_groups(desc, window):
+    """{catalog vector: the norm group walked from its own extension} for
+    every catalog line, on a fresh field that never builds G.  The tests
+    that read it share one walk per line and test session."""
+    ctx = parse_field(desc)
+    return {
+        cl.vec: pairings_verifiers._walk_norm_group(attach_extension(cl), window)
+        for cl in line_catalog(ctx, window)
+    }
+
+
 def assert_kernels_match_walked_norm_groups(desc, window=None):
     """Oracle: for every catalog line x, the norm group walked from its own
     extension is ker(x.G), i.e. it has codimension 1 and x.G kills it."""
     ctx = parse_field(desc)
     G = pairings_verifiers._pairing_matrix(ctx, window)
     p, d = ctx.p, len(G)
+    walked_groups = walked_norm_groups(desc, window)
     for cl in line_catalog(ctx, window):
         row = [sum(x * G[r][c] for r, x in enumerate(cl.vec)) % p for c in range(d)]
-        walked = pairings_verifiers._walk_norm_group(attach_extension(cl), window)
+        walked = walked_groups[cl.vec]
         assert any(row) and walked.dim() == d - 1, (desc, cl.label)
         for h in walked.basis:
             assert sum(a * b for a, b in zip(row, h)) % p == 0, (desc, cl.label)
@@ -405,14 +419,16 @@ def test_norm_groups_read_off_the_pairing_matrix_are_the_walked_ones(desc, windo
     # second has nonzero coordinates inside the window
     ctx = parse_field(desc)
     pairings_verifiers._pairing_matrix(ctx, window)
-    lines = line_catalog(ctx, window)
+    walked_groups = walked_norm_groups(desc, window)
+    lines = [(cl, walked_groups[cl.vec]) for cl in line_catalog(ctx, window)]
     if window is not None:
         deep = next(m for m in itertools.count(window + 1) if m % ctx.p)
-        lines += [line_of(parse_element(ctx, "t^-%d%s" % (deep, tail))) for tail in ("", "+t^-1")]
-    for cl in lines:
-        E = attach_extension(cl)
-        read = norm_class_subgroup(E, window)
-        assert read == pairings_verifiers._walk_norm_group(E, window), (desc, cl.label)
+        for tail in ("", "+t^-1"):
+            cl = line_of(parse_element(ctx, "t^-%d%s" % (deep, tail)))
+            lines.append((cl, pairings_verifiers._walk_norm_group(attach_extension(cl), window)))
+    for cl, walked in lines:
+        read = norm_class_subgroup(attach_extension(cl), window)
+        assert read == walked, (desc, cl.label)
         if window is not None and cl.level > window:
             assert read == identity_space(ctx.p, read.ambient_dim), (desc, cl.label)
 
@@ -422,8 +438,7 @@ def test_norm_groups_read_off_the_pairing_matrix_are_the_walked_ones(desc, windo
 )
 def test_norm_class_subgroup_walks_only_without_the_pairing_matrix(monkeypatch, desc, elt, window):
     # a fresh field walks once and builds no G, so a one-shot query stays
-    # one walk; a field that holds G walks none (the line is no sample line
-    # of G's certificate, so no walk of it is cached)
+    # one walk; a field that holds G reads ker(x.G) and walks none
     schedule = pairings_verifiers._norm_generator_schedule
     walks = []
     monkeypatch.setattr(
@@ -450,8 +465,8 @@ def test_kummer_complements_match_brute_force(desc):
     levels = adapted_basis(ctx).levels()
     report = verify_claim(ctx, "S8.33")
     claimed = {entry["i"]: entry for entry in report.claimed_orthogonals}
-    walked = [(cl.level, pairings_verifiers._walk_norm_group(attach_extension(cl), None))
-              for cl in line_catalog(ctx)]
+    walked_groups = walked_norm_groups(desc, None)
+    walked = [(cl.level, walked_groups[cl.vec]) for cl in line_catalog(ctx)]
     for i in range(0, ctx.pc + 2):
         groups = [sub for level, sub in walked if level <= ctx.pc - i]
         survivors = [
