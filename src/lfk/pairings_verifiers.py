@@ -2,9 +2,9 @@
 
 The pairing is computed at kernel level: (a, b) is trivial iff b's class
 lies in the norm-class group of the degree-p extension attached to a's
-line.  Every bit or value is read off one certified matrix per field and
-window (see the note on linearity); in characteristic p that matrix holds
-the Schmid residues S(res(x db/b)), which give values, not only bits.
+line.  Every bit or value is read off one certified matrix per field
+(see the note on linearity); in characteristic p that matrix holds the
+Schmid residues S(res(x db/b)), which give values, not only bits.
 
 Verifiers turn the structure theorems into pass/fail reports: filtration
 shape, break/level equality, break positions, norm-group intersections,
@@ -27,16 +27,17 @@ norm group of the line of a is a's orthogonal (Serre, Local Fields, XIV
 2).  So one matrix G per field (_pairing_matrix) answers every norm-group
 question of the verifiers as an orthogonal complement, fp_linalg.perp of
 rows of G or of its columns, and every pairing bit or value is (x.G).y,
-read off the row x.G (_line_row) by _row_dot.  norm_class_subgroup reads
-ker(x.G) = perp([x.G]) too whenever G is already cached; without G it
-walks the norms and builds no G, so a one-shot query pays for one walk
-only.  In char p, G holds the Schmid values; in char 0 it is the one
-solution, up to a global factor, of the Steinberg relations (x, 1 - x) = 1
-on seeded draws x, the perp of their equations.  Neither walks a norm
-group.  In both, G is certified when it is built, against the walked norm
-groups of d sample lines, and those are the only norm groups that
-verify_all walks.  The tests compare ker(x.G) with the walked norm group
-of every line of the bundled fields.
+read off the row x.G (_row_times) by _row_dot; a char-p window reads a
+top-left block of G.  norm_class_subgroup reads ker(x.G) = perp([x.G])
+too whenever the field's G covers its window; otherwise it walks the
+norms and builds no G, so a one-shot query pays for one walk only.  In
+char p, G holds the Schmid values; in char 0 it is the one solution, up
+to a global factor, of the Steinberg relations (x, 1 - x) = 1 on seeded
+draws x, the perp of their equations.  Neither walks a norm group.  In
+both, G is certified when it is built, against the walked norm groups of
+d sample lines, and those are the only norm groups that verify_all walks.
+The tests compare ker(x.G) with the walked norm group of every line of
+the bundled fields.
 
 A note on breaks.  S4.22, S5.27 and S5.28 read each line's break off the
 closed-form norm of line_break and build no extension per line; the built
@@ -124,23 +125,23 @@ def norm_class_subgroup(E, window=None):
     """The image of the norm map in the class space, as an FpSubspace.
 
     The norm group of a line is its orthogonal under the pairing (Serre,
-    Local Fields, XIV), so when ctx.cache holds the certified pairing matrix
-    G of the window, the answer is ker(x.G), x.G the line's row, and no norm
-    is taken; a char-p line deeper than the window gives the whole windowed
-    space, as a break past the window does.  Otherwise the norms are walked
-    (_walk_norm_group) and G is not built, so a one-shot query costs one
-    walk, not G's construction and certificate.
+    Local Fields, XIV), so when ctx.cache holds the pairing matrix G of the
+    window or a wider one, the answer is ker(x.G), x.G the line's row, and
+    no norm is taken; a char-p line deeper than the window gives the whole
+    windowed space, as a break past the window does.  Otherwise the norms
+    are walked (_walk_norm_group) and G is not built, so a one-shot query
+    costs one walk, not G's construction and certificate.
     """
     ctx = E.base
     if ctx.characteristic == 0:
         window = None  # the whole class space; char p needs a window
-    G = ctx.cache.get(("pairing", window))
-    if G is None:
+    if ctx.cache.get("pairing", (-1,))[0] < (window or 0):
         return _walk_norm_group(E, window)
+    G = _pairing_matrix(ctx, window)
     line, n = E.line, len(G[0])
     if ctx.characteristic and line.level > window:
         return perp([], ctx.p, n)
-    return perp([_line_row(line, G)], ctx.p, n)
+    return perp([_row_times(line.vec, G, ctx.p)], ctx.p, n)
 
 
 def _walk_norm_group(E, window):
@@ -244,10 +245,10 @@ def pairing_value(a_line, b, window=None):
     """The F_p value of the char-p pairing of a_line's class with b.
 
     (x.G).y for the coordinates x of a_line and y of b, with G the Schmid
-    table of the window max(window, level): the value only depends on b
-    modulo U_(level+1).  The Schmid residue S(res(x db/b)) is exactly
-    bilinear, so this is that residue itself; G was checked against walked
-    norm groups when it was built.
+    table read at the window max(window, level), a block of the field's one
+    G: the value only depends on b modulo U_(level+1).  The Schmid residue
+    S(res(x db/b)) is exactly bilinear, so this is that residue itself; G
+    was checked against walked norm groups when it was built.
     """
     if a_line.ctx.characteristic == 0:
         raise UnsupportedCaseError(
@@ -277,16 +278,7 @@ def _line_value(a_line, b, window):
         raise DomainError("pairing arguments live over different fields")
     w = None if ctx.characteristic == 0 else max(w, a_line.level)
     y = coordinates(adapted_basis(ctx, "mult", w), b)
-    return _row_dot(_line_row(a_line, _pairing_matrix(ctx, w)), y.coords, ctx.p)
-
-
-def _line_row(line, G):
-    """The row x.G of a line, x its coordinate vector padded with zeros or
-    cut to G's rows.  Pair, pairing value and norm group read a line's row
-    here.  A char-p G of window w extends the basis of a line of level <= w,
-    or cuts it past the level, where the line has no nonzero coordinate."""
-    d = len(G)
-    return _row_times((line.vec + (0,) * d)[:d], G, line.ctx.p)
+    return _row_dot(_row_times(a_line.vec, _pairing_matrix(ctx, w), ctx.p), y.coords, ctx.p)
 
 
 def _row_dot(row, y, p):
@@ -303,23 +295,28 @@ def _pairing_matrix(ctx, window=None):
     each.  Char 0 fixes no normalization, so G is known up to one global
     factor, which no kernel sees: _steinberg_matrix solves for it.  Neither
     builds an extension; _certify_pairing_matrix checks G in both
-    characteristics.
+    characteristics.  A field holds one G, under "pairing" with the widest
+    window it was built for.  The bases are ordered by level and a Schmid
+    entry does not depend on the window, so a narrower window reads the
+    top-left block; a wider one rebuilds G.
     """
-    cache = ctx.cache
-    key = ("pairing", window)
-    if key in cache:
-        return cache[key]
-    if ctx.characteristic:
-        mult = adapted_basis(ctx, "mult", window).elements()
-        G = [
-            [series_residue_and_dlog(g, h) for h in mult]
-            for g in adapted_basis(ctx, "add", window).elements()
-        ]
-    else:
-        G = _steinberg_matrix(ctx)
-    _certify_pairing_matrix(ctx, G, window)
-    cache[key] = G
-    return G
+    w = window or 0  # char 0 has one class space
+    if ctx.cache.get("pairing", (-1,))[0] < w:
+        if ctx.characteristic:
+            mult = adapted_basis(ctx, "mult", window).elements()
+            G = [
+                [series_residue_and_dlog(g, h) for h in mult]
+                for g in adapted_basis(ctx, "add", window).elements()
+            ]
+        else:
+            G = _steinberg_matrix(ctx)
+        _certify_pairing_matrix(ctx, G, window)
+        ctx.cache["pairing"] = w, G
+    top, G = ctx.cache["pairing"]
+    if top == w:
+        return G
+    d, n = (adapted_basis(ctx, space, window).dim() for space in ("add", "mult"))
+    return [row[:n] for row in G[:d]]
 
 
 def _steinberg_matrix(ctx):
@@ -381,7 +378,7 @@ def _certify_pairing_matrix(ctx, G, window=None):
     basis = adapted_basis(ctx, "add" if ctx.characteristic else "mult", window)
     for vec in _sample_lines(ctx, d):
         line = Line(basis, vec)
-        if _walk_norm_group(_attached(line), window) != perp([_line_row(line, G)], p, d):
+        if _walk_norm_group(_attached(line), window) != perp([_row_times(vec, G, p)], p, d):
             raise InternalError(
                 "pairing matrix disagrees with the walked norm group of line %s"
                 % "".join(map(str, vec))
@@ -731,7 +728,7 @@ def verify_reciprocity(ctx, window=None, seed=0):
     unram = [cl for cl in catalog if cl.level == 0]
     if len(unram) != 1:
         raise InternalError("expected exactly one unramified line, found %d" % len(unram))
-    row0 = _line_row(unram[0], G)
+    row0 = _row_times(unram[0].vec, G, p)
     g = ctx.k.gen() if ctx.f > 1 else ctx.k.elt(1)
     units = [
         ctx.one(),
@@ -761,7 +758,7 @@ def verify_reciprocity(ctx, window=None, seed=0):
             break
         frob_ok += 1
     witnesses.append({"uniformizers_checked": frob_ok})
-    rows = [_line_row(cl, G) for cl in catalog]  # x.G, for (c) and (d)
+    rows = [_row_times(cl.vec, G, p) for cl in catalog]  # x.G, for (c) and (d)
 
     # (c) pairing bits depend only on b modulo U_(level+1).  The coordinates
     # of the samples are read once, and those of a perturbed product b u,

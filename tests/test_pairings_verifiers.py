@@ -262,8 +262,14 @@ def test_norm_subgroup_codim_one_char0(q2, q3z):
             assert sub.dim() == n - 1
 
 
-def test_norm_subgroup_needs_window_char_p(f2t):
-    E = attach_extension(line_of(f2t.from_digits([(-1, 1)])))
+def test_norm_subgroup_needs_window_char_p():
+    # also once the field holds G: a held G covers windows up to its own,
+    # and a char-p norm group without a window has none to cover
+    ctx = parse_field("Fq((t)) p=2 f=1")
+    E = attach_extension(line_of(ctx.from_digits([(-1, 1)])))
+    with pytest.raises(DomainError):
+        norm_class_subgroup(E)
+    pairings_verifiers._pairing_matrix(ctx, 5)
     with pytest.raises(DomainError):
         norm_class_subgroup(E)
 
@@ -434,11 +440,15 @@ def test_norm_groups_read_off_the_pairing_matrix_are_the_walked_ones(desc, windo
 
 
 @pytest.mark.parametrize(
-    "desc, elt, window", [("Qp p=3 f=2 eis=3,3,1", "1+pi", None), ("Fq((t)) p=2 f=2", "t^-3+g", 5)]
+    "desc, elt, window, built",
+    [("Qp p=3 f=2 eis=3,3,1", "1+pi", None, None), ("Fq((t)) p=2 f=2", "t^-3+g", 5, 5),
+     ("Fq((t)) p=2 f=1", "t^-3+t^-1", 5, 9), ("Fq((t)) p=2 f=1", "t^-7+t^-1", 9, 5)],
 )
-def test_norm_class_subgroup_walks_only_without_the_pairing_matrix(monkeypatch, desc, elt, window):
+def test_norm_class_subgroup_walks_only_without_the_pairing_matrix(monkeypatch, desc, elt, window, built):
     # a fresh field walks once and builds no G, so a one-shot query stays
-    # one walk; a field that holds G reads ker(x.G) and walks none
+    # one walk; a field that holds G of the window or a wider one (its
+    # top-left block is G of the window) reads ker(x.G) and walks none.  A
+    # G of a narrower window does not cover the query, which walks
     schedule = pairings_verifiers._norm_generator_schedule
     walks = []
     monkeypatch.setattr(
@@ -447,13 +457,13 @@ def test_norm_class_subgroup_walks_only_without_the_pairing_matrix(monkeypatch, 
     fresh = parse_field(desc)
     walked = norm_class_subgroup(attach_extension(line_of(parse_element(fresh, elt))), window)
     assert len(walks) == 1
-    assert not any(key[0] == "pairing" for key in fresh.cache)
+    assert "pairing" not in fresh.cache
     ctx = parse_field(desc)
-    pairings_verifiers._pairing_matrix(ctx, window)
+    pairings_verifiers._pairing_matrix(ctx, built)
     E = attach_extension(line_of(parse_element(ctx, elt)))
     del walks[:]
     assert norm_class_subgroup(E, window) == walked
-    assert walks == []
+    assert walks == ([] if window is None or built >= window else [E.line])
 
 
 @pytest.mark.parametrize("desc", CHAR0_MU_P)
@@ -481,10 +491,14 @@ def test_kummer_complements_match_brute_force(desc):
         assert claimed[i]["dim"] == brute.dim() and claimed[i]["pass"], (desc, i)
 
 
-@pytest.mark.parametrize("desc, window", CHAR_P_WINDOWED)
-def test_char_p_pairing_matrix_is_the_schmid_table(desc, window):
-    # the Schmid residue of each normal form, in a context that never built G
+@pytest.mark.parametrize(
+    "desc, window, built", [(d, w, w) for d, w in CHAR_P_WINDOWED] + [("Fq((t)) p=2 f=1", 5, 9)]
+)
+def test_char_p_pairing_matrix_is_the_schmid_table(desc, window, built):
+    # the Schmid residue of each normal form, in a context that never built
+    # G; G read at a window inside the one it was built at is its block
     ctx = parse_field(desc)
+    pairings_verifiers._pairing_matrix(ctx, built)
     G = pairings_verifiers._pairing_matrix(ctx, window)
     fresh = parse_field(desc)
     mult = adapted_basis(fresh, "mult", window).elements()
@@ -492,7 +506,7 @@ def test_char_p_pairing_matrix_is_the_schmid_table(desc, window):
         [series_residue_and_dlog(line_of(g).a, h) for h in mult]
         for g in adapted_basis(fresh, "add", window).elements()
     ]
-    assert ("pairing", window) not in fresh.cache
+    assert "pairing" not in fresh.cache
     assert G == table
     assert verify_claim(ctx, "S8.34", window=window).gram == table
 
@@ -535,6 +549,35 @@ def test_verify_all_walks_at_most_d_norm_groups(monkeypatch, desc, window):
     assert 0 < len(walks) == len(pairings_verifiers._sample_lines(ctx, d)) <= d, (desc, len(walks), d)
 
 
+@pytest.mark.parametrize("desc, wide, narrow", [("Fq((t)) p=2 f=1", 9, 5), ("Fq((t)) p=3 f=1", 6, 3),
+                                                ("Fq((t)) p=2 f=2", 5, 3)])
+def test_a_two_window_session_holds_one_pairing_matrix(monkeypatch, desc, wide, narrow):
+    # G of the narrow window is the top-left block of the wide one's, so
+    # after the wide session the narrow one walks nothing and reports what a
+    # fresh field reports, byte for byte; narrow then wide certifies both
+    # (one G per window used to walk d_wide + d_narrow in either order)
+    schedule = pairings_verifiers._norm_generator_schedule
+    walks = []
+    monkeypatch.setattr(
+        pairings_verifiers, "_norm_generator_schedule", lambda E, w: walks.append(E.line) or schedule(E, w)
+    )
+
+    def dumped(ctx, window):
+        return [json.dumps(r.to_json(), indent=2) for r in verify_all(ctx, window=window)]
+
+    def samples(ctx, window):
+        return len(pairings_verifiers._sample_lines(ctx, adapted_basis(ctx, "add", window).dim()))
+
+    fresh = {w: dumped(parse_field(desc), w) for w in (wide, narrow)}
+    for order, certified in (((wide, narrow), (wide,)), ((narrow, wide), (narrow, wide))):
+        ctx = parse_field(desc)
+        del walks[:]
+        assert [dumped(ctx, w) for w in order] == [fresh[w] for w in order], (desc, order)
+        assert len(walks) == sum(samples(ctx, w) for w in certified), (desc, order)
+        assert [key for key in ctx.cache if "pairing" in key] == ["pairing"]
+        assert ctx.cache["pairing"][0] == wide
+
+
 def test_char0_pairing_matrix_walks_only_its_certificate(monkeypatch):
     # G solves the Steinberg system, so building it attaches no extension
     # and walks no norm group; its certificate then walks one per sample line
@@ -567,7 +610,7 @@ def test_a_rank_deficient_steinberg_system_is_an_internal_error(monkeypatch):
     monkeypatch.setattr(pairings_verifiers, "coordinates", lambda basis, x: y)
     with pytest.raises(InternalError, match="reached rank 3 of 8"):
         pairings_verifiers._pairing_matrix(ctx)
-    assert ("pairing", None) not in ctx.cache
+    assert "pairing" not in ctx.cache
 
 
 def test_char0_pairing_without_mu_p_is_unsupported():
