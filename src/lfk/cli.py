@@ -15,6 +15,7 @@ verify, byte-identical across runs with the same field/window/seed.
 """
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -235,20 +236,30 @@ def cmd_compute(args):
 # ------------------------------------------------------------ verify
 
 
+@contextlib.contextmanager
+def _writing(path):
+    """An OSError while writing path is bad input (exit 2) that names it."""
+    try:
+        yield
+    except OSError as exc:
+        raise MalformedInputError("cannot write %s: %s" % (path, exc.strerror or exc)) from None
+
+
 def cmd_verify(args):
     ctx = _context(args)
     wanted = list(args.claims)
     if not wanted or wanted == ["all"]:
         wanted = list(claims_for(ctx))
+    if args.out:  # an unusable --out is bad input, found before any claim runs
+        with _writing(args.out):
+            os.makedirs(args.out, exist_ok=True)
     reports = [
         verify_claim(ctx, cid, window=args.window, seed=args.seed) for cid in wanted
     ]
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        for rep in reports:
-            path = os.path.join(args.out, "%s.json" % rep.claim_id)
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(json.dumps(rep.to_json(), indent=2) + "\n")
+    for rep in reports if args.out else ():
+        path = os.path.join(args.out, "%s.json" % rep.claim_id)
+        with _writing(path), open(path, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(rep.to_json(), indent=2) + "\n")
     failed = [rep.claim_id for rep in reports if rep.status == "fail"]
     lines = ["%-7s %s" % (rep.claim_id, rep.status) for rep in reports]
     lines.append(

@@ -8,7 +8,7 @@ Schmid residues S(res(x db/b)), which give values, not only bits.
 
 Verifiers turn the structure theorems into pass/fail reports: filtration
 shape, break/level equality, break positions, norm-group intersections,
-reciprocity kernels, and the two orthogonality tables.  Reports carry a
+reciprocity kernels, and the orthogonality table.  Reports carry a
 stable JSON layout for golden-file comparison; runtime_ms is always null
 so identical inputs give byte-identical reports.
 
@@ -19,8 +19,12 @@ in char 0, the windowed K+/wp(K+) in char p), each a Line built from its
 coordinate vector with no descent, as are the lines that the certificates
 of the pairing matrix and of the breaks walk; _setting fixes a verifier's
 window, mult basis and last level index; _graded_dim is the one filtration
-rule behind S2.10/S3.16 and S5.27/S5.28; and _CLAIMS lists, per claim id,
-the fields it applies to, its verifier and its statement.
+rule behind S2.10/S3.16 and S5.27/S5.28; verify_orthogonality reads both
+complement sides of _complement at every level for S8.33 and S8.34, and
+only its report layout depends on the characteristic; and _CLAIMS lists,
+per claim id, the fields it applies to, its verifier and its statement.
+verify_claim rejects a claim that does not apply to the field before any
+verifier runs, so the verifiers hold no guard of their own.
 
 A note on linearity.  The pairing is bilinear and nondegenerate, and the
 norm group of the line of a is a's orthogonal (Serre, Local Fields, XIV
@@ -575,20 +579,19 @@ def _complement(ctx, window, i, side):
 # ================================================================ verifiers
 
 
-def _setting(ctx, window, kummer=True):
+def _setting(ctx, window):
     """(window, mult basis, last level index i) of a verifier.
 
     Char 0 works in the whole class space (window None), and i runs to the
-    triviality threshold, pc + 1 when the p-th roots of unity are present,
-    which the claims that attach Kummer extensions (kummer) need.  Char p
-    works in the window, and i runs to the window.  A nonpositive window is
-    a DomainError in both characteristics.
+    triviality threshold, pc + 1 when the p-th roots of unity are present.
+    Char p works in the window, and i runs to the window.  A nonpositive
+    window is a DomainError in both characteristics.  Which fields a claim
+    applies to is _CLAIMS' business, checked by verify_claim before any
+    verifier runs.
     """
     w = _window(window)
     if ctx.characteristic:
         return w, adapted_basis(ctx, "mult", w), w
-    if kummer and not ctx.mu_p_present:
-        raise UnsupportedCaseError("extension-backed claims need Kummer extensions")
     return None, adapted_basis(ctx), first_trivial_level(ctx)
 
 
@@ -607,7 +610,7 @@ def _graded_dim(ctx, m):
 
 
 def verify_filtration(ctx, window=None, seed=0):
-    w, _, top = _setting(ctx, window, kummer=False)
+    w, _, top = _setting(ctx, window)
     if ctx.characteristic:  # pole orders m = -i up to the window
         claim, space, lo, hi = "S3.16", "add", -w, 0
     else:  # unit levels, two past the threshold
@@ -823,113 +826,75 @@ def verify_reciprocity(ctx, window=None, seed=0):
     return _report(ctx, "S7.31", w, seed, witnesses, counterexample)
 
 
-def verify_orthogonality_kummer(ctx, window=None, seed=0):
-    """Complements of the U_i classes under the char-0 pairing matrix G.
+def verify_orthogonality(ctx, window=None, seed=0):
+    """S8.33 and S8.34: under G, the complement of the U_i classes is the
+    span of the first-argument lines of level < i, and vice versa.
 
-    The complement of the U_i classes is the intersection of the norm
-    groups of the lines of level <= pc - i, which is the kernel of their
-    rows of G.  Char 0 fixes no normalization, so G is known up to one
-    global factor; the Gram table in the report scales each row of G to a
-    1 in its first nonzero column (the coset log of each column generator
-    against the first one outside the row's norm group).  At p=2 the values
-    are absolute and the table must come out symmetric.
+    Both sides are read at every i in both characteristics; in char 0 the
+    lines of level < i are the U_(pc-i+1) classes.  Only the report layout
+    depends on the characteristic.  Char 0 fixes G up to one global factor,
+    so the Gram table scales each row to a leading 1, and at p=2, where the
+    values are absolute, it must come out symmetric.  Char p reports the
+    Schmid values and spot-checks G against the Schmid residue.
     """
-    if ctx.characteristic != 0 or not ctx.mu_p_present:
-        raise UnsupportedCaseError("kummer orthogonality needs char 0 with the p-th roots of unity")
-    _, basis, top = _setting(ctx, window)
-    labels = basis.labels()
-    n = len(labels)
-    gram = []
-    for row in _pairing_matrix(ctx):
-        inv = pow(next(v for v in row if v), -1, ctx.p)
-        gram.append([(inv * v) % ctx.p for v in row])
-    orthogonals = []
-    counterexample = None
-    for i in range(0, top + 1):
-        expected_i = ctx.pc - i + 1
-        perp, expected = _complement(ctx, None, expected_i, "mult")
-        ok = perp == expected
-        orthogonals.append(
-            {"i": i, "expected": "U_%d" % max(expected_i, 0), "dim": perp.dim(), "pass": ok}
-        )
-        if not ok and counterexample is None:
-            counterexample = {
-                "i": i,
-                "computed": [list(r) for r in perp.basis],
-                "expected": [list(r) for r in expected.basis],
-            }
-    witnesses = []
-    if ctx.p == 2:
-        sym = all(gram[r][c] == gram[c][r] for r in range(n) for c in range(n))
-        witnesses.append({"gram_symmetric": sym})
-        if not sym and counterexample is None:
-            counterexample = {"detail": "gram not symmetric at p=2"}
-    return _report(
-        ctx, "S8.33", None, seed, witnesses, counterexample, PairingReport,
-        row_labels=labels, col_labels=labels, gram=gram, claimed_orthogonals=orthogonals,
-    )
-
-
-def verify_orthogonality_as(ctx, window=None, seed=0):
-    if ctx.characteristic == 0:
-        raise UnsupportedCaseError("additive orthogonality is a char-p statement")
     w, mb, top = _setting(ctx, window)
-    ab = adapted_basis(ctx, "add", w)
-    dm, da = mb.dim(), ab.dim()
-    # true F_p values: the Schmid residue is exactly bilinear
-    gram = _pairing_matrix(ctx, w)
+    fb = adapted_basis(ctx, "add" if ctx.characteristic else "mult", w)
+    G, p = _pairing_matrix(ctx, w), ctx.p
     orthogonals = []
     counterexample = None
-    rng = random.Random((seed << 4) ^ 0x5E34)
     for i in range(0, top + 1):
-        # additive side: complement of the U_i window slice
-        perp_add, expected_add = _complement(ctx, w, i, "first")
-        ok_add = perp_add == expected_add
-        # multiplicative side ("vice versa"): complement of the p^(-i+1) slice
-        perp_mult, expected_mult = _complement(ctx, w, i, "mult")
-        ok_mult = perp_mult == expected_mult
-        orthogonals.append(
-            {
-                "i": i,
-                "add_side_pass": ok_add,
-                "mult_side_pass": ok_mult,
-                "add_dim": perp_add.dim(),
-                "mult_dim": perp_mult.dim(),
-            }
-        )
-        if not (ok_add and ok_mult) and counterexample is None:
-            counterexample = {
-                "i": i,
-                "add_computed": [list(r) for r in perp_add.basis],
-                "add_expected": [list(r) for r in expected_add.basis],
-                "mult_computed": [list(r) for r in perp_mult.basis],
-                "mult_expected": [list(r) for r in expected_mult.basis],
-            }
-    # seeded spot checks: random vector pairs against the bilinear prediction
-    spots = 0
-    if counterexample is None:
-        for _ in range(20):
-            av = [rng.randrange(ctx.p) for _ in range(da)]
-            mv = [rng.randrange(ctx.p) for _ in range(dm)]
+        first, first_want = _complement(ctx, w, i, "first")
+        mult, mult_want = _complement(ctx, w, i, "mult")
+        ok_first, ok_mult = first == first_want, mult == mult_want
+        failed = not (ok_first and ok_mult) and counterexample is None
+        if ctx.characteristic:
+            orthogonals.append({"i": i, "add_side_pass": ok_first, "mult_side_pass": ok_mult,
+                                "add_dim": first.dim(), "mult_dim": mult.dim()})
+            if failed:
+                counterexample = {"i": i}
+                for side, got, want in (("add", first, first_want), ("mult", mult, mult_want)):
+                    counterexample[side + "_computed"] = [list(r) for r in got.basis]
+                    counterexample[side + "_expected"] = [list(r) for r in want.basis]
+        else:
+            orthogonals.append({"i": i, "expected": "U_%d" % (ctx.pc - i + 1),
+                                "dim": first.dim(), "pass": ok_first and ok_mult})
+            if failed:  # the first failing side
+                got, want = (mult, mult_want) if ok_first else (first, first_want)
+                counterexample = {"i": i, "computed": [list(r) for r in got.basis],
+                                  "expected": [list(r) for r in want.basis]}
+    if ctx.characteristic:
+        # seeded spot checks: random vector pairs against the bilinear prediction
+        gram, spots = G, 0
+        rng = random.Random((seed << 4) ^ 0x5E34)
+        for _ in range(20 if counterexample is None else 0):
+            av = [rng.randrange(p) for _ in range(fb.dim())]
+            mv = [rng.randrange(p) for _ in range(mb.dim())]
             if not any(av) or not any(mv):
                 continue
-            predicted = _row_dot(_row_times(av, gram, ctx.p), mv, ctx.p)
+            predicted = _row_dot(_row_times(av, G, p), mv, p)
             # the Schmid residue itself, so the check does not read G
-            got = series_residue_and_dlog(ab.combination(av), mb.combination(mv))
+            got = series_residue_and_dlog(fb.combination(av), mb.combination(mv))
             if got != predicted:
-                counterexample = {
-                    "part": "bilinearity-spot-check",
-                    "add_vec": av,
-                    "mult_vec": mv,
-                    "predicted": predicted,
-                    "computed": got,
-                }
+                counterexample = {"part": "bilinearity-spot-check", "add_vec": av,
+                                  "mult_vec": mv, "predicted": predicted, "computed": got}
                 break
             spots += 1
-    witnesses = [{"spot_checks": spots}]
+        witnesses = [{"spot_checks": spots}]
+    else:
+        gram = []
+        for row in G:  # scaled to a leading 1
+            inv = pow(next(v for v in row if v), -1, p)
+            gram.append([inv * v % p for v in row])
+        witnesses = []
+        if p == 2:
+            sym = gram == [list(col) for col in zip(*gram)]
+            witnesses.append({"gram_symmetric": sym})
+            if not sym and counterexample is None:
+                counterexample = {"detail": "gram not symmetric at p=2"}
     return _report(
-        ctx, "S8.34", w, seed, witnesses, counterexample, PairingReport,
-        row_labels=ab.labels(), col_labels=mb.labels(), gram=gram, claimed_orthogonals=orthogonals,
+        ctx, "S8.34" if ctx.characteristic else "S8.33", w, seed, witnesses, counterexample,
+        PairingReport, row_labels=fb.labels(), col_labels=mb.labels(), gram=gram,
+        claimed_orthogonals=orthogonals,
     )
 
 
@@ -959,9 +924,9 @@ _CLAIMS = {
     "S7.31": ("mu p", verify_reciprocity, "every uniformizer class acts as "
               "Frobenius on the unramified line, unit quotients are norms, and "
               "pairing bits depend only on the class modulo U_(level+1)"),
-    "S8.33": ("mu", verify_orthogonality_kummer, "the orthogonal complement of "
+    "S8.33": ("mu", verify_orthogonality, "the orthogonal complement of "
               "the U_i classes under the hilbertian pairing is the U_(pc-i+1) classes"),
-    "S8.34": ("p", verify_orthogonality_as, "the orthogonal complement of the U_i "
+    "S8.34": ("p", verify_orthogonality, "the orthogonal complement of the U_i "
               "classes is the classes of p^(-i+1), and vice versa (windowed)"),
 }
 

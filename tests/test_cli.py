@@ -328,6 +328,28 @@ def test_verify_out_dir_writes_reports(capsys, tmp_path):
     assert (out_dir / "S2.10.json").read_bytes() == first
 
 
+@pytest.mark.parametrize("under", [False, True])  # the file itself, a path under it
+def test_verify_unusable_out_is_bad_input_before_any_claim_runs(capsys, monkeypatch, tmp_path, under):
+    import lfk.cli as cli_mod
+
+    ran = []
+    monkeypatch.setattr(cli_mod, "verify_claim", lambda ctx, cid, **kw: ran.append(cid))
+    blocker = tmp_path / "reports"
+    blocker.write_text("a file\n")
+    out = blocker / "sub" if under else blocker
+    code, stdout, err = run(capsys, "verify", "--field", Q2, "all", "--out", str(out))
+    assert code == 2 and stdout == ""
+    assert err.count("\n") == 1 and str(out) in err and "Traceback" not in err
+    assert ran == [] and blocker.read_text() == "a file\n"
+
+
+def test_verify_unwritable_report_is_bad_input(capsys, tmp_path):
+    (tmp_path / "S2.10.json").mkdir()
+    code, stdout, err = run(capsys, "verify", "--field", Q2, "S2.10", "--out", str(tmp_path))
+    assert code == 2 and stdout == ""
+    assert err.count("\n") == 1 and str(tmp_path / "S2.10.json") in err and "Traceback" not in err
+
+
 def test_bad_field_descriptor_exits_2(capsys):
     code, _, err = run(capsys, "verify", "--field", "Zp p=2", "all")
     assert code == 2

@@ -35,7 +35,7 @@ import pytest
 from lfk.class_spaces import _random_nonzero_digit, adapted_basis, as_class_reduce, coordinates
 from lfk.errors import DomainError, InternalError, PrecisionError, UnsupportedCaseError
 from lfk.extensions import attach_extension, line_of
-from lfk.fp_linalg import FpSubspace, FpVector, member, rref
+from lfk.fp_linalg import FpSubspace, FpVector, member, perp, rref
 from lfk.local_arith import parse_element, parse_field, series_residue_and_dlog
 from lfk import class_spaces, extensions, pairings_verifiers
 from lfk.pairings_verifiers import (
@@ -1073,6 +1073,31 @@ def test_orthogonality_complement_dims(q2_reports):
     # U_i^perp = U_{3-i}: dims 0, 1, 2, 3 as i runs 0..3 over a 3-dim space
     assert dims == {0: 0, 1: 1, 2: 2, 3: 3}
     assert all(entry["pass"] for entry in orth.claimed_orthogonals)
+
+
+@pytest.mark.parametrize("side", ["first", "mult"])
+@pytest.mark.parametrize(
+    "desc, window", [("Qp p=2 f=1", None), ("Qp p=3 f=2 eis=3,3,1", None), ("Fq((t)) p=2 f=2", 5)]
+)
+def test_orthogonality_reads_both_complement_sides(monkeypatch, desc, window, side):
+    # one side's complement at i = 1 comes out as the whole space; S8.33 and
+    # S8.34 read both sides at every i, so the claim fails at i = 1
+    complement = pairings_verifiers._complement
+
+    def whole_at_1(ctx, w, i, s):
+        got, want = complement(ctx, w, i, s)
+        return (perp([], ctx.p, got.ambient_dim) if (i, s) == (1, side) else got), want
+
+    monkeypatch.setattr(pairings_verifiers, "_complement", whole_at_1)
+    ctx = parse_field(desc)
+    report = verify_claim(ctx, "S8.34" if ctx.characteristic else "S8.33", window=window)
+    assert report.status == "fail" and report.counterexample["i"] == 1
+    entry = report.claimed_orthogonals[1]
+    if ctx.characteristic:
+        flag = "add_side_pass" if side == "first" else "mult_side_pass"
+        assert not entry[flag] and all(e[flag] for e in report.claimed_orthogonals if e is not entry)
+    else:
+        assert not entry["pass"] and all(e["pass"] for e in report.claimed_orthogonals if e is not entry)
 
 
 def test_unknown_claim_rejected(q2):
