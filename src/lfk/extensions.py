@@ -16,14 +16,15 @@ v_E(sigma(pi_E) - pi_E) - 1.
 
 The norm of x - c is a closed form, +/-(c^p - a) for x^p = a and
 +/-(c^p - c - a) for y^p - y = a, so the valuation w of the uniformizer
-candidate x - c is read in K; the uniformizer is a Bezout combination of
-x - c and pi, checked to have valuation 1 in E.  line_break gives the break
+candidate x - c is read in K, and _of_valuation builds an element of any
+valuation m as (x - c)^j pi^k; the uniformizer is its m = 1 Bezout
+combination, checked to have valuation 1 in E.  line_break gives the break
 without building E: sigma(pi_E)/pi_E is a power prime to p of
 sigma(x - c)/(x - c), whence break = pc + v(a) - w (Kummer,
 v_E(zeta - 1) = pc) and break = -w (Artin-Schreier).  See Serre, Local
 Fields, IV 2, and Fesenko-Vostokov, Local Fields and Their Extensions,
 III 2.  The verifiers certify line_break against ramification_break on the
-basis lines and the sample lines of the pairing matrix's certificate.
+frame of the pairing matrix's certificate: the basis lines and their sum.
 """
 
 import math
@@ -141,13 +142,13 @@ class ExtElement:
     def powi(self, n):
         if n < 0:
             raise DomainError("negative powers need division in E; not supported")
-        out = self.ext.embed(self.ext.base.one())
-        base = self
-        while n:
-            if n & 1:
-                out = out.mul(base)
-            base = base.mul(base)
-            n >>= 1
+        if n == 0:
+            return self.ext.embed(self.ext.base.one())
+        out = self
+        for bit in bin(n)[3:]:
+            out = out.mul(out)
+            if bit == "1":
+                out = out.mul(self)
         return out
 
     def is_zero_to_precision(self):
@@ -292,18 +293,23 @@ class DegreePExtension:
     # ------------------------------------------------------------ construction helpers
 
     def _find_uniformizer(self):
-        ctx = self.base
+        """pi when E is unramified, else y_1 of _of_valuation, checked."""
         if self.is_unramified:
-            return self.embed(ctx.pi())
-        c, w = _uniformizer_candidate(ctx, self.kind, self.a)
-        one = self.embed(ctx.one())
-        cand = (self.gen(), self.gen().sub(one), self.gen().add(one))[c]  # x - c
-        x1 = pow(w, -1, ctx.p)
-        x2 = (1 - x1 * w) // ctx.p
-        out = cand.powi(x1).scale(ctx.pi().powi(x2))
+            return self.embed(self.base.pi())
+        out = self._of_valuation(1)
         if self.ext_val(out) != 1:
             raise InternalError("Bezout combination missed valuation 1")
         return out
+
+    def _of_valuation(self, m):
+        """y_m = (x - c)^j pi^k of valuation j w + p k = m in a ramified E,
+        where w = v_E(x - c) is prime to p (_uniformizer_candidate) and
+        0 <= j < p; built afresh, not as a power of y_1, it keeps its digits."""
+        ctx = self.base
+        c, w = _uniformizer_candidate(ctx, self.kind, self.a)
+        j = m * pow(w, -1, ctx.p) % ctx.p
+        xc = self.gen().sub(self.embed(ctx.from_int(c))) if c else self.gen()
+        return xc.powi(j).scale(ctx.one().shift((m - j * w) // ctx.p))
 
     def _break(self):
         if self.is_unramified:

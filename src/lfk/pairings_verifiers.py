@@ -39,15 +39,16 @@ char p, G holds the Schmid values; in char 0 it is the one solution, up
 to a global factor, of the Steinberg relations (x, 1 - x) = 1 on seeded
 draws x, the perp of their equations.  Neither walks a norm group.  In
 both, G is certified when it is built, against the walked norm groups of
-d sample lines, and those are the only norm groups that verify_all walks.
-The tests compare ker(x.G) with the walked norm group of every line of
-the bundled fields.
+the d + 1 lines of a projective frame (_frame: the basis lines and their
+sum), which pins G up to the one global factor no norm group sees; those
+are the only norm groups that verify_all walks.  The tests compare
+ker(x.G) with the walked norm group of every line of the bundled fields.
 
 A note on breaks.  S4.22, S5.27 and S5.28 read each line's break off the
 closed-form norm of line_break and build no extension per line; the built
-extension's break certifies the closed form on the d basis lines and the
-d sample lines of G's certificate (_break_entries).  The tests compare
-the two breaks on every line of the bundled fields.
+extension's break certifies the closed form on the lines of G's frame
+(_break_entries), whose extensions G's certificate builds anyway.  The
+tests compare the two breaks on every line of the bundled fields.
 
 A note on S7.31.  Each catalog line's row x.G is formed once, x the
 line's catalog vector.  The perturbations u = 1 + tau(d) pi^(i + r) of part
@@ -86,7 +87,6 @@ from .local_arith import series_residue_and_dlog
 
 _ADD_CATALOG_BUDGET = 128
 _DEFAULT_WINDOW = 9
-_SAMPLE_SEED = 0x6A11
 # the draws x = combination(v) z^p of the char-0 Steinberg system: the
 # seed, the Teichmuller digits of z, and the draws allowed per entry of G
 # before the system is declared stuck
@@ -151,14 +151,13 @@ def norm_class_subgroup(E, window=None):
 def _walk_norm_group(E, window):
     """The norm group of E, walked: window None in char 0.
 
-    Norms of a fixed generator schedule (the uniformizer of E, then units
-    tau(theta) pi^j +/- the generator) are reduced to coordinates and
-    accumulated until their span reaches the dimension that class field
-    theory fixes: codimension 1 in char 0 and in a char-p window that
-    holds the break, codimension 0 in a char-p window the break lies
-    past.  A schedule that ends short of it is an InternalError.  It never
-    reads G, so it certifies G (_certify_pairing_matrix) and serves the
-    tests as G's oracle.
+    Norms of a fixed generator schedule (_norm_generator_schedule) are
+    reduced to coordinates and accumulated until their span reaches the
+    dimension that class field theory fixes: codimension 1 in char 0 and
+    in a char-p window that holds the break, codimension 0 in a char-p
+    window the break lies past.  A schedule that ends short of it is an
+    InternalError.  It never reads G, so it certifies G
+    (_certify_pairing_matrix) and serves the tests as G's oracle.
     """
     ctx = E.base
     basis = adapted_basis(ctx, "mult", window)
@@ -186,15 +185,17 @@ def _walk_norm_group(E, window):
 def _norm_generator_schedule(E, window):
     """Candidates whose norm classes generate the full norm-class group.
 
-    Ramified E: single-digit units 1 + tau(theta) pi_E^m.  Walking m deep
-    enough that norms of deeper units have trivial class, every unit norm
-    is a product of these (successive digit elimination), so together with
-    N(pi_E) they generate everything.  Unramified E: perturb by powers of
-    a residue-generating unit z instead — the graded norm is the residue
-    trace of theta*z^s, and some power of z has nonzero trace because the
-    residue extension is separable.  Plain powers of the Kummer/AS
-    generator are NOT enough here: their shallow digits cancel and the
-    span sticks below codimension 1.
+    Ramified E: single-digit units 1 + tau(theta) y_m, y_m of valuation m
+    in E (DegreePExtension._of_valuation).  Walking m deep enough that
+    norms of deeper units have trivial class, every unit norm is a product
+    of these (successive digit elimination), so together with N(pi_E) they
+    generate everything.  Any y_m of exact valuation m serves; each is
+    built afresh, not as a power of pi_E, so deep ones keep their digits.
+    Unramified E: perturb by powers of a residue-generating unit z instead
+    — the graded norm is the residue trace of theta*z^s, and some power of
+    z has nonzero trace because the residue extension is separable.  Plain
+    powers of the Kummer/AS generator are NOT enough here: their shallow
+    digits cancel and the span sticks below codimension 1.
     """
     ctx = E.base
     one = E.embed(ctx.one())
@@ -216,11 +217,10 @@ def _norm_generator_schedule(E, window):
                 for s in range(1, ctx.p):
                     yield one.add(zpows[s].mul(c))
     else:
-        pim = one
         for m in range(1, ctx.p * (depth + 1) + 1):
-            pim = cap(pim.mul(E.uniformizer))
+            ym = cap(E._of_valuation(m))
             for theta in ctx.k.basis():
-                yield one.add(pim.scale(ctx.teichmuller(theta)))
+                yield one.add(ym.scale(ctx.teichmuller(theta)))
 
 
 def _residue_generating_unit(E):
@@ -365,11 +365,12 @@ def _certify_pairing_matrix(ctx, G, window=None):
 
     The pairing is nondegenerate, so G has full rank; in char 0, where both
     arguments live in one space, (a, b)(b, a) = 1 makes G skew-symmetric
-    (symmetric at p = 2); and d lines the construction did not walk, from
-    a fixed-seed sample, must have the directly walked norm group ker(x.G).
-    Those walks call _walk_norm_group by name: norm_class_subgroup reads G
-    once G is cached, and a certificate must not read what it certifies.
-    Any failure is an InternalError.
+    (symmetric at p = 2); and each line x of the frame (_frame), which the
+    construction did not walk, must have the directly walked norm group
+    ker(x.G), which fixes G up to one global factor.  Those walks call
+    _walk_norm_group by name: norm_class_subgroup reads G once G is cached,
+    and a certificate must not read what it certifies.  Any failure is an
+    InternalError.
     """
     p, d = ctx.p, len(G)
     if ctx.characteristic == 0 and any(
@@ -380,7 +381,7 @@ def _certify_pairing_matrix(ctx, G, window=None):
     if rref([FpVector(p, row) for row in G]).dim() != d:
         raise InternalError("pairing matrix is singular")
     basis = adapted_basis(ctx, "add" if ctx.characteristic else "mult", window)
-    for vec in _sample_lines(ctx, d):
+    for vec in _frame(d):
         line = Line(basis, vec)
         if _walk_norm_group(_attached(line), window) != perp([_row_times(vec, G, p)], p, d):
             raise InternalError(
@@ -389,14 +390,11 @@ def _certify_pairing_matrix(ctx, G, window=None):
             )
 
 
-def _sample_lines(ctx, d):
-    """d normalized coordinate vectors off the d basis lines, whose breaks
-    _break_entries certifies on their own, drawn with a fixed seed; all of
-    them when fewer are left."""
-    p = ctx.p
-    used = {tuple(int(k == i) for k in range(d)) for i in range(d)}
-    size = min(d, (p**d - 1) // (p - 1) - d)
-    return _draw_lines(p, d, used, size, random.Random(_SAMPLE_SEED))
+def _frame(d):
+    """The d basis lines and their sum, a projective frame of P^(d-1): a
+    norm group fixes basis line i's row of G up to its own scalar, and the
+    sum line's forces the d scalars to agree."""
+    return [tuple(int(k == i) for k in range(d)) for i in range(d)] + [(1,) * d]
 
 
 def _row_times(x, G, p):
@@ -505,20 +503,6 @@ def _normalized_tuples(p, dim):
             yield vec
 
 
-def _draw_lines(p, d, seen, count, rng):
-    """count normalized tuples not in seen, drawn from rng; seen takes them too."""
-    out = []
-    while len(out) < count:
-        v = [rng.randrange(p) for _ in range(d)]
-        if any(v):
-            inv = pow(next(c for c in v if c), -1, p)
-            v = tuple((inv * c) % p for c in v)
-            if v not in seen:
-                seen.add(v)
-                out.append(v)
-    return out
-
-
 def line_catalog(ctx, window=None, seed=0):
     """Lines of the first-argument class space, over its adapted basis.
 
@@ -540,7 +524,12 @@ def line_catalog(ctx, window=None, seed=0):
             seen = {tuple(int(k == i) for k in range(d)) for i in range(d)}
             pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
             seen |= {tuple(int(k in ij) for k in range(d)) for ij in pairs}
-            _draw_lines(p, d, seen, 40, random.Random((seed << 16) ^ 0xAD5C))
+            rng, size = random.Random((seed << 16) ^ 0xAD5C), len(seen) + 40
+            while len(seen) < size:  # 40 more lines, each normalized
+                v = [rng.randrange(p) for _ in range(d)]
+                if any(v):
+                    inv = pow(next(c for c in v if c), -1, p)
+                    seen.add(tuple(inv * c % p for c in v))
             vecs = sorted(seen)
         ctx.cache[key] = [Line(basis, vec) for vec in vecs]
     return ctx.cache[key]
@@ -630,18 +619,16 @@ def _break_entries(ctx, window, seed):
     """(label, level, break) per catalog line, each break from line_break.
 
     The conjugate-product break of the attached extension certifies the
-    closed form on the d basis lines and on the d sample lines of G's
-    certificate, whose norm groups that certificate walks, so verify_all
-    builds 2d extensions.  A disagreement is an InternalError.  The entries
-    are cached next to the catalog, so S4.22 and S5.27/S5.28 share one pass.
+    closed form on the d + 1 lines of G's frame, whose norm groups G's
+    certificate walks, so verify_all builds d + 1 extensions.  A
+    disagreement is an InternalError.  The entries are cached next to the
+    catalog, so S4.22 and S5.27/S5.28 share one pass.
     """
     key = ("breaks", window, seed)
     if key in ctx.cache:
         return ctx.cache[key]
     basis = adapted_basis(ctx, "add" if ctx.characteristic else "mult", window)
-    d = basis.dim()
-    units = [tuple(int(k == i) for k in range(d)) for i in range(d)]
-    for vec in units + _sample_lines(ctx, d):
+    for vec in _frame(basis.dim()):
         line = Line(basis, vec)
         got, want = line_break(line), _attached(line).ramification_break
         if got != want:

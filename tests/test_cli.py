@@ -18,8 +18,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lfk
+from lfk.class_spaces import adapted_basis
 from lfk.cli import main
 from lfk.errors import MalformedInputError
+from lfk.extensions import line_break, line_of
+from lfk.fp_linalg import FpVector, member, rref
 from lfk.local_arith import INF, parse_element, parse_field, series_residue_and_dlog, val
 
 
@@ -175,6 +178,28 @@ def test_compute_norm_group_q2(capsys):
     assert doc["dim"] == 2
     # N(sqrt 5) mod squares is generated by -1 and 5: no pi component
     assert doc["generators"] == [[0, 1, 0], [0, 0, 1]]
+
+
+@pytest.mark.parametrize(
+    "field, elt",
+    # both walks ran out of digits while the schedule took running powers
+    # of pi_E: exit 4, "descent failed to advance past level 10", and exit
+    # 2, "cannot reduce zero"
+    [("Qp p=2 f=1 eis=2,0,0,0,0,1", "1+pi^7"), ("Qp p=7 f=1 eis=7,21,35,35,21,7,1", "1+pi^6")],
+)
+def test_compute_norm_group_of_a_deeply_ramified_line(capsys, field, elt):
+    code, out, err = run(capsys, "compute", "norm-group", "--field", field, "--elt", elt, "--format", "json")
+    assert code == 0, err
+    doc = json.loads(out)
+    ctx = parse_field(field)
+    basis = adapted_basis(ctx)
+    n = basis.dim()
+    assert doc["labels"] == basis.labels() and doc["dim"] == n - 1
+    # N(E*) holds U_(b+1), b the break: every mult slot of unit level > b
+    b = line_break(line_of(parse_element(ctx, elt)))
+    span = rref([FpVector(ctx.p, g) for g in doc["generators"]], p=ctx.p, ambient_dim=n)
+    deep = [c for c, lvl in enumerate(basis.levels()) if lvl > b]
+    assert deep and all(member(span, FpVector(ctx.p, [int(j == c) for j in range(n)])) for c in deep)
 
 
 def test_compute_norm_group_char_p_needs_window(capsys):
@@ -515,16 +540,18 @@ SWEEP_EXIT_3 = {
 }
 # the deeper mu_p shapes above are swept at f = 1 only
 SWEEP += [(field, None) for field in sorted(SWEEP_EXIT_3 - {field for field, _ in SWEEP})]
-# Q2 shapes with e >= 5 and their verify all exit codes.  All ten exited
-# 4, "descent failed to advance past level m", while the char-0 pairing
-# matrix was read off walked norm groups; it now solves the Steinberg
-# relations.  At e = 9 a descent runs out of digits and says so (exit 3;
-# ROADMAP item 1, step 2)
-SWEEP_DEEP_Q2 = {
-    **{"Qp p=2 f=1 eis=2,%s1" % ("0," * (e - 1)): 0 if e < 9 else 3 for e in range(5, 10)},
-    **{"Qp p=2 f=1 eis=%s1" % ("2," * e): 0 if e < 9 else 3 for e in range(6, 10)},
-    "Qp p=2 f=2 eis=2,0,0,0,0,1": 0,
-}
+# Q2 shapes with e >= 5.  All ten exited 4, "descent failed to advance past
+# level m", while the char-0 pairing matrix was read off walked norm
+# groups; it now solves the Steinberg relations.  The e = 9 shapes exited
+# 3, a walk out of digits, while the norm walk took running powers of pi_E;
+# it now builds each unit's valuation-m element afresh.  SWEEP_PREC_128 is
+# verified at prec 128 too, with the same reports but for the field label
+SWEEP_DEEP_Q2 = (
+    ["Qp p=2 f=1 eis=2,%s1" % ("0," * (e - 1)) for e in range(5, 10)]
+    + ["Qp p=2 f=1 eis=%s1" % ("2," * e) for e in range(6, 10)]
+    + ["Qp p=2 f=2 eis=2,0,0,0,0,1"]
+)
+SWEEP_PREC_128 = "Qp p=2 f=1 eis=2,0,0,0,0,0,0,0,0,1"
 
 
 @pytest.mark.slow
@@ -540,11 +567,13 @@ def test_field_sweep_verify_all(capsys, field, window):
 
 @pytest.mark.slow
 @pytest.mark.parametrize("field", SWEEP_DEEP_Q2)
-def test_field_sweep_precision_shortfall_is_not_a_bug(capsys, field):
-    code, _, err = run(capsys, "verify", "all", "--field", field)
-    assert code == SWEEP_DEEP_Q2[field], (code, err)
-    if code == 3:
-        assert "unit class reduction reads digits up to level 18" in err, err
+def test_field_sweep_deep_q2_shapes_verify(capsys, field):
+    runs = []
+    for prec in ("64", "128") if field == SWEEP_PREC_128 else ("64",):
+        code, out, err = run(capsys, "verify", "all", "--field", field, "--prec", prec, "--format", "json")
+        assert code == 0, (prec, err)
+        runs.append([{**rep, "field": None} for rep in json.loads(out)])
+    assert all(reports == runs[0] for reports in runs)
 
 
 # ------------------------------------------------------------ fuzz

@@ -35,7 +35,7 @@ import pytest
 from lfk.class_spaces import _random_nonzero_digit, adapted_basis, as_class_reduce, coordinates
 from lfk.errors import DomainError, InternalError, PrecisionError, UnsupportedCaseError
 from lfk.extensions import attach_extension, line_of
-from lfk.fp_linalg import FpSubspace, FpVector, member, perp, rref
+from lfk.fp_linalg import FpSubspace, FpVector, member, perp, rref, solve
 from lfk.local_arith import parse_element, parse_field, series_residue_and_dlog
 from lfk import class_spaces, extensions, pairings_verifiers
 from lfk.pairings_verifiers import (
@@ -518,7 +518,7 @@ def test_char_p_pairing_matrix_is_the_schmid_table(desc, window, built):
 )
 def test_pairing_matrix_certificate_catches_every_flipped_entry(desc, window):
     # neither characteristic builds G from a norm group, so the walked
-    # sample lines are all that tie G to the norm map
+    # frame lines are all that tie G to the norm map
     ctx = parse_field(desc)
     G = pairings_verifiers._pairing_matrix(ctx, window)
     pairings_verifiers._certify_pairing_matrix(ctx, G, window)
@@ -530,9 +530,49 @@ def test_pairing_matrix_certificate_catches_every_flipped_entry(desc, window):
             pairings_verifiers._certify_pairing_matrix(ctx, bad, window)
 
 
+def _row_rescaled(G, S, lam, p):
+    """G' = S^-1 Lambda S G for invertible S: the row of line s_i under G' is
+    lam_i s_i.G, so every line of S keeps its norm group ker(s_i.G)."""
+    d = len(G)
+    target = [[lam[i] * sum(s * row[c] for s, row in zip(S[i], G)) % p for c in range(d)] for i in range(d)]
+    cols = [FpVector(p, col) for col in zip(*S)]
+    return [list(row) for row in zip(*(solve(cols, FpVector(p, col)) for col in zip(*target)))]
+
+
+@pytest.mark.parametrize(
+    "desc, window, known",
+    # known (S, Lambda) pairs that weaker checks let through.  F5((t)) w4:
+    # S is the seeded sample a previous certificate walked instead of the
+    # frame, and it accepted this G'.  Q3(zeta3): this G' is skew-symmetric
+    # and of full rank, so only the walks can reject it; a seeded search
+    # finds one in about 1 of 130 draws there, and none in 400 on Q3f2e2
+    [("Fq((t)) p=5 f=1", 4,
+      [([(1, 4, 4, 1, 3), (1, 4, 0, 0, 0), (0, 1, 1, 4, 0), (1, 2, 4, 3, 0), (1, 2, 2, 2, 1)], [1, 1, 1, 1, 2])]),
+     ("Qp p=3 f=1 eis=3,3,1", None, [([(1, 1, 2, 1), (2, 0, 0, 2), (1, 0, 2, 2), (0, 0, 2, 0)], [1, 2, 2, 1])]),
+     ("Qp p=3 f=2 eis=3,3,1", None, [])],
+)
+def test_pairing_matrix_certificate_rejects_a_row_rescaled_matrix(desc, window, known):
+    # a walked norm group fixes its line's row of G only up to a scalar, so
+    # no d independent lines S tell G from G' = S^-1 Lambda S G; the frame's
+    # sum line does, for the basis lines as S and for every other S
+    ctx = parse_field(desc)
+    G = pairings_verifiers._pairing_matrix(ctx, window)
+    p, d = ctx.p, len(G)
+    rng = random.Random(0x5CA1)
+    cases = list(known) + [([tuple(int(k == i) for k in range(d)) for i in range(d)], [1] * (d - 1) + [2])]
+    while len(cases) < len(known) + 12:
+        S = [tuple(rng.randrange(p) for _ in range(d)) for _ in range(d)]
+        lam = [rng.randrange(1, p) for _ in range(d)]
+        if len(set(lam)) > 1 and rref([FpVector(p, s) for s in S]).dim() == d:
+            cases.append((S, lam))
+    for S, lam in cases:
+        with pytest.raises(InternalError):
+            pairings_verifiers._certify_pairing_matrix(ctx, _row_rescaled(G, S, lam, p), window)
+
+
 @pytest.mark.parametrize("desc, window", CHAR_P_WINDOWED + (("Qp p=3 f=2 eis=3,3,1", None),))
-def test_verify_all_walks_at_most_d_norm_groups(monkeypatch, desc, window):
-    # only the certificate of G walks norm groups, one per sample line; when
+def test_verify_all_walks_d_plus_one_norm_groups(monkeypatch, desc, window):
+    # only the certificate of G walks norm groups, one per frame line; when
     # S7.31 cross-checked each catalog line it took 63 / 68 / 127 walks, and
     # Q3f2e2 took 17 when G was read off the norm groups of 2d - 1 lines
     schedule = pairings_verifiers._norm_generator_schedule
@@ -546,7 +586,8 @@ def test_verify_all_walks_at_most_d_norm_groups(monkeypatch, desc, window):
     ctx = parse_field(desc)
     d = adapted_basis(ctx, "add" if ctx.characteristic else "mult", window).dim()
     assert all(r.passed() for r in verify_all(ctx, window=window))
-    assert 0 < len(walks) == len(pairings_verifiers._sample_lines(ctx, d)) <= d, (desc, len(walks), d)
+    assert [line.vec for line in walks] == pairings_verifiers._frame(d), desc
+    assert len(walks) == d + 1, (desc, len(walks), d)
 
 
 @pytest.mark.parametrize("desc, wide, narrow", [("Fq((t)) p=2 f=1", 9, 5), ("Fq((t)) p=3 f=1", 6, 3),
@@ -554,8 +595,9 @@ def test_verify_all_walks_at_most_d_norm_groups(monkeypatch, desc, window):
 def test_a_two_window_session_holds_one_pairing_matrix(monkeypatch, desc, wide, narrow):
     # G of the narrow window is the top-left block of the wide one's, so
     # after the wide session the narrow one walks nothing and reports what a
-    # fresh field reports, byte for byte; narrow then wide certifies both
-    # (one G per window used to walk d_wide + d_narrow in either order)
+    # fresh field reports, byte for byte; narrow then wide certifies both,
+    # one walk per frame line (one G per window used to walk both frames in
+    # either order)
     schedule = pairings_verifiers._norm_generator_schedule
     walks = []
     monkeypatch.setattr(
@@ -565,22 +607,22 @@ def test_a_two_window_session_holds_one_pairing_matrix(monkeypatch, desc, wide, 
     def dumped(ctx, window):
         return [json.dumps(r.to_json(), indent=2) for r in verify_all(ctx, window=window)]
 
-    def samples(ctx, window):
-        return len(pairings_verifiers._sample_lines(ctx, adapted_basis(ctx, "add", window).dim()))
+    def frame(ctx, window):
+        return len(pairings_verifiers._frame(adapted_basis(ctx, "add", window).dim()))
 
     fresh = {w: dumped(parse_field(desc), w) for w in (wide, narrow)}
     for order, certified in (((wide, narrow), (wide,)), ((narrow, wide), (narrow, wide))):
         ctx = parse_field(desc)
         del walks[:]
         assert [dumped(ctx, w) for w in order] == [fresh[w] for w in order], (desc, order)
-        assert len(walks) == sum(samples(ctx, w) for w in certified), (desc, order)
+        assert len(walks) == sum(frame(ctx, w) for w in certified), (desc, order)
         assert [key for key in ctx.cache if "pairing" in key] == ["pairing"]
         assert ctx.cache["pairing"][0] == wide
 
 
 def test_char0_pairing_matrix_walks_only_its_certificate(monkeypatch):
     # G solves the Steinberg system, so building it attaches no extension
-    # and walks no norm group; its certificate then walks one per sample line
+    # and walks no norm group; its certificate then walks one per frame line
     events = []
     attach = pairings_verifiers.attach_extension
     schedule = pairings_verifiers._norm_generator_schedule
@@ -598,7 +640,7 @@ def test_char0_pairing_matrix_walks_only_its_certificate(monkeypatch):
         del events[:]
         ctx = parse_field(desc)
         pairings_verifiers._pairing_matrix(ctx)
-        lines = pairings_verifiers._sample_lines(ctx, adapted_basis(ctx).dim())
+        lines = pairings_verifiers._frame(adapted_basis(ctx).dim())
         assert events == ["certify"] + ["attach", "walk"] * len(lines), desc
 
 
@@ -637,11 +679,9 @@ def test_char_p_claims_check_every_index_up_to_the_window(f2t):
 
 
 def _certificate_vectors(ctx, window):
-    """The basis lines and G's sample lines, on which built extensions
-    certify the closed-form breaks."""
-    d = adapted_basis(ctx, "add" if ctx.characteristic else "mult", window).dim()
-    units = [tuple(int(k == i) for k in range(d)) for i in range(d)]
-    return units + pairings_verifiers._sample_lines(ctx, d)
+    """The frame of G's certificate, the basis lines and their sum, on which
+    built extensions certify the closed-form breaks."""
+    return pairings_verifiers._frame(adapted_basis(ctx, "add" if ctx.characteristic else "mult", window).dim())
 
 
 def _break_off_by_one_on(monkeypatch, ctx, window, vec):
@@ -657,7 +697,7 @@ def _break_off_by_one_on(monkeypatch, ctx, window, vec):
 
 
 @pytest.mark.parametrize("desc, window", [("Qp p=3 f=2 eis=3,3,1", None), ("Fq((t)) p=3 f=1", 6)])
-@pytest.mark.parametrize("which", [1, -1])  # a basis line, a sample line
+@pytest.mark.parametrize("which", [1, -1])  # a basis line, the sum line
 def test_a_wrong_closed_form_break_on_a_certificate_line_is_an_internal_error(
     monkeypatch, desc, window, which
 ):
@@ -680,10 +720,11 @@ def test_a_wrong_closed_form_break_off_the_certificate_fails_the_claim(monkeypat
 
 @pytest.mark.parametrize(
     "desc, window, built",
-    # 2d: the basis lines and the sample lines of G's certificate (17 in
-    # char 0 when G was read off the norm groups of 2d - 1 lines)
-    [("Qp p=3 f=2 eis=3,3,1", None, 12), ("Fq((t)) p=2 f=1", 9, 12),
-     ("Fq((t)) p=3 f=1", 6, 10), ("Fq((t)) p=2 f=2", 5, 14)],
+    # d + 1: the frame of G's certificate, the basis lines and their sum
+    # (2d = 12 / 12 / 10 / 14 with a seeded sample of d more lines, and 17
+    # in char 0 when G was read off the norm groups of 2d - 1 lines)
+    [("Qp p=3 f=2 eis=3,3,1", None, 7), ("Fq((t)) p=2 f=1", 9, 7),
+     ("Fq((t)) p=3 f=1", 6, 6), ("Fq((t)) p=2 f=2", 5, 8)],
 )
 def test_verify_all_builds_extensions_only_for_certificate_lines(desc, window, built):
     # one extension per catalog line before breaks came from line_break:
