@@ -15,6 +15,12 @@ Two implementations sit behind one interface:
   are exact because the x-degrees are distinct modulo e, so no cross-term
   cancellation can hide the leading monomial.
 
+  The p-content rule: num may be divisible by p, and operations leave it
+  so (a product keeps the p-content of both factors' nums).  Whatever
+  reads num as a unit or a residue — inv, a digit read, to_literal and
+  zeta's Newton lift — first calls _stripped(), which moves the p-content
+  of num into t and keeps P.
+
 * characteristic p — K = k((t)); elements are sparse Laurent polynomials
   over k with a precision bound that is +infinity for exact values.
   Inversion is the only operation that truncates on its own; callers that
@@ -395,31 +401,23 @@ class FieldContext:
         return True, zeta
 
     def _hensel_zeta(self, theta):
-        """Newton-refine 1 + tau(theta)*pi^c to a primitive p-th root of unity."""
+        """Newton-refine 1 + tau(theta)*pi^c to a primitive p-th root of unity.
+
+        z = zeta - 1 is a root of F(z) = ((1 + z)^p - 1)/z, and one Horner
+        pass gives F(z) and F'(z).  Each iterate is stripped: a product of
+        iterates with negative t and p-content in num would double both at
+        every step and cap the precision that num can hold.
+        """
         p = self.p
         binom = [math.comb(p, j + 1) for j in range(p)]  # F(z) = sum binom[j] z^j
         z = self.teichmuller(theta).mul(self.pi().powi(self.c))
         target = self.default_precision
-
-        def F(zv):
-            acc = self.zero()
-            zpow = self.one()
-            for j in range(p):
-                acc = acc.add(zpow.scale_int(binom[j]))
-                zpow = zpow.mul(zv)
-            return acc
-
-        def Fprime(zv):
-            acc = self.zero()
-            zpow = self.one()
-            for j in range(1, p):
-                acc = acc.add(zpow.scale_int(j * binom[j]))
-                zpow = zpow.mul(zv)
-            return acc
-
         last_v = -1
         for _ in range(4 * target + 8):
-            fv = F(z)
+            fv, dv = self.one(), self.zero()  # binom[p - 1] = 1
+            for c in reversed(binom[:-1]):
+                dv = dv.mul(z).add(fv)
+                fv = fv.mul(z).add(self.from_int(c))
             v = fv.valuation()
             if v == INF or v >= target + self.e:
                 zeta = self.one().add(z)
@@ -432,7 +430,7 @@ class FieldContext:
             if v <= last_v:
                 raise InternalError("Newton iteration for zeta stalled at v=%s" % v)
             last_v = v
-            z = z.sub(fv.mul(Fprime(z).inv()))
+            z = z.sub(fv.mul(dv.inv()))._stripped()
         raise PrecisionError("zeta refinement did not converge at current precision")
 
     # ------------------------------------------------------------ char-p helpers
@@ -518,6 +516,22 @@ class ZqElement(_Element):
             self._val = INF if v >= self.P else v
         return self._val
 
+    def _stripped(self):
+        """The same element with the p-content of num moved into t; P is kept.
+
+        Stripping a stripped element (or a zero num) returns it unchanged.
+        """
+        p = self.ctx.p
+        g, k = math.gcd(*chain.from_iterable(self.num)), 0
+        while g and g % p == 0:
+            g, k = g // p, k + 1
+        if not k:
+            return self
+        pk = p**k
+        out = ZqElement(self.ctx, [[c // pk for c in row] for row in self.num], self.t + k, self.P)
+        out._val = self._val
+        return out
+
     # -- ring operations
 
     def _aligned(self, other):
@@ -559,15 +573,7 @@ class ZqElement(_Element):
         v = self.valuation()
         if v == INF:
             raise DomainError("inverse of (truncated) zero")
-        unit = self.shift(-v)
-        # clear p-content so the numerator polynomial is a unit mod p
-        K = -unit.t
-        U = unit.num
-        if K > 0:
-            pK = ctx.p**K
-            U = [[c // pK for c in row] for row in U]
-        elif K < 0:
-            U = ctx._num_scale(U, ctx.p**(-K))
+        U = self.shift(-v)._stripped().num  # a unit numerator: t = 0
         # Newton: V <- V(2 - U V), starting from the residue inverse
         r = ctx.k.elt([U[a][0] % ctx.p for a in range(ctx.f)])
         V = ctx._num_from_residue(r.inv())
@@ -606,25 +612,21 @@ class ZqElement(_Element):
         return self._leading_digit(m)
 
     def _leading_digit(self, m):
-        """The pi^m digit of an element of valuation >= m: the residue of z/pi^m."""
+        """The pi^m digit of an element of valuation >= m: the residue of z/pi^m.
+
+        z/pi^m, stripped, has t >= 0; its residue is column 0 of num mod p
+        when t = 0 and zero when t > 0.
+        """
         ctx = self.ctx
         if m >= self.P:
             raise PrecisionError("digit at pi^%d unknown: precision is %d" % (m, self.P))
         v = self.valuation()
         if v == INF or m < v:
             return ctx.k.zero()
-        w = self.shift(-m)  # valuation >= 0; digit is its residue column
-        pv = ctx._num_pival(w.num)
-        K = -w.t
-        if pv == INF or pv > ctx.e * K:
+        w = self.shift(-m)._stripped()
+        if w.t > 0:
             return ctx.k.zero()
-        if pv != ctx.e * K:
-            raise InternalError("digit extraction misaligned (pv=%s, K=%s)" % (pv, K))
-        if ctx.coeff_prec - K < 1:
-            raise PrecisionError("coefficient budget exhausted reading digit %d" % m)
-        pK = ctx.p**K
-        coords = [(w.num[a][0] // pK) % ctx.p for a in range(ctx.f)]
-        return ctx.k.elt(coords)
+        return ctx.k.elt([w.num[a][0] % ctx.p for a in range(ctx.f)])
 
     def _peel(self, lo, hi):
         """(nonzero digits on [lo, hi), the remainder of valuation >= hi).
@@ -668,17 +670,9 @@ class ZqElement(_Element):
         v = self.valuation()
         if v == INF:
             return "0"
-        # reduce: extract p-content so printed integers stay small
-        num, t = self.num, self.t
-        pv = ctx._num_pival(num)
-        strip = int(pv // ctx.e)
-        if strip:
-            pK = ctx.p**strip
-            num = [[c // pK for c in row] for row in num]
-            t += strip
-        need = max(1, -(-(self.P - ctx.e * t) // ctx.e) + 1)
-        need = min(need, ctx.coeff_prec - strip)
-        mod = ctx.p**need
+        z = self._stripped()  # so printed integers stay small
+        num, t = z.num, z.t
+        mod = ctx.p ** max(1, -(-(self.P - ctx.e * t) // ctx.e) + 1)
         terms = []
         for a in range(ctx.f):
             for b in range(ctx.e):

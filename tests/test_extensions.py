@@ -528,13 +528,14 @@ def test_line_break_is_the_extension_break_q5_zeta5():
 
 
 def test_line_break_is_the_level_on_q3_zeta3_as_x2_plus_3():
-    # the extension path loses this field's norms to precision (verify all
-    # exits 3); the closed form reads every break in K
-    ctx = parse_field("Qp p=3 f=1 eis=3,0,1")
-    catalog = line_catalog(ctx)
+    # the closed form reads every break in K, and each built extension has
+    # that break too: zeta is stored stripped, so no norm loses its digits
+    desc = "Qp p=3 f=1 eis=3,0,1"
+    catalog = line_catalog(parse_field(desc))
     assert len(catalog) == 40
     for cl in catalog:
         assert line_break(cl) == (cl.level or -1), cl.label
+    assert_line_break_is_the_extension_break(desc)
 
 
 @pytest.mark.parametrize("desc", ["Qp p=3 f=1 eis=3,3,1", "Fq((t)) p=3 f=1"])

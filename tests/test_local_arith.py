@@ -12,6 +12,7 @@ import os
 import random
 import subprocess
 import sys
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -316,20 +317,18 @@ def _fresh_val(z):
     return ZqElement(z.ctx, z.num, z.t, z.P).valuation()
 
 
-@pytest.mark.parametrize(
-    "desc",
-    [
-        "Qp p=2 f=1",
-        "Qp p=2 f=2",
-        "Qp p=3 f=1 eis=3,3,1",
-        "Qp p=3 f=2 eis=3,3,1",
-        # zeta is stored with t = -63 and P = 42 here (ROADMAP item 1, step 2)
-        "Qp p=3 f=1 eis=3,0,1",
-    ],
-)
-def test_product_valuation_equals_recomputation(desc):
-    # ZqElement.mul derives the product's valuation from its operands';
-    # it must equal what _num_pival reads off the product's numerator
+POOL_FIELDS = [
+    "Qp p=2 f=1",
+    "Qp p=2 f=2",
+    "Qp p=3 f=1 eis=3,3,1",
+    "Qp p=3 f=2 eis=3,3,1",
+    # zeta comes out of a Newton lift: stripped, with t = 0 and P = 63
+    "Qp p=3 f=1 eis=3,0,1",
+]
+
+
+def _element_pool(desc):
+    # negative t, inverses, truncated zeros, zeta and p^k near the cap
     ctx = parse_field(desc)
     rng = random.Random(desc)
     pool = [_random_element(ctx, rng) for _ in range(6)]
@@ -342,11 +341,35 @@ def test_product_valuation_equals_recomputation(desc):
     pool += [ctx.from_int(ctx.p**k, prec=10**9) for k in (half - 1, half, half + 1)]
     assert any(z.t < 0 for z in pool)
     assert sum(z.is_zero_to_precision() for z in pool) >= 3
+    return ctx, pool
+
+
+@pytest.mark.parametrize("desc", POOL_FIELDS)
+def test_product_valuation_equals_recomputation(desc):
+    # ZqElement.mul derives the product's valuation from its operands';
+    # it must equal what _num_pival reads off the product's numerator
+    _, pool = _element_pool(desc)
     for a in pool:
         for b in pool:
             prod = a.mul(b)
             assert prod._val is not None
             assert prod._val == _fresh_val(prod), (a, b)
+
+
+@pytest.mark.parametrize("desc", POOL_FIELDS)
+def test_stripped_moves_the_p_content_of_num_into_t(desc):
+    ctx, pool = _element_pool(desc)
+    stripped = 0
+    for z in pool:
+        s = z._stripped()
+        coeffs = list(chain.from_iterable(s.num))
+        assert s.P == z.P and s.valuation() == _fresh_val(s) == z.valuation(), z
+        assert s.sub(z).is_zero_to_precision(), z
+        assert any(c % ctx.p for c in coeffs) or not any(coeffs), z
+        assert s._stripped() is s, z
+        stripped += s is not z
+    assert stripped >= 3
+    assert ctx.zeta is None or ctx.zeta._stripped() is ctx.zeta
 
 
 def test_product_valuation_at_the_precision_cap(q2u2):

@@ -33,7 +33,7 @@ import random
 import pytest
 
 from lfk.class_spaces import _random_nonzero_digit, adapted_basis, as_class_reduce, coordinates
-from lfk.errors import DomainError, InternalError, PrecisionError, UnsupportedCaseError
+from lfk.errors import DomainError, InternalError, UnsupportedCaseError
 from lfk.extensions import attach_extension, line_of
 from lfk.fp_linalg import FpSubspace, FpVector, member, perp, rref, solve
 from lfk.local_arith import parse_element, parse_field, series_residue_and_dlog
@@ -1230,23 +1230,37 @@ def test_verify_all_reports_do_not_depend_on_precision(desc):
     assert _reports_without_field(desc, 64) == _reports_without_field(desc, 128)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=PrecisionError,
-    reason="ROADMAP item 1, step 2: zeta of x^2 + 3 is stored with t = -63 (P = 42 at "
-    "prec 64) and a norm vanishes to working precision; the capped-relative "
-    "redesign is the fix",
-)
+@functools.lru_cache(maxsize=None)
+def _invariants(desc):
+    """Verdicts, S2.10 dimensions and the S5.27 break multiset of verify_all."""
+    reports = {r.claim_id: r for r in verify_all(parse_field(desc))}
+    dims = [(w["index"], w["dim"]) for w in reports["S2.10"].witnesses if "dim" in w]
+    multiset = next(w["multiset"] for w in reports["S5.27"].witnesses if "multiset" in w)
+    return {cid: r.status for cid, r in reports.items()}, dims, multiset
+
+
 @pytest.mark.parametrize("prec", [64, 128])
 def test_q3_zeta3_as_x2_plus_3_verifies_like_its_other_presentation(prec):
     # Q_3(zeta_3) is given by x^2 + 3 as well as by x^2 + 3x + 3; the
-    # claims must hold on both presentations
-    try:
-        reports = verify_all(parse_field("Qp p=3 f=1 eis=3,0,1 prec=%d" % prec))
-    except PrecisionError as exc:
-        assert "norm vanished to working precision" in str(exc)
-        raise
-    assert [r.status for r in reports] == ["pass"] * 6
+    # claims must hold on both presentations, with the same witnesses
+    got = _invariants("Qp p=3 f=1 eis=3,0,1 prec=%d" % prec)
+    assert list(got[0].values()) == ["pass"] * 6
+    assert got == _invariants("Qp p=3 f=1 eis=3,3,1 prec=%d" % prec)
+
+
+@pytest.mark.parametrize(
+    "base, shifted",
+    [
+        ("Qp p=3 f=1 eis=3,3,1", "Qp p=3 f=1 eis=3,-3,1"),
+        ("Qp p=3 f=1 eis=3,3,1", "Qp p=3 f=1 eis=21,9,1"),
+        ("Qp p=3 f=2 eis=3,3,1", "Qp p=3 f=2 eis=21,9,1"),
+        ("Qp p=5 f=1 eis=5,10,10,5,1", "Qp p=5 f=1 eis=205,-215,85,-15,1"),
+    ],
+)
+def test_shifted_eisenstein_presentation_verifies_like_its_base(base, shifted):
+    # f(x) and f(x + a), p | a, define one field (pi' = pi - a): a shift by
+    # a = -p or +p of each bundled odd-p field must give its base's reports
+    assert _invariants(shifted) == _invariants(base)
 
 
 def test_statement_text_present(q2_reports):
