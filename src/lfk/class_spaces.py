@@ -263,10 +263,12 @@ def unit_class_reduce(x, window=None):
     # two digits of slack and bounds every product below.
     cut = stop + _PRECISION_SLACK
     if min(z.P, ctx.default_precision) < cut:
+        # when the field's precision binds, a wider field descriptor helps
+        hint = "; add prec=%d to the field descriptor" % cut if z.P >= ctx.default_precision else ""
         raise PrecisionError(
             "unit class reduction reads digits up to level %d and needs "
-            "precision >= %d beyond the valuation; element has %s, field %d"
-            % (stop - 1, cut, z.P, ctx.default_precision)
+            "precision >= %d beyond the valuation; element has %s, field %d%s"
+            % (stop - 1, cut, z.P, ctx.default_precision, hint)
         )
     z = z.truncate(cut)
 

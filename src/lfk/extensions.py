@@ -167,9 +167,10 @@ class DegreePExtension:
     attached to a line: K, the kind and a are read off the line.
 
     Immutable: the uniformizer and the ramification break are computed at
-    construction.  Irreducibility of the defining polynomial is equivalent
-    to nontriviality of the line's class, which its nonzero coordinate
-    vector over a certified basis guarantees.
+    construction, which attach_extension runs once per line per field,
+    keyed by the line's vector.  Irreducibility of the defining polynomial
+    is equivalent to nontriviality of the line's class, which its nonzero
+    coordinate vector over a certified basis guarantees.
     """
 
     __slots__ = (
@@ -345,8 +346,23 @@ def _kind(line):
 
 
 def attach_extension(line):
-    """Construct the degree-p cyclic extension attached to a nontrivial line."""
-    return DegreePExtension(line)
+    """The degree-p cyclic extension attached to a nontrivial line.
+
+    One extension per line per field, keyed in line.ctx.cache by the
+    line's vector (_line_key): the CLI, the library and the verifiers all
+    read the one built first.  The vector is not rescaled, so E.a is the
+    caller's class representative line.a."""
+    cache, key = line.ctx.cache, ("ext",) + _line_key(line)
+    if key not in cache:
+        cache[key] = DegreePExtension(line)
+    return cache[key]
+
+
+def _line_key(line):
+    """The line's coordinate vector cut after its last nonzero slot, so an
+    add line's key does not depend on the window it was read over."""
+    last = max(i for i, c in enumerate(line.vec) if c)
+    return line.vec[: last + 1]
 
 
 def ramification_break(ext):

@@ -338,12 +338,16 @@ class FieldContext:
         key = r.coords
         if key not in self._teich_cache:
             num = self._num_from_residue(r)
-            # y -> y^q gains one p-digit of agreement with the fixed point per step
-            for _ in range(self.coeff_prec + 2):
+            # Newton on g(y) = y^q - y with the derivative at the root,
+            # g'(tau) = q tau^(q-1) - 1 = q - 1, a unit: if y = tau + d then
+            # g(y) = (q - 1) d + O(d^2), so each step doubles the p-digits
+            # of agreement, where y -> y^q gains one per step
+            inv, mod = pow(self.q - 1, -1, self.pmod), self.pmod
+            for _ in range(self.coeff_prec.bit_length() + 2):
                 nxt = self._num_pow(num, self.q)
                 if nxt == num:
                     break
-                num = nxt
+                num = [[(y + (y - z) * inv) % mod for y, z in zip(ry, rz)] for ry, rz in zip(num, nxt)]
             else:
                 raise InternalError("teichmuller iteration did not stabilize")
             self._teich_cache[key] = num

@@ -104,24 +104,6 @@ def _window(window):
     return window
 
 
-def _line_key(line):
-    """The coordinate vector scaled to a leading 1, so every class on the
-    line shares one key, and cut after its last nonzero slot, so an add
-    line's key does not depend on the window it was read over."""
-    p, vec = line.ctx.p, line.vec
-    last = max(i for i, c in enumerate(vec) if c)
-    inv = pow(next(c for c in vec if c), -1, p)
-    return tuple(inv * c % p for c in vec[: last + 1])
-
-
-def _attached(line):
-    cache = line.ctx.cache
-    key = ("ext",) + _line_key(line)
-    if key not in cache:
-        cache[key] = attach_extension(line)
-    return cache[key]
-
-
 # ================================================================ pairing
 
 
@@ -191,6 +173,10 @@ def _norm_generator_schedule(E, window):
     of these (successive digit elimination), so together with N(pi_E) they
     generate everything.  Any y_m of exact valuation m serves; each is
     built afresh, not as a power of pi_E, so deep ones keep their digits.
+    A level m divisible by p is skipped: there y_m = pi^(m/p) lies in K, so
+    the unit c = 1 + tau(theta) pi^(m/p) does too, and its norm c^p is a
+    p-th power with zero coordinates (Serre, Local Fields, V 3).  Skipping
+    it changes no span and no stopping point of the walk.
     Unramified E: perturb by powers of a residue-generating unit z instead
     — the graded norm is the residue trace of theta*z^s, and some power of
     z has nonzero trace because the residue extension is separable.  Plain
@@ -218,6 +204,8 @@ def _norm_generator_schedule(E, window):
                     yield one.add(zpows[s].mul(c))
     else:
         for m in range(1, ctx.p * (depth + 1) + 1):
+            if m % ctx.p == 0:
+                continue
             ym = cap(E._of_valuation(m))
             for theta in ctx.k.basis():
                 yield one.add(ym.scale(ctx.teichmuller(theta)))
@@ -383,7 +371,7 @@ def _certify_pairing_matrix(ctx, G, window=None):
     basis = adapted_basis(ctx, "add" if ctx.characteristic else "mult", window)
     for vec in _frame(d):
         line = Line(basis, vec)
-        if _walk_norm_group(_attached(line), window) != perp([_row_times(vec, G, p)], p, d):
+        if _walk_norm_group(attach_extension(line), window) != perp([_row_times(vec, G, p)], p, d):
             raise InternalError(
                 "pairing matrix disagrees with the walked norm group of line %s"
                 % "".join(map(str, vec))
@@ -630,7 +618,7 @@ def _break_entries(ctx, window, seed):
     basis = adapted_basis(ctx, "add" if ctx.characteristic else "mult", window)
     for vec in _frame(basis.dim()):
         line = Line(basis, vec)
-        got, want = line_break(line), _attached(line).ramification_break
+        got, want = line_break(line), attach_extension(line).ramification_break
         if got != want:
             raise InternalError(
                 "closed-form break %d of line %s disagrees with the extension's %d"

@@ -496,6 +496,28 @@ def _digest(report):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def test_seed0_query_stream_answers_are_recorded_and_build_one_extension_per_line(monkeypatch):
+    """The benchmark's seed-0 query stream, answered as the CLI would answer
+    it, gives the recorded answers and builds one extension per line: 114,
+    where one per break and norm-group query built 369."""
+    perfbench = os.path.join(os.path.dirname(__file__), "..", "perfbench")
+    monkeypatch.syspath_prepend(perfbench)
+    import lfk
+    from lfk.extensions import DegreePExtension
+    from queries import Fields, answer
+    from workloads import QUERY_FIELDS, query_stream
+
+    with open(os.path.join(perfbench, "expected", "answers-seed0.json"), encoding="utf-8") as fh:
+        recorded = json.load(fh)
+    built = []
+    init = DegreePExtension.__init__
+    monkeypatch.setattr(DegreePExtension, "__init__", lambda E, line: built.append(line) or init(E, line))
+    fields = Fields(lfk, QUERY_FIELDS)
+    fields.build_bases()
+    assert [answer(fields, q) for q in query_stream(0)] == recorded
+    assert len(built) == 114
+
+
 # Seed-0 `verify all` digests on Q5(zeta5), which no benchmark workload
 # runs, recorded before S7.31 shared its perturbed products across lines.
 Q5_ZETA5_DIGESTS = {

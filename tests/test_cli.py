@@ -19,9 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lfk
-from lfk.class_spaces import adapted_basis
+from lfk.class_spaces import adapted_basis, unit_class_reduce
 from lfk.cli import main
-from lfk.errors import MalformedInputError
+from lfk.errors import MalformedInputError, PrecisionError
 from lfk.extensions import line_break, line_of
 from lfk.fp_linalg import FpVector, member, rref
 from lfk.local_arith import INF, parse_element, parse_field, series_residue_and_dlog, val
@@ -285,6 +285,22 @@ def test_verify_precision_failure_exits_3(capsys):
     code, _, err = run(capsys, *argv, "--window", "6")
     assert code == 3
     assert "precision" in err
+
+
+def test_a_precision_error_names_the_prec_the_field_needs(capsys):
+    # window 80 reads digits to level 80 plus two of slack: the field's
+    # precision 64 binds, so the message names the descriptor key to add,
+    # and a field with it reads the class
+    code, _, err = run(capsys, "verify", "all", "--field", F2T, "--window", "80")
+    assert code == 3
+    assert "needs precision >= 83" in err and "field 64; add prec=83 to the field descriptor" in err
+    argv = ("compute", "class", "--field", F2T + " prec=83", "--mult", "1+t", "--window", "80")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out.splitlines()[-1] == "class = u1_0"
+    # an element whose own precision binds gets no such hint
+    q2 = parse_field(Q2)
+    with pytest.raises(PrecisionError, match="element has 3, field 64$"):
+        unit_class_reduce(q2.one().add(q2.pi()).truncate(3))
 
 
 def test_lfk_prec_env_var(capsys, monkeypatch):

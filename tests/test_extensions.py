@@ -24,13 +24,14 @@ from lfk.errors import DomainError, PrecisionError, UnsupportedCaseError
 from lfk.extensions import (
     DegreePExtension,
     Line,
+    _line_key,
     attach_extension,
     line_break,
     line_of,
     ramification_break,
 )
 from lfk.local_arith import parse_field, val
-from lfk.pairings_verifiers import _line_key, line_catalog
+from lfk.pairings_verifiers import line_catalog
 
 from additive_coords import as_level
 
@@ -195,11 +196,54 @@ def test_attach_kummer_needs_mu_p(q3r):
         attach_extension(ln)
 
 
-def test_attach_is_canonical_on_equal_lines(q2):
-    e1 = attach_extension(line_of(q2.from_int(5)))
-    e2 = attach_extension(line_of(q2.from_int(45)))  # 45 = 9 * 5
-    assert e1.a.sub(e2.a).is_zero_to_precision()
-    assert e1.ramification_break == e2.ramification_break
+def _same_element(x, y):
+    """x and y hold the same representation, precision included."""
+    if x.ctx.characteristic == 0:
+        return (x.num, x.t, x.P) == (y.num, y.t, y.P)
+    return (x.coeffs, x.P) == (y.coeffs, y.P)
+
+
+def test_attach_keeps_one_extension_per_line():
+    # 45 = 9 * 5 lies on the line of 5: one extension, built once, whose
+    # defining constant is the representative line_of hands to the caller
+    q2 = parse_field("Qp p=2 f=1")
+    l5, l45 = line_of(q2.from_int(5)), line_of(q2.from_int(45))
+    E = attach_extension(l5)
+    assert attach_extension(l45) is E and attach_extension(l5) is E
+    assert _same_element(E.a, l5.a) and _same_element(E.a, l45.a)
+    assert [key for key in q2.cache if key[0] == "ext"] == [("ext",) + l5.vec]
+
+
+def test_attach_shares_a_char_p_line_across_windows():
+    # the line of t^-3 read over window 5, over window 9, and by its own
+    # descent (over the window of its level, 3): one vector cut after its
+    # last nonzero slot, so one extension
+    f2t = parse_field("Fq((t)) p=2 f=1")
+    own = line_of(f2t.from_digits([(-3, 1)]))
+
+    def over(window):
+        basis = adapted_basis(f2t, "add", window)
+        return Line(basis, own.vec + (0,) * (basis.dim() - len(own.vec)))
+
+    lines = [over(5), over(9)]
+    assert len({len(line.vec) for line in lines + [own]}) == 3
+    E = attach_extension(lines[0])
+    assert attach_extension(lines[1]) is E and attach_extension(own) is E
+    for line in lines + [own]:
+        assert _same_element(E.a, line.a)
+
+
+def test_attach_builds_distinct_extensions_for_distinct_vectors():
+    # different lines, and in char 3 the two nonzero multiples of one
+    # vector: a key is never rescaled, so each E.a is its caller's line.a
+    q2, f3t = parse_field("Qp p=2 f=1"), parse_field("Fq((t)) p=3 f=1")
+    lines = [line_of(q2.from_int(n)) for n in (-1, 2, 5, 10)]
+    lines += [line_of(f3t.from_digits([(-1, c)])) for c in (1, 2)] + [line_of(f3t.from_digits([(-2, 1)]))]
+    assert len({(line.ctx is q2, line.vec) for line in lines}) == len(lines)
+    exts = [attach_extension(line) for line in lines]
+    assert len({id(E) for E in exts}) == len(lines)
+    for E, line in zip(exts, lines):
+        assert E.line is line and _same_element(E.a, line.a)
 
 
 def test_attach_artin_schreier_examples(f2t):
@@ -507,6 +551,7 @@ def assert_catalog_lines_are_their_descents(desc, window=None):
         else:
             level = as_level(as_class_reduce(x))
         assert got.level == cl.level == level, (desc, cl.label)
+        # so the descent and the catalog share one attached extension
         assert _line_key(got) == _line_key(cl), (desc, cl.label)
         if ctx.characteristic == 0:
             assert (got.a.num, got.a.t, got.a.P) == (cl.a.num, cl.a.t, cl.a.P), (desc, cl.label)

@@ -475,6 +475,40 @@ def test_teichmuller_is_root_of_unity(q2u2, q3z):
             assert tau.residue() == r
 
 
+def teichmuller_by_iteration(ctx, r):
+    """Oracle: the lift of r as the fixed point of y -> y^q, reached from
+    any lift of r at one p-adic digit per step."""
+    num = ctx._num_from_residue(r)
+    for _ in range(ctx.coeff_prec + 2):
+        nxt = ctx._num_pow(num, ctx.q)
+        if nxt == num:
+            return num
+        num = nxt
+    raise AssertionError("y -> y^q did not stabilize")
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["Qp p=2 f=2", "Qp p=3 f=1 eis=3,3,1", "Qp p=3 f=2 eis=3,3,1", "Qp p=2 f=3",
+     "Qp p=5 f=1 eis=5,10,10,5,1", "Qp p=3 f=2 eis=3,3,1 prec=128", "Qp p=7 f=2"],
+)
+def test_teichmuller_newton_lift_is_the_fixed_point_of_the_q_th_power(monkeypatch, text):
+    # the lift is unique, so Newton's step must land on the integers the
+    # plain iteration reaches, in about log2(coeff_prec) powers per lift
+    # where the iteration takes about coeff_prec
+    ctx = parse_field(text)
+    ctx._teich_cache.clear()
+    powers = []
+    real = type(ctx)._num_pow
+    monkeypatch.setattr(type(ctx), "_num_pow", lambda c, A, n: powers.append(n) or real(c, A, n))
+    units = [r for r in ctx.k.elements() if not r.is_zero()]
+    for r in units:
+        ctx.teichmuller(r)
+    assert len(powers) <= len(units) * (ctx.coeff_prec.bit_length() + 1), text
+    monkeypatch.undo()
+    assert ctx._teich_cache == {r.coords: teichmuller_by_iteration(ctx, r) for r in units}, text
+
+
 # ---------------------------------------------------------------- zeta
 
 

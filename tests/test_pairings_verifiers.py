@@ -34,8 +34,8 @@ import pytest
 
 from lfk.class_spaces import _random_nonzero_digit, adapted_basis, as_class_reduce, coordinates
 from lfk.errors import DomainError, InternalError, UnsupportedCaseError
-from lfk.extensions import attach_extension, line_of
-from lfk.fp_linalg import FpSubspace, FpVector, member, perp, rref, solve
+from lfk.extensions import DegreePExtension, Line, _line_key, attach_extension, line_of
+from lfk.fp_linalg import FpSubspace, FpVector, extend, member, perp, rref, solve
 from lfk.local_arith import parse_element, parse_field, series_residue_and_dlog
 from lfk import class_spaces, extensions, pairings_verifiers
 from lfk.pairings_verifiers import (
@@ -292,7 +292,9 @@ def full_schedule_span(E, window=None):
 
     Every candidate is normed and reduced, with no stopping rule and no
     target dimension, so it shows what the early stop in the walk
-    (_walk_norm_group) must leave unchanged.
+    (_walk_norm_group) must leave unchanged.  The schedule already leaves
+    out the units of K at the levels m divisible by p;
+    test_skipped_schedule_candidates_have_p_th_power_norms puts them back.
     """
     ctx = E.base
     basis = adapted_basis(ctx) if window is None else adapted_basis(ctx, "mult", window)
@@ -376,6 +378,9 @@ CHAR0_MU_P = (
 
 # The char-p benchmark fields, with the windows they are verified at.
 CHAR_P_WINDOWED = (("Fq((t)) p=2 f=1", 9), ("Fq((t)) p=3 f=1", 6), ("Fq((t)) p=2 f=2", 5))
+
+# The eight benchmark fields, with the windows they are verified at.
+BENCHMARK_FIELDS = [(desc, None) for desc in CHAR0_MU_P] + list(CHAR_P_WINDOWED)
 
 
 @functools.lru_cache(maxsize=None)
@@ -590,6 +595,78 @@ def test_verify_all_walks_d_plus_one_norm_groups(monkeypatch, desc, window):
     assert len(walks) == d + 1, (desc, len(walks), d)
 
 
+@pytest.mark.parametrize(
+    "desc, window, walk_norms",
+    # 10, 26, 18, 40, 48, 67, 35, 102 when the ramified walks also normed
+    # the units 1 + tau(theta) pi^(m/p) of K at the levels m divisible by p
+    [field + (n,) for field, n in zip(BENCHMARK_FIELDS, (10, 22, 18, 28, 42, 45, 30, 66))],
+)
+def test_verify_all_walk_norm_counts(monkeypatch, desc, window, walk_norms):
+    # every norm taken inside a walk of G's certificate, the unramified
+    # Kummer line's unit check included
+    norms = walked = 0
+    real_norm, real_walk = DegreePExtension.norm, pairings_verifiers._walk_norm_group
+
+    def norm(E, z):
+        nonlocal norms
+        norms += 1
+        return real_norm(E, z)
+
+    def walk(E, w):
+        nonlocal walked
+        before = norms
+        out = real_walk(E, w)
+        walked += norms - before
+        return out
+
+    monkeypatch.setattr(DegreePExtension, "norm", norm)
+    monkeypatch.setattr(pairings_verifiers, "_walk_norm_group", walk)
+    assert all(r.passed() for r in verify_all(parse_field(desc), window=window))
+    assert walked == walk_norms, desc
+
+
+def _skipped_candidates(E, window):
+    """The units 1 + tau(theta) y_m, p | m, that the ramified schedule
+    leaves out, built as it would build them; each y_m = pi^(m/p) lies in K."""
+    ctx = E.base
+    if ctx.characteristic == 0:
+        depth, cap = class_spaces.first_trivial_level(ctx) + 2, lambda x: x
+    else:
+        depth = window + 2
+        cap = lambda x: x.truncate(2 * depth + 8)
+    one = E.embed(ctx.one())
+    for m in range(ctx.p, ctx.p * (depth + 1) + 1, ctx.p):
+        ym = cap(E._of_valuation(m))
+        assert all(c.is_zero_to_precision() for c in ym.coeffs[1:]), m
+        for theta in ctx.k.basis():
+            yield one.add(ym.scale(ctx.teichmuller(theta)))
+
+
+@pytest.mark.parametrize("desc, window", BENCHMARK_FIELDS)
+def test_skipped_schedule_candidates_have_p_th_power_norms(desc, window):
+    # on every frame line of G's certificate: each skipped unit c lies in
+    # K, so its norm is c^p, whose class is trivial, and the schedule with
+    # them put back spans the walked norm group
+    ctx = parse_field(desc)
+    basis = adapted_basis(ctx, "mult", window)
+    first = adapted_basis(ctx, "add" if ctx.characteristic else "mult", window)
+    ramified = 0
+    for vec in pairings_verifiers._frame(first.dim()):
+        E = attach_extension(Line(first, vec))
+        if E.ramification_break == -1:
+            continue
+        ramified += 1
+        span = full_schedule_span(E, window)
+        for c in _skipped_candidates(E, window):
+            n = E.norm(c)
+            assert n.sub(c.coeffs[0].powi(ctx.p)).is_zero_to_precision(), (desc, vec)
+            y = coordinates(basis, n)
+            assert not any(y.coords), (desc, vec)
+            span = extend(span, y)
+        assert span == pairings_verifiers._walk_norm_group(E, window), (desc, vec)
+    assert ramified == len(pairings_verifiers._frame(first.dim())) - 1, desc
+
+
 @pytest.mark.parametrize("desc, wide, narrow", [("Fq((t)) p=2 f=1", 9, 5), ("Fq((t)) p=3 f=1", 6, 3),
                                                 ("Fq((t)) p=2 f=2", 5, 3)])
 def test_a_two_window_session_holds_one_pairing_matrix(monkeypatch, desc, wide, narrow):
@@ -687,11 +764,11 @@ def _certificate_vectors(ctx, window):
 def _break_off_by_one_on(monkeypatch, ctx, window, vec):
     """line_break answers one more than the truth on the line of vec."""
     basis = adapted_basis(ctx, "add" if ctx.characteristic else "mult", window)
-    key = pairings_verifiers._line_key(line_of(basis.combination(vec)))
+    key = _line_key(line_of(basis.combination(vec)))
     real = pairings_verifiers.line_break
 
     def off(line):
-        return real(line) + (pairings_verifiers._line_key(line) == key)
+        return real(line) + (_line_key(line) == key)
 
     monkeypatch.setattr(pairings_verifiers, "line_break", off)
 
@@ -754,13 +831,6 @@ def test_verify_all_reads_each_break_once(monkeypatch, desc, window):
 
 
 # ---------------------------------------------------------------- S7.31 perturbations
-
-# The eight benchmark fields, with the windows they are verified at.
-BENCHMARK_FIELDS = [(desc, None) for desc in CHAR0_MU_P] + [
-    ("Fq((t)) p=2 f=1", 9),
-    ("Fq((t)) p=3 f=1", 6),
-    ("Fq((t)) p=2 f=2", 5),
-]
 
 
 def _reciprocity_reads(monkeypatch, ctx, window):
