@@ -782,6 +782,10 @@ class LaurentElement(_Element):
             self.ctx, {j + i: c for j, c in self.coeffs.items()}, self.P + i
         )
 
+    def _stripped(self):
+        """A series has no p-content to move (ZqElement._stripped)."""
+        return self
+
     def derivative(self):
         """Formal d/dt."""
         out = {}

@@ -165,23 +165,21 @@ def _walk_norm_group(E, window):
 
 
 def _norm_generator_schedule(E, window):
-    """Candidates whose norm classes generate the full norm-class group.
+    """Candidates whose norm classes generate the full norm-class group:
+    the uniformizer, then single-digit units 1 + tau(theta) y with
+    y = pi^k e_j over E's integral basis, so that deep ones keep digits.
 
-    Ramified E: single-digit units 1 + tau(theta) y_m, y_m of valuation m
-    in E (DegreePExtension._of_valuation).  Walking m deep enough that
-    norms of deeper units have trivial class, every unit norm is a product
-    of these (successive digit elimination), so together with N(pi_E) they
-    generate everything.  Any y_m of exact valuation m serves; each is
-    built afresh, not as a power of pi_E, so deep ones keep their digits.
-    A level m divisible by p is skipped: there y_m = pi^(m/p) lies in K, so
-    the unit c = 1 + tau(theta) pi^(m/p) does too, and its norm c^p is a
-    p-th power with zero coordinates (Serre, Local Fields, V 3).  Skipping
-    it changes no span and no stopping point of the walk.
-    Unramified E: perturb by powers of a residue-generating unit z instead
-    — the graded norm is the residue trace of theta*z^s, and some power of
-    z has nonzero trace because the residue extension is separable.  Plain
-    powers of the Kummer/AS generator are NOT enough here: their shallow
-    digits cancel and the span sticks below codimension 1.
+    Ramified E: y = y_m of valuation m (DegreePExtension._of_valuation).
+    Walking m deep enough that norms of deeper units have trivial class,
+    every unit norm is a product of these (successive digit elimination).
+    A level m divisible by p is skipped: there y_m = pi^(m/p) lies in K,
+    so the unit c does too, and its norm c^p is a p-th power with zero
+    coordinates (Serre, Local Fields, V 3); skipping it changes no span and
+    no stopping point of the walk.  Unramified E: y = pi^j e_s, 0 < s < p.
+    The e_s are units whose residues are the powers of a residue generator,
+    so the graded norm is the residue trace of theta e_s, nonzero for some
+    s because the residue extension is separable.  Powers of the generator
+    x alone are NOT enough: their shallow digits cancel.
     """
     ctx = E.base
     one = E.embed(ctx.one())
@@ -194,43 +192,13 @@ def _norm_generator_schedule(E, window):
         # classes only need digits to the window, so cap the precision
         depth = window + 2
         cap = lambda x: x.truncate(2 * depth + 8)
-    if E.ramification_break == -1:
-        z = _residue_generating_unit(E)
-        zpows = [None] + [cap(z.powi(s)) for s in range(1, ctx.p)]
-        for j in range(depth + 1):
-            for theta in ctx.k.basis():
-                c = E.embed(ctx.teichmuller(theta).shift(j))
-                for s in range(1, ctx.p):
-                    yield one.add(zpows[s].mul(c))
+    if E.is_unramified:
+        ys = (E._basis_element(s, j) for j in range(depth + 1) for s in range(1, ctx.p))
     else:
-        for m in range(1, ctx.p * (depth + 1) + 1):
-            if m % ctx.p == 0:
-                continue
-            ym = cap(E._of_valuation(m))
-            for theta in ctx.k.basis():
-                yield one.add(ym.scale(ctx.teichmuller(theta)))
-
-
-def _residue_generating_unit(E):
-    """A unit of an unramified E whose residue generates the residue extension.
-
-    Artin-Schreier: the generator itself (y^p - y = a has an irreducible
-    residue equation when a is a nonzero-trace constant).  Kummer: the
-    boundary parameter gives gen = 1 + (unit) pi^c with c = pc - e, and
-    (gen - 1)/pi^c satisfies the irreducible residue equation instead —
-    gen itself has residue 1 and generates nothing.
-    """
-    ctx = E.base
-    if E.kind == "artin_schreier":
-        return E.gen()
-    c = ctx.pc - ctx.e
-    one = E.embed(ctx.one())
-    z = E.gen().sub(one).mul(E.embed(ctx.pi().powi(-c)))
-    if E.ext_val(z) != 0:
-        raise InternalError(
-            "normalized Kummer generator is not a unit (valuation %s)" % E.ext_val(z)
-        )
-    return z
+        ys = (E._of_valuation(m) for m in range(1, ctx.p * (depth + 1) + 1) if m % ctx.p)
+    for y in map(cap, ys):
+        for theta in ctx.k.basis():
+            yield one.add(y.scale(ctx.teichmuller(theta)))
 
 
 def pairing_value(a_line, b, window=None):
@@ -606,8 +574,8 @@ def verify_filtration(ctx, window=None, seed=0):
 def _break_entries(ctx, window, seed):
     """(label, level, break) per catalog line, each break from line_break.
 
-    The conjugate-product break of the attached extension certifies the
-    closed form on the d + 1 lines of G's frame, whose norm groups G's
+    The break of the attached extension, read off its coefficients, certifies
+    the closed form on the d + 1 lines of G's frame, whose norm groups G's
     certificate walks, so verify_all builds d + 1 extensions.  A
     disagreement is an InternalError.  The entries are cached next to the
     catalog, so S4.22 and S5.27/S5.28 share one pass.

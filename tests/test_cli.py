@@ -12,6 +12,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from datetime import timedelta
 
 import pytest
@@ -22,13 +23,15 @@ import lfk
 from lfk.class_spaces import adapted_basis, unit_class_reduce
 from lfk.cli import main
 from lfk.errors import MalformedInputError, PrecisionError
-from lfk.extensions import line_break, line_of
+from lfk import pairings_verifiers
+from lfk.extensions import DegreePExtension, ExtElement, line_break, line_of
 from lfk.fp_linalg import FpVector, member, rref
 from lfk.local_arith import INF, parse_element, parse_field, series_residue_and_dlog, val
 
 
 Q2 = "Qp p=2 f=1"
 Q3Z = "Qp p=3 f=1 eis=3,3,1"
+Q11Z = "Qp p=11 f=1 eis=11,55,165,330,462,462,330,165,55,11,1"
 F2T = "Fq((t)) p=2 f=1"
 
 
@@ -185,8 +188,14 @@ def test_compute_norm_group_q2(capsys):
     "field, elt",
     # both walks ran out of digits while the schedule took running powers
     # of pi_E: exit 4, "descent failed to advance past level 10", and exit
-    # 2, "cannot reduce zero"
-    [("Qp p=2 f=1 eis=2,0,0,0,0,1", "1+pi^7"), ("Qp p=7 f=1 eis=7,21,35,35,21,7,1", "1+pi^6")],
+    # 2, "cannot reduce zero".  The Q11(zeta11) walk exited 2 too while E
+    # was held over the powers of its generator: a norm's coefficients
+    # cancelled down to nothing
+    [
+        ("Qp p=2 f=1 eis=2,0,0,0,0,1", "1+pi^7"),
+        ("Qp p=7 f=1 eis=7,21,35,35,21,7,1", "1+pi^6"),
+        (Q11Z, "1+pi^9"),
+    ],
 )
 def test_compute_norm_group_of_a_deeply_ramified_line(capsys, field, elt):
     code, out, err = run(capsys, "compute", "norm-group", "--field", field, "--elt", elt, "--format", "json")
@@ -201,6 +210,29 @@ def test_compute_norm_group_of_a_deeply_ramified_line(capsys, field, elt):
     span = rref([FpVector(ctx.p, g) for g in doc["generators"]], p=ctx.p, ambient_dim=n)
     deep = [c for c, lvl in enumerate(basis.levels()) if lvl > b]
     assert deep and all(member(span, FpVector(ctx.p, [int(j == c) for j in range(n)])) for c in deep)
+
+
+def test_compute_break_of_a_level_one_q11_zeta11_line(capsys):
+    # exit 3 while E was held over the powers of its generator: the
+    # conjugate-product break lost every digit
+    code, out, err = run(capsys, "compute", "break", "--field", Q11Z, "--line", "1+pi^10")
+    assert code == 0, err
+    assert out.strip() == "ε=1"
+
+
+def test_a_vanished_walk_norm_exits_3(capsys, monkeypatch):
+    # a nonzero element whose conjugate product vanishes to working
+    # precision, pi^30 + O(pi^29) y: the norm says the digits went (exit
+    # 3), where the descent of the vanished norm said "cannot reduce zero"
+    # (exit 2)
+    def vanishing(E, window):
+        ctx = E.base
+        yield ExtElement(E, [ctx.one().shift(30), ctx.zero(29)] + [E.zero] * (ctx.p - 2))
+
+    monkeypatch.setattr(pairings_verifiers, "_norm_generator_schedule", vanishing)
+    code, _, err = run(capsys, "compute", "norm-group", "--field", Q2, "--elt", "2")
+    assert code == 3, err
+    assert "norm vanished" in err
 
 
 def test_compute_norm_group_char_p_needs_window(capsys):
@@ -570,6 +602,29 @@ SWEEP_DEEP_Q2 = (
     + ["Qp p=2 f=2 eis=2,0,0,0,0,1"]
 )
 SWEEP_PREC_128 = "Qp p=2 f=1 eis=2,0,0,0,0,0,0,0,0,1"
+
+
+@pytest.mark.slow
+def test_q11_zeta11_orthogonality_verifies_at_prec_64(capsys, monkeypatch):
+    # d = 12.  It exited 3 at prec 64 while E was held over the powers of
+    # its generator: the norms of G's certificate walks on the lines of
+    # levels 5 to 1 lost (p - 1) times the level in digits.  Over the
+    # integral basis every walk norm keeps all but pc digits.  About 15 s
+    # on a 2-vCPU machine
+    digits, real = [], DegreePExtension.norm
+
+    def norm(E, z):
+        n = real(E, z)
+        digits.append(n.P - n.valuation())
+        return n
+
+    monkeypatch.setattr(DegreePExtension, "norm", norm)
+    start = time.perf_counter()
+    code, _, err = run(capsys, "verify", "S8.33", "--field", Q11Z)
+    assert code == 0, err
+    assert time.perf_counter() - start < 60
+    ctx = parse_field(Q11Z)
+    assert digits and min(digits) >= ctx.default_precision - ctx.pc
 
 
 @pytest.mark.slow

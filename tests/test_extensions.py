@@ -8,10 +8,12 @@ The load-bearing oracles here are classical and independent of the library:
 * N(x + iy) = x^2 + y^2, computable in plain integers;
 * Artin-Schreier conductors — y^p - y = a with a single pole of order m
   prime to p has break m;
-* the conjugate-product break of the built extension, which the
+* the break v_E(sigma(pi_E) - pi_E) - 1 of the built extension, which the
   closed-form line_break must equal on every catalog line;
 * the descent of each catalog line's representative, which must give
-  back the line that was built from its coordinate vector alone.
+  back the line that was built from its coordinate vector alone;
+* the conjugate-product valuation v_K(N(z)) (divided by p when E is
+  unramified), which the valuation read off z's coefficients must equal.
 """
 
 import itertools
@@ -19,10 +21,12 @@ import random
 
 import pytest
 
-from lfk.class_spaces import adapted_basis, as_class_reduce, unit_class_reduce
+from lfk import pairings_verifiers
+from lfk.class_spaces import _random_nonzero_digit, adapted_basis, as_class_reduce, unit_class_reduce
 from lfk.errors import DomainError, PrecisionError, UnsupportedCaseError
 from lfk.extensions import (
     DegreePExtension,
+    ExtElement,
     Line,
     _line_key,
     attach_extension,
@@ -595,6 +599,44 @@ def test_line_break_vanishing_norm_is_a_precision_error(desc):
         line_break(line)
     with pytest.raises(PrecisionError, match="norm vanished"):
         attach_extension(line)
+
+
+@pytest.mark.parametrize("desc, window", BENCHMARK_FIELDS)
+def test_ext_val_read_off_coefficients_is_the_norm_valuation(desc, window):
+    # seeded elements of every frame-line extension of G's certificate, with
+    # coefficients of mixed valuations, some of them zero
+    ctx = parse_field(desc)
+    rng = random.Random(desc)
+    first = adapted_basis(ctx, "add" if ctx.characteristic else "mult", window)
+    checked = 0
+    for vec in pairings_verifiers._frame(first.dim()):
+        E = attach_extension(Line(first, vec))
+        for _ in range(20):
+            coeffs = [ctx.zero()] * ctx.p
+            for i in rng.sample(range(ctx.p), rng.randint(1, ctx.p)):
+                lo = rng.randint(-3, 4)
+                coeffs[i] = ctx.from_digits(
+                    [(lo, _random_nonzero_digit(ctx, rng))]
+                    + [(lo + rng.randint(1, 6), _random_nonzero_digit(ctx, rng)) for _ in range(2)]
+                )
+            z = ExtElement(E, coeffs)
+            n = val(E.norm(z))
+            assert E.ext_val(z) == (n // ctx.p if E.is_unramified else n), (desc, vec)
+            assert not E.is_unramified or n % ctx.p == 0, (desc, vec)
+            checked += 1
+    assert checked == 20 * len(pairings_verifiers._frame(first.dim()))
+
+
+def test_a_vanished_conjugate_product_is_a_precision_error(q2):
+    # z = pi^30 + O(pi^29) y is nonzero, but its norm pi^60 + O(pi^59)
+    # vanishes to working precision: the digits went, not the element
+    E = attach_extension(line_of(q2.from_int(2)))
+    z = ExtElement(E, [q2.one().shift(30), q2.zero(29)])
+    assert not z.is_zero_to_precision()
+    with pytest.raises(PrecisionError, match="norm vanished"):
+        E.norm(z)
+    with pytest.raises(PrecisionError):
+        E.ext_val(z)
 
 
 # ------------------------------------------------------------ element arithmetic

@@ -598,12 +598,14 @@ def test_verify_all_walks_d_plus_one_norm_groups(monkeypatch, desc, window):
 @pytest.mark.parametrize(
     "desc, window, walk_norms",
     # 10, 26, 18, 40, 48, 67, 35, 102 when the ramified walks also normed
-    # the units 1 + tau(theta) pi^(m/p) of K at the levels m divisible by p
-    [field + (n,) for field, n in zip(BENCHMARK_FIELDS, (10, 22, 18, 28, 42, 45, 30, 66))],
+    # the units 1 + tau(theta) pi^(m/p) of K at the levels m divisible by
+    # p; one more on each char-0 field while the unramified Kummer walk
+    # checked its residue-generating unit with a norm
+    [field + (n,) for field, n in zip(BENCHMARK_FIELDS, (9, 21, 17, 27, 41, 45, 30, 66))],
 )
 def test_verify_all_walk_norm_counts(monkeypatch, desc, window, walk_norms):
-    # every norm taken inside a walk of G's certificate, the unramified
-    # Kummer line's unit check included
+    # every norm taken inside a walk of G's certificate; the unit check of
+    # an unramified extension runs when it is built, outside the walk
     norms = walked = 0
     real_norm, real_walk = DegreePExtension.norm, pairings_verifiers._walk_norm_group
 
@@ -623,6 +625,32 @@ def test_verify_all_walk_norm_counts(monkeypatch, desc, window, walk_norms):
     monkeypatch.setattr(pairings_verifiers, "_walk_norm_group", walk)
     assert all(r.passed() for r in verify_all(parse_field(desc), window=window))
     assert walked == walk_norms, desc
+
+
+def assert_schedule_norms_keep_their_digits(desc):
+    # every norm of the generator schedule, walked to its end, on the frame
+    # lines of G's certificate keeps all but pc of the working precision's
+    # relative digits: E is held over an integral basis, so no norm loses
+    # digits to cancelling coefficients
+    ctx = parse_field(desc)
+    first = adapted_basis(ctx, "mult")
+    for vec in pairings_verifiers._frame(first.dim()):
+        E = attach_extension(Line(first, vec))
+        for z in pairings_verifiers._norm_generator_schedule(E, None):
+            n = E.norm(z)
+            assert n.P - n.valuation() >= ctx.default_precision - ctx.pc, (desc, vec)
+
+
+@pytest.mark.parametrize("desc", CHAR0_MU_P)
+def test_schedule_norms_keep_their_digits(desc):
+    assert_schedule_norms_keep_their_digits(desc)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("desc", ["Qp p=5 f=1 eis=5,10,10,5,1", "Qp p=7 f=1 eis=7,21,35,35,21,7,1"])
+def test_schedule_norms_keep_their_digits_q5_q7(desc):
+    # Q7(zeta7) kept only 21 of 64 digits over the powers of the generator
+    assert_schedule_norms_keep_their_digits(desc)
 
 
 def _skipped_candidates(E, window):
