@@ -21,11 +21,14 @@ Two implementations sit behind one interface:
   zeta's Newton lift — first calls _stripped(), which moves the p-content
   of num into t and keeps P.
 
-* characteristic p — K = k((t)); elements are sparse Laurent polynomials
-  over k with a precision bound that is +infinity for exact values.
-  Inversion is the only operation that truncates on its own; callers that
-  read a bounded number of digits cut their operands first.  Coefficients
-  are the interned, table-coded elements of residues.ResidueField.
+* characteristic p — K = k((t)); an element is t^v * X with X one
+  integer that packs the F_p coordinates of its digits in fixed-width
+  slots (packing.Layout), and a precision bound P that is +infinity for
+  exact values.  A product is one integer product and one slot-wise
+  reduction; inversion is the only operation that truncates on its own,
+  and callers that read a bounded number of digits cut their operands
+  first.  A digit read returns the interned, table-coded element of
+  residues.ResidueField.
 
 The class of a uniformizer is `pi` in both cases (x resp. t).
 
@@ -36,6 +39,7 @@ derives sub, powi, residue, is_zero_to_precision and eq_to_precision from
 those, the same way in both characteristics.
 """
 
+import functools
 import math
 from itertools import chain
 
@@ -300,7 +304,7 @@ class FieldContext:
     def zero(self, prec=None):
         if self.characteristic == 0:
             return self._make(self._const_num(0), 0, prec)
-        return LaurentElement(self, {}, self._lprec(prec))
+        return _laurent(self, 0, 0, self._lprec(prec))
 
     def one(self, prec=None):
         return self.from_int(1, prec)
@@ -308,7 +312,7 @@ class FieldContext:
     def from_int(self, n, prec=None):
         if self.characteristic == 0:
             return self._make(self._const_num(n), 0, prec)
-        return LaurentElement(self, {0: self.k.elt(n % self.p)} if n % self.p else {}, self._lprec(prec))
+        return _laurent(self, 0, n % self.p, self._lprec(prec))
 
     def pi(self, prec=None):
         """A fixed uniformizer: the class of x (char 0) or t (char p)."""
@@ -318,7 +322,7 @@ class FieldContext:
             num = self._const_num(0)
             num[0][1] = 1
             return self._make(num, 0, prec)
-        return LaurentElement(self, {1: self.k.one()}, self._lprec(prec))
+        return _laurent(self, 1, 1, self._lprec(prec))
 
     def w_gen(self, prec=None):
         """The unramified ring generator w (char 0, f >= 2)."""
@@ -334,7 +338,7 @@ class FieldContext:
         if r.is_zero():
             raise DomainError("teichmuller lift of zero")
         if self.characteristic == self.p:
-            return LaurentElement(self, {0: r}, INF)
+            return LaurentElement(self, 0, self._layout.code(r), INF)
         key = r.coords
         if key not in self._teich_cache:
             num = self._num_from_residue(r)
@@ -376,6 +380,17 @@ class FieldContext:
     def _lprec(self, prec):
         # char-p constructors give exact values; truncation only enters via inv
         return INF if prec is None else prec
+
+    @functools.cached_property
+    def _layout(self):
+        """How this char-p field packs its series (packing.Layout).
+
+        Made, and its module imported, on the field's first series, so that
+        `import lfk` and making a field compile and build none of it.
+        """
+        from .packing import Layout
+
+        return Layout(self.k)
 
     def _make(self, num, t, prec):
         P = self.default_precision if prec is None else prec
@@ -554,7 +569,12 @@ class ZqElement(_Element):
         return ZqElement(self.ctx, self.ctx._num_scale(self.num, -1), self.t, self.P)
 
     def scale_int(self, s):
-        return ZqElement(self.ctx, self.ctx._num_scale(self.num, s), self.t, self.P)
+        """The product by the exact integer s = p^k * u: P gains e*k, as in mul."""
+        k = 0
+        while s and s % self.ctx.p ** (k + 1) == 0:
+            k += 1
+        P = self.P + self.ctx.e * k if s else INF
+        return ZqElement(self.ctx, self.ctx._num_scale(self.num, s), self.t, P)
 
     def mul(self, other):
         ctx = self.ctx
@@ -697,90 +717,108 @@ class ZqElement(_Element):
 # ================================================================ char p
 
 
+def _laurent(ctx, v, X, P):
+    """The series t^v * X cut below t^P, its low zero digits moved into v."""
+    L = ctx._layout
+    if P != INF and X.bit_length() > (P - v) * L.D:
+        X = X & ((1 << ((P - v) * L.D)) - 1) if P > v else 0
+    if not X:
+        return LaurentElement(ctx, INF, 0, P)
+    if not X & L.dmask:  # the lowest digits cancelled
+        low = ((X & -X).bit_length() - 1) // L.D
+        X, v = X >> low * L.D, v + low
+    return LaurentElement(ctx, v, X, P)
+
+
 class LaurentElement(_Element):
-    """Sparse Laurent polynomial over k, known below t^P; P = INF means exact."""
+    """t^v * X(t), X one integer in the field's packing.Layout, known below t^P.
 
-    __slots__ = ("ctx", "coeffs", "P")
+    X's lowest digit is nonzero and its digits lie below t^P, so v is the
+    valuation; zero is X = 0 with v = INF.  P = INF means exact.
+    """
 
-    def __init__(self, ctx, coeffs, P):
+    __slots__ = ("ctx", "v", "X", "P")
+
+    def __init__(self, ctx, v, X, P):
         self.ctx = ctx
-        self.coeffs = {i: c for i, c in coeffs.items() if c.index and i < P}
+        self.v = v
+        self.X = X
         self.P = P
 
     def valuation(self):
-        if not self.coeffs:
-            return INF
-        return min(self.coeffs)
+        return self.v
 
     def add(self, other):
-        if self.ctx is not other.ctx:
+        return self._plus(other, 1)
+
+    def sub(self, other):
+        return self._plus(other, self.ctx.p - 1)
+
+    def _plus(self, other, c):
+        """self + c*other, c in F_p."""
+        ctx = self.ctx
+        if ctx is not other.ctx:
             raise DomainError("elements from different fields")
-        out = dict(self.coeffs)
-        for i, c in other.coeffs.items():
-            s = out.get(i)
-            out[i] = c if s is None else s.add(c)
-        return LaurentElement(self.ctx, out, min(self.P, other.P))
+        P, L = min(self.P, other.P), ctx._layout
+        X1, X2, v1, v2 = self.X, other.X, self.v, other.v
+        if not X2:
+            return self.truncate(P)
+        if not X1:
+            return (other if c == 1 else other.neg()).truncate(P)
+        if v1 > v2:
+            X1, v1 = X1 << (v1 - v2) * L.D, v2
+        elif v2 > v1:
+            X2 <<= (v2 - v1) * L.D
+        return _laurent(ctx, v1, L.combine(X1, X2, c), P)
 
     def neg(self):
-        return LaurentElement(self.ctx, {i: c.neg() for i, c in self.coeffs.items()}, self.P)
+        ctx = self.ctx
+        if ctx.p == 2:
+            return self
+        return LaurentElement(ctx, self.v, ctx._layout.store.reduce(self.X * (ctx.p - 1)), self.P)
 
     def scale(self, r):
-        r = self.ctx.k.elt(r)
-        return LaurentElement(self.ctx, {i: c.mul(r) for i, c in self.coeffs.items()}, self.P)
+        L = self.ctx._layout
+        X = L.product(self.X, L.code(self.ctx.k.elt(r)), INF)
+        return LaurentElement(self.ctx, self.v if X else INF, X, self.P)
 
     def scale_int(self, s):
-        return self.scale(self.ctx.k.elt(s % self.ctx.p))
+        return self.scale(s % self.ctx.p)
 
     def mul(self, other):
-        if self.ctx is not other.ctx:
+        ctx = self.ctx
+        if ctx is not other.ctx:
             raise DomainError("elements from different fields")
-        v1 = min(self.valuation(), self.P)
-        v2 = min(other.valuation(), other.P)
-        prec = min(self.P + v2, other.P + v1)
-        out = {}
-        for i, c in self.coeffs.items():
-            for j, d in other.coeffs.items():
-                ij = i + j
-                if ij >= prec:
-                    continue
-                s = out.get(ij)
-                pr = c.mul(d)
-                out[ij] = pr if s is None else s.add(pr)
-        return LaurentElement(self.ctx, out, prec)
+        v1 = self.v if self.X else self.P
+        v2 = other.v if other.X else other.P
+        P = min(self.P + v2, other.P + v1)
+        if not (self.X and other.X):
+            return LaurentElement(ctx, INF, 0, P)
+        return LaurentElement(ctx, v1 + v2, ctx._layout.product(self.X, other.X, P - v1 - v2), P)
 
     def inv(self):
-        ctx = self.ctx
-        v = self.valuation()
-        if v == INF:
+        ctx, v, X = self.ctx, self.v, self.X
+        if not X:
             raise DomainError("inverse of (truncated) zero")
-        lead = self.coeffs[v]
+        L = ctx._layout
+        lead = L.code(L.dec[X & L.dmask].inv())
         rel = self.P - v  # relative precision of the input
         if rel == INF:
-            if len(self.coeffs) == 1:
-                return LaurentElement(ctx, {-v: lead.inv()}, INF)
+            if X.bit_length() <= L.D:
+                return LaurentElement(ctx, -v, lead, INF)
             rel = ctx.default_precision
         if rel <= 0:
             raise PrecisionError("inverse would have no known digit")
-        # z = lead t^v (1 + w); invert the unit by geometric series
-        linv = lead.inv()
-        w = {i - v: c.mul(linv) for i, c in self.coeffs.items() if i != v}
-        wlau = LaurentElement(ctx, w, rel)
-        acc = LaurentElement(ctx, {0: ctx.k.one()}, rel)
-        term = LaurentElement(ctx, {0: ctx.k.one()}, rel)
-        wv = wlau.valuation()
-        if wv != INF:
-            n = 0
-            while n * wv < rel:
-                term = term.mul(wlau).neg().truncate(rel)
-                acc = acc.add(term)
-                n += 1
-        out = {i - v: c.mul(linv) for i, c in acc.coeffs.items()}
-        return LaurentElement(ctx, out, rel - v if rel != INF else INF)
+        # Newton on the unit U = X / lead(X): Y <- Y - Y(UY - 1) doubles the
+        # digits Y shares with 1/U; the constant digit of UY is 1
+        U, Y, n = L.product(X, lead, rel), 1, 1
+        while n < rel:
+            n = min(2 * n, rel)
+            Y = L.combine(Y, L.product(Y, L.product(U, Y, n) - 1, n), ctx.p - 1)
+        return LaurentElement(ctx, -v, L.product(Y, lead, rel), rel - v)
 
     def shift(self, i):
-        return LaurentElement(
-            self.ctx, {j + i: c for j, c in self.coeffs.items()}, self.P + i
-        )
+        return LaurentElement(self.ctx, self.v + i, self.X, self.P + i)
 
     def _stripped(self):
         """A series has no p-content to move (ZqElement._stripped)."""
@@ -788,55 +826,45 @@ class LaurentElement(_Element):
 
     def derivative(self):
         """Formal d/dt."""
-        out = {}
-        for i, c in self.coeffs.items():
-            s = c.scale(i % self.ctx.p)
-            if not s.is_zero():
-                out[i - 1] = s
-        return LaurentElement(self.ctx, out, self.P - 1)
+        L, p = self.ctx._layout, self.ctx.p
+        X = sum(L.code(c.scale(i % p)) << (i - self.v) * L.D for i, c in self.digits())
+        return _laurent(self.ctx, self.v - 1, X, self.P - 1)
 
     def digit(self, m):
         if m >= self.P:
             raise PrecisionError("digit at t^%d unknown: precision is %s" % (m, self.P))
-        return self.coeffs.get(m, self.ctx.k.zero())
+        L = self.ctx._layout
+        if m < self.v:
+            return self.ctx.k.zero()
+        return L.dec[self.X >> (m - self.v) * L.D & L.dmask]
 
     def digits(self, lo=None, hi=None):
-        items = sorted(self.coeffs.items())
-        return [(i, c) for i, c in items if (lo is None or i >= lo) and (hi is None or i < hi)]
+        L = self.ctx._layout
+        X, i, out = self.X, self.v, []
+        if X and lo is not None and lo > i:
+            X, i = X >> (lo - i) * L.D, lo
+        while X and (hi is None or i < hi):
+            if X & L.dmask:
+                out.append((i, L.dec[X & L.dmask]))
+            X, i = X >> L.D, i + 1
+        return out
 
     def truncate(self, P):
-        return LaurentElement(self.ctx, self.coeffs, min(self.P, P))
+        return self if P >= self.P else _laurent(self.ctx, self.v, self.X, P)
 
     def __repr__(self):
-        if not self.coeffs:
+        if not self.X:
             return "0" if self.P == INF else "O(t^%s)" % self.P
-        parts = ["%r*t^%d" % (c, i) for i, c in sorted(self.coeffs.items())]
         tail = "" if self.P == INF else " + O(t^%s)" % self.P
-        return " + ".join(parts) + tail
+        return " + ".join("%r*t^%d" % (c, i) for i, c in self.digits()) + tail
 
     def to_literal(self):
-        if not self.coeffs:
-            return "0"
-        k = self.ctx.k
-        parts = []
-        for i, c in sorted(self.coeffs.items()):
-            if k.f == 1:
-                cs = str(c.coords[0])
-            else:
-                monos = []
-                for s, a in enumerate(c.coords):
-                    if a:
-                        monos.append(
-                            str(a) if s == 0 else ("%d*g" % a if s == 1 else "%d*g^%d" % (a, s))
-                        )
-                cs = "(" + " + ".join(monos) + ")"
-            if i == 0:
-                parts.append(cs)
-            elif i == 1:
-                parts.append("%s*t" % cs)
-            else:
-                parts.append("%s*t^%d" % (cs, i))
-        return " + ".join(parts)
+        terms = []
+        for i, c in self.digits():
+            monos = ["%d%s" % (a, ("", "*g")[s] if s < 2 else "*g^%d" % s) for s, a in enumerate(c.coords) if a]
+            cs = monos[0] if self.ctx.f == 1 else "(%s)" % " + ".join(monos)
+            terms.append(cs if i == 0 else "%s*t" % cs if i == 1 else "%s*t^%d" % (cs, i))
+        return " + ".join(terms) or "0"
 
 
 # ================================================================ free functions

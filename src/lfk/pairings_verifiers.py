@@ -290,18 +290,27 @@ def _steinberg_matrix(ctx):
     equation v.G.y = 0 in the d^2 entries of G.  Draws stop when the
     equations reach rank d^2 - 1, and G is the solution.  Running out of
     draws first is an InternalError that names the rank reached.
+
+    A draw whose equation is 0 skips its arithmetic: v = 0, or v(x) =
+    v[0] + p v(z) at or past first_trivial_level, where 1 - x is a p-th
+    power and y = 0.  Its digits are still drawn, so the draws after it
+    stay the same.
     """
     if not ctx.mu_p_present:
         raise UnsupportedCaseError("the char-0 pairing needs the p-th roots of unity")
     basis = adapted_basis(ctx)
     p, d = ctx.p, basis.dim()
+    top = first_trivial_level(ctx)
     rng = random.Random(_STEINBERG_SEED)
     system = rref([], p=p, ambient_dim=d * d)
     draws = _STEINBERG_DRAWS_PER_ENTRY * d * d
     for _ in range(draws):
         v = [rng.randrange(p) for _ in range(d)]
         t = rng.randrange(-1, 2)
-        z = ctx.from_digits([(t + j, _random_nonzero_digit(ctx, rng)) for j in range(_STEINBERG_DIGITS)])
+        digits = [(t + j, _random_nonzero_digit(ctx, rng)) for j in range(_STEINBERG_DIGITS)]
+        if not any(v) or v[0] + p * t >= top:
+            continue
+        z = ctx.from_digits(digits)
         x = basis.combination(v).mul(z.powi(p))
         y = coordinates(basis, ctx.one().sub(x)).coords
         system = extend(system, FpVector(p, [a * b for a in v for b in y]))

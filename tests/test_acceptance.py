@@ -337,7 +337,7 @@ def _naive_wp_reduce(ctx, x):
     wp(k)).  The strictly positive part always lies in wp(t k[[t]]).
     """
     p = ctx.p
-    co = dict(x.coeffs)
+    co = dict(x.digits())
     while True:
         deep = [i for i, c in co.items() if i < 0 and i % p == 0 and not c.is_zero()]
         if not deep:

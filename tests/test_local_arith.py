@@ -4,7 +4,8 @@ The oracles here avoid the library's own representation: valuations are
 cross-checked with plain integer arithmetic where the field embeds into
 Q_p, bp_index against a direct enumeration of integers prime to p, and
 the char-0 product kernel against a schoolbook convolution that reduces
-after every step.
+after every step, and packed char-p series against dict arithmetic on
+residue elements (laurent_oracle.DictSeries).
 """
 
 import math
@@ -12,11 +13,12 @@ import os
 import random
 import subprocess
 import sys
-from itertools import chain
+from itertools import chain, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from laurent_oracle import DictSeries
 
 import lfk
 from lfk.errors import DomainError, MalformedInputError, PrecisionError
@@ -593,13 +595,94 @@ def test_dlog_residue_cut_matches_untruncated(f2t, f3t, f4t):
                 + [(rng.randint(v + 1, cut), rng.choice(nonzero)) for _ in range(3)]
                 + [(cut + j, rng.choice(nonzero)) for j in rng.sample(range(1, 9), 2)]
             )
-            assert u.P == INF and max(u.coeffs) > cut
+            assert u.P == INF and u.digits()[-1][0] > cut
             w = x.mul(u.derivative().mul(u.inv()))
             assert w.P > -1
             want = w.digit(-1).trace()
             assert series_residue_and_dlog(x, u) == want
             seen.add(want)
     assert len(seen) > 1
+
+
+# ---------------------------------------------------------------- packed series
+
+ORACLE_FIELDS = [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (2, 3)]
+
+
+def _series_pool(ctx, rng):
+    """Seeded (oracle, packed) pairs: zeros, short, dense and long series,
+    each exact and truncated."""
+    k = ctx.k
+    nonzero = [c for c in k.elements() if not c.is_zero()]
+    shapes = [[], [0], [-3], [0, 1], [-2, 0, 5]]
+    shapes += [sorted(rng.sample(range(-6, 14), rng.randint(2, 12))) for _ in range(4)]
+    shapes += [list(range(-1, 11)), list(range(-4, 300)), sorted(rng.sample(range(0, 400), 320))]
+    pool = []
+    for exps in shapes:
+        coeffs = {i: rng.choice(nonzero) for i in exps}
+        exact = ctx.from_digits(list(coeffs.items()))
+        pool.append((DictSeries(ctx, coeffs, INF), exact))
+        P = (exps[0] if exps else 0) + rng.randint(0, 40)
+        pool.append((DictSeries(ctx, coeffs, P), exact.truncate(P)))
+    pool.append((DictSeries(ctx, {}, 3), ctx.zero(3)))  # a truncated zero
+    return pool
+
+
+def _agree(want, got, what):
+    assert want.agrees(got), (what, want.digits()[:6], got.digits()[:6], want.P, got.P)
+
+
+@pytest.mark.parametrize("p, f", ORACLE_FIELDS)
+def test_packed_series_match_the_dict_oracle(p, f):
+    ctx = parse_field("Fq((t)) p=%d f=%d" % (p, f))
+    rng = random.Random(1000 * p + f)
+    pool = _series_pool(ctx, rng)
+    store = ctx._layout.store.b
+    for want, x in pool:
+        _agree(want, x, "construction")
+        _agree(want.neg(), x.neg(), "neg")
+        i = rng.randint(-9, 9)
+        _agree(want.shift(i), x.shift(i), "shift")
+        cut = rng.randint(-8, 30)
+        _agree(want.truncate(cut), x.truncate(cut), "truncate")
+        _agree(want.derivative(), x.derivative(), "derivative")
+        for r in (ctx.k.zero(), ctx.k.one(), rng.choice(list(ctx.k.elements()))):
+            _agree(want.scale(r), x.scale(r), "scale")
+        lo, hi = sorted(rng.sample(range(-8, 40), 2))
+        assert x.digits(lo, hi) == want.digits(lo, hi)
+        for m in (rng.randint(-8, 40), want.valuation() if want.coeffs else 0, x.P):
+            if m == INF:
+                continue
+            if m >= want.P:
+                with pytest.raises(PrecisionError):
+                    x.digit(m)
+            else:
+                assert x.digit(m) == want.digit(m)
+        if want.coeffs and want.P - want.valuation() > 0:
+            _agree(want.inv(), x.inv(), "inv")
+        else:
+            with pytest.raises((DomainError, PrecisionError)):
+                x.inv()
+    for (want, x), (want2, y) in product(pool, repeat=2):
+        _agree(want.mul(want2), x.mul(y), "mul")
+        _agree(want.add(want2), x.add(y), "add")
+        _agree(want.sub(want2), x.sub(y), "sub")
+    # the long products moved to wider slots and back
+    assert any(b > store and w.cover for b, w in ctx._layout.widths.items())
+    assert ctx._layout.store.b == store
+
+
+@pytest.mark.parametrize("p, f", ORACLE_FIELDS)
+def test_packed_inverse_of_long_exact_series(p, f):
+    # an exact series of several terms inverts to relative precision prec
+    ctx = parse_field("Fq((t)) p=%d f=%d prec=200" % (p, f))
+    rng = random.Random(p * f)
+    nonzero = [c for c in ctx.k.elements() if not c.is_zero()]
+    coeffs = {i: rng.choice(nonzero) for i in range(-2, 250, 3)}
+    x = ctx.from_digits(list(coeffs.items()))
+    y = x.inv()
+    _agree(DictSeries(ctx, coeffs, INF).inv(), y, "inv")
+    assert y.P == 202 and x.mul(y).sub(ctx.one()).valuation() == INF
 
 
 def test_cross_field_arithmetic_raises_under_optimized_python():
@@ -685,6 +768,18 @@ def test_integer_literals_roundtrip(n):
     z = ctx.from_int(n)
     back = parse_element(ctx, z.to_literal())
     assert z.eq_to_precision(back)
+
+
+def test_scale_int_gains_the_p_content_of_the_integer():
+    # a product by the exact integer p^k * u gains e*k digits of absolute
+    # precision, as the product by from_int(s, INF) does; 0 gives the zero
+    # that product gives, at the representation's cap
+    ctx = parse_field("Qp p=3 f=1 eis=3,3,1")
+    x = ctx.one().add(ctx.pi())
+    for s in (1, -1, 2, 3, -3, 9, -18, 0):
+        got, want = x.scale_int(s), x.mul(ctx.from_int(s, INF))
+        assert got.P == want.P and got.eq_to_precision(want), s
+    assert x.scale_int(-3).P == x.P + 2
 
 
 def test_precision_propagation_rules(q2):

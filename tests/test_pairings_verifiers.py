@@ -760,6 +760,24 @@ def test_a_rank_deficient_steinberg_system_is_an_internal_error(monkeypatch):
     assert "pairing" not in ctx.cache
 
 
+def test_steinberg_draws_that_cannot_add_rank_take_no_descent(monkeypatch):
+    # on Q3f2e2, 17 of the 53 draws have v = 0 or v(x) >= first_trivial_level,
+    # so 1 - x is a p-th power; they skip the descent, and G stays the same
+    ctx = parse_field("Qp p=3 f=2 eis=3,3,1")
+    real = pairings_verifiers.coordinates
+    reads = []
+
+    def counting(basis, x):
+        reads.append(x)
+        return real(basis, x)
+
+    monkeypatch.setattr(pairings_verifiers, "coordinates", counting)
+    G = pairings_verifiers._steinberg_matrix(ctx)
+    assert len(reads) == 36
+    monkeypatch.setattr(pairings_verifiers, "coordinates", real)
+    assert pairings_verifiers._pairing_matrix(ctx) == G
+
+
 def test_char0_pairing_without_mu_p_is_unsupported():
     # pc = 3 but mu_3 is absent: K_2(K)/3 is trivial, so the Steinberg
     # system has no nonzero solution to find
