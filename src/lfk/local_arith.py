@@ -839,14 +839,16 @@ class LaurentElement(_Element):
         return L.dec[self.X >> (m - self.v) * L.D & L.dmask]
 
     def digits(self, lo=None, hi=None):
-        L = self.ctx._layout
-        X, i, out = self.X, self.v, []
-        if X and lo is not None and lo > i:
-            X, i = X >> (lo - i) * L.D, lo
-        while X and (hi is None or i < hi):
-            if X & L.dmask:
-                out.append((i, L.dec[X & L.dmask]))
-            X, i = X >> L.D, i + 1
+        if not self.X:
+            return []
+        L, v = self.ctx._layout, self.v
+        nb, n = L.D // 8, -(-self.X.bit_length() // L.D)  # bytes a digit, digits
+        data = self.X.to_bytes(n * nb, "little")
+        out = []
+        for j in range(0 if lo is None else max(0, lo - v), n if hi is None else min(n, hi - v)):
+            d = int.from_bytes(data[j * nb:(j + 1) * nb], "little")
+            if d:
+                out.append((v + j, L.dec[d]))
         return out
 
     def truncate(self, P):
