@@ -467,20 +467,28 @@ class AdaptedBasis:
     def dim(self):
         return len(self.vectors)
 
-    def combination(self, vec):
+    def combination(self, vec, stack=None):
         """The element with coordinates vec: prod g_i^c_i (mult), the
-        descent's normalized representative, or sum c_i g_i (add)."""
-        ctx = self.ctx
-        if self.space == "mult":
-            x = self.power(0, vec[0]) if vec[0] else ctx.one()
-            for i in range(1, len(vec)):
-                if vec[i]:
-                    x = x.mul(self.power(i, vec[i]))
-            return x
-        x = ctx.zero()
-        for c, g in zip(vec, self.elements()):
-            if c:
-                x = x.add(g.scale_int(c))
+        descent's normalized representative, or sum c_i g_i (add).
+
+        stack, a list kept by the caller, holds (c_i, partial result) for
+        the previous vec; the prefix vec shares with it is reused, so
+        lex-ordered vecs take about one product each, and the same ones."""
+        stack = [] if stack is None else stack
+        kept = 0
+        while kept < len(stack) and stack[kept][0] == vec[kept]:
+            kept += 1
+        del stack[kept:]
+        x = stack[-1][1] if stack else self.ctx.zero() if self.space == "add" else None
+        for i in range(kept, len(vec)):
+            c = vec[i]
+            if self.space == "add":
+                x = x.add(self.vectors[i][1].scale_int(c)) if c else x
+            elif i == 0:
+                x = self.power(0, c) if c else self.ctx.one()
+            elif c:
+                x = x.mul(self.power(i, c))
+            stack.append((c, x))
         return x
 
     def elements(self):

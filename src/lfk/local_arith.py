@@ -19,7 +19,9 @@ Two implementations sit behind one interface:
   so (a product keeps the p-content of both factors' nums).  Whatever
   reads num as a unit or a residue — inv, a digit read, to_literal and
   zeta's Newton lift — first calls _stripped(), which moves the p-content
-  of num into t and keeps P.
+  of num into t and keeps P.  The product of two nums is straight-line
+  code that each field writes and compiles for its own (f, e, m, E) when
+  it is made (FieldContext._build_mul).
 
 * characteristic p — K = k((t)); an element is t^v * X with X one
   integer that packs the F_p coordinates of its digits in fixed-width
@@ -131,7 +133,7 @@ class FieldContext:
             self.coeff_prec = default_precision + 2 * self.e + 16
             self.pmod = p**self.coeff_prec
             self._m_int = tuple(int(c) for c in self.k.poly)
-            self._conv_pos, self._conv_low, self._conv_fold = self._build_fold()
+            self._num_mul = self._build_mul()
             self._xinv_num = self._build_xinv()
             self._pi_pow_cache = {0: (self._const_num(1), 0), 1: (self.pi().num, 0)}
             if (self.p - 1) and self.e % (self.p - 1) == 0:
@@ -197,54 +199,55 @@ class FieldContext:
     def _num_scale(self, A, s):
         return [[(s * A[a][b]) % self.pmod for b in range(self.e)] for a in range(self.f)]
 
-    def _num_mul(self, A, B):
-        # Convolve on unreduced integers, indexing w^a x^b by a*(2e-1) + b so
-        # that products add indices.  A monomial inside the f x e block goes
-        # straight to the output; an overflow monomial is reduced once and
-        # folded by its image modulo m(w) and E(x).  One reduction mod
-        # p^coeff_prec at the end.
-        mod, pos, low, fold = self.pmod, self._conv_pos, self._conv_low, self._conv_fold
-        terms = [(j, c) for j, c in zip(pos, chain.from_iterable(B)) if c]
-        acc = {}
-        for i, c1 in zip(pos, chain.from_iterable(A)):
-            if c1:
-                for j, c2 in terms:
-                    acc[i + j] = acc.get(i + j, 0) + c1 * c2
-        out = [0] * len(pos)
-        for k, c in acc.items():
-            if k in low:
-                out[low[k]] += c
-            else:
-                c %= mod
-                for i, coef in fold[k]:
-                    out[i] += c * coef
-        e = self.e
-        return [[c % mod for c in out[s:s + e]] for s in range(0, len(out), e)]
+    def _build_mul(self):
+        """This field's product of two numerators, compiled once as
+        straight-line code: ctx._num_mul(A, B) -> num.
 
-    def _build_fold(self):
-        """Index tables for _num_mul: (slot of each block monomial in the
-        convolution, its output index by slot, overflow slot -> fold).
-
-        w^a x^b is congruent to (w^a mod m(w)) * (x^b mod E(x)), and the two
-        factors live in separate variables, so each overflow monomial folds
-        onto the f x e block by a product of two integer vectors.
+        The operands are unpacked into locals a0.. and b0.. (w^a x^b at
+        index a*e + b), and slot (a, b) of their convolution is one sum of
+        products.  A slot inside the f x e block goes to its output as it
+        is.  An overflow slot is reduced mod p^coeff_prec once and folded
+        onto the block: w^a x^b is congruent to (w^a mod m(w)) * (x^b mod
+        E(x)), and the two factors live in separate variables, so it adds
+        its value times one integer to each output it reaches.  Each output
+        is reduced once.  The source holds only local names, the name M for
+        p^coeff_prec and those fold integers, written in hex (Python limits
+        the length of decimal literals only); it is built from the parsed
+        integer polynomials, never from descriptor text.
         """
         f, e = self.f, self.e
-        width = 2 * e - 1
         wpow = _powers_mod(self._m_int, 2 * f - 1)
         xpow = _powers_mod(self.eisenstein_poly, 2 * e - 1)
-        pos = [a * width + b for a in range(f) for b in range(e)]
-        fold = {}
+
+        def slot(a, b):
+            return " + ".join(
+                "a%d*b%d" % (a1 * e + b1, (a - a1) * e + b - b1)
+                for a1 in range(max(0, a - f + 1), min(a, f - 1) + 1)
+                for b1 in range(max(0, b - e + 1), min(b, e - 1) + 1)
+            )
+
+        def unpack(v):
+            rows = (", ".join("%s%d" % (v, a * e + b) for b in range(e)) for a in range(f))
+            return "[%s] = %s" % (", ".join("[%s]" % r for r in rows), v.upper())
+
+        body = [unpack("a"), unpack("b")]
+        out = [slot(i // e, i % e) for i in range(f * e)]
         for a in range(2 * f - 1):
-            for b in range(width):
+            for b in range(2 * e - 1):
                 if a >= f or b >= e:
-                    fold[a * width + b] = tuple(
-                        (a2 * e + b2, wc * xc)
-                        for a2, wc in enumerate(wpow[a])
-                        for b2, xc in enumerate(xpow[b])
-                        if wc and xc
-                    )
-        return pos, {k: n for n, k in enumerate(pos)}, fold
+                    body.append("r%d_%d = (%s) %% M" % (a, b, slot(a, b)))
+                    for a2, wc in enumerate(wpow[a]):
+                        for b2, xc in enumerate(xpow[b]):
+                            c = wc * xc
+                            if c:
+                                term = "r%d_%d" % (a, b) + ("*%#x" % abs(c) if abs(c) > 1 else "")
+                                out[a2 * e + b2] += (" + " if c > 0 else " - ") + term
+        rows = ("[%s]" % ", ".join("(%s) %% M" % s for s in out[a * e:(a + 1) * e]) for a in range(f))
+        body.append("return [%s]" % ", ".join(rows))
+        scope = {"M": self.pmod}
+        text = "def mul(A, B):\n    " + "\n    ".join(body) + "\n"
+        exec(compile(text, "<num_mul p=%d f=%d e=%d>" % (self.p, f, e), "exec"), scope)
+        return scope["mul"]
 
     def _build_xinv(self):
         """num with x^(-1) = p^(-1) * xinv_num, from the Eisenstein relation."""
@@ -1024,18 +1027,28 @@ def _parse_expr(ctx, toks):
         acc = acc.add(term if kind == "+" else term.neg())
 
 
+def _nonvanishing(out, *factors):
+    """out, a product or power of the factors: a truncated zero only if a
+    factor is one, else the value outgrew what the field's numerators hold."""
+    if out.is_zero_to_precision() and not any(x.is_zero_to_precision() for x in factors):
+        raise PrecisionError(
+            "element literal: a product or power of nonzero values vanishes at the "
+            "field's precision %d; give the field a larger prec=" % out.ctx.default_precision
+        )
+    return out
+
+
 def _parse_term(ctx, toks):
     acc = _parse_factor(ctx, toks)
     while True:
         kind, _ = toks.peek()
         if kind == "*":
             toks.next()
-            acc = acc.mul(_parse_factor(ctx, toks))
-        elif kind in ("int", "name", "("):
-            # juxtaposition like "2 pi" reads as a product
-            acc = acc.mul(_parse_factor(ctx, toks))
-        else:
+        elif kind not in ("int", "name", "("):
             return acc
+        # juxtaposition like "2 pi" reads as a product
+        factor = _parse_factor(ctx, toks)
+        acc = _nonvanishing(acc.mul(factor), acc, factor)
 
 
 def _parse_factor(ctx, toks):
@@ -1051,7 +1064,7 @@ def _parse_factor(ctx, toks):
         k3, v3 = toks.next()
         if k3 != "int":
             raise MalformedInputError("element literal: expected integer exponent")
-        return base.powi(sign * v3)
+        return _nonvanishing(base.powi(sign * v3), base)
     return base
 
 

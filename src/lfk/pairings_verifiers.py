@@ -476,7 +476,8 @@ def line_catalog(ctx, window=None, seed=0):
     p^dim fits the budget; otherwise basis lines, pairwise sums, and a
     seeded sample of longer combinations.  Each is a Line built from its
     normalized coordinate vector, with no descent; its label spells the
-    vector out.
+    vector out, and its representative is the basis combination, the
+    vectors in lex order sharing their prefix products.
     """
     basis = adapted_basis(ctx, "add" if ctx.characteristic else "mult", window)
     p, d = ctx.p, basis.dim()
@@ -496,7 +497,8 @@ def line_catalog(ctx, window=None, seed=0):
                     inv = pow(next(c for c in v if c), -1, p)
                     seen.add(tuple(inv * c % p for c in v))
             vecs = sorted(seen)
-        ctx.cache[key] = [Line(basis, vec) for vec in vecs]
+        stack = []  # the lex order shares prefixes: one product per line
+        ctx.cache[key] = [Line(basis, vec, basis.combination(vec, stack)) for vec in vecs]
     return ctx.cache[key]
 
 

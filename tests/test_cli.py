@@ -335,6 +335,23 @@ def test_a_precision_error_names_the_prec_the_field_needs(capsys):
         unit_class_reduce(q2.one().add(q2.pi()).truncate(3))
 
 
+@pytest.mark.parametrize(
+    "field, elt",
+    [(Q2, "p^100"), (Q2, "p^50*p^50"), ("Qp p=3 f=2 eis=3,3,1", "pi^200"), ("Qp p=3 f=2 eis=3,3,1", "pi^-200")],
+)
+def test_a_literal_that_outgrows_the_precision_is_not_zero(capsys, field, elt):
+    # a product or power of nonzero factors whose numerator wraps to 0 mod
+    # p^coeff_prec is a precision failure that names prec=, not a zero
+    code, _, err = run(capsys, "compute", "class", "--field", field, "--elt", elt)
+    assert code == 3
+    assert "element literal" in err and "larger prec=" in err
+    for zero in ("1-1", "0*pi", "(1-1)^3"):
+        assert run(capsys, "compute", "class", "--field", field, "--elt", zero)[0] == 2
+    if elt == "pi^200":
+        code, out, _ = run(capsys, "compute", "class", "--field", field + " prec=256", "--elt", elt)
+        assert code == 0 and out.splitlines()[-1] == "class = pi^2"
+
+
 def test_lfk_prec_env_var(capsys, monkeypatch):
     monkeypatch.setenv("LFK_PREC", "4")
     code, _, _ = run(capsys, "verify", "--field", Q2, "S2.10")

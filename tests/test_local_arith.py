@@ -281,7 +281,8 @@ def test_distributivity_char_p_exact(f4t):
         assert a.mul(b.add(c)).sub(a.mul(b).add(a.mul(c))).is_zero_to_precision()
 
 
-# Every (f, e) shape among the bundled char-0 fields, plus e = 4 and f = 3.
+# Every (f, e) shape among the bundled char-0 fields, plus e = 4, f = 3,
+# f = 4 and e = 10 (Q11(zeta11)), the longest generated product.
 KERNEL_FIELDS = [
     "Qp p=2 f=1",
     "Qp p=2 f=2",
@@ -291,6 +292,8 @@ KERNEL_FIELDS = [
     "Qp p=3 f=2 eis=3,3,1",
     "Qp p=5 f=1 eis=5,10,10,5,1",
     "Qp p=2 f=3 eis=2,2,1",
+    "Qp p=3 f=4 eis=3,3,1",
+    "Qp p=11 f=1 eis=11,55,165,330,462,462,330,165,55,11,1",
 ]
 
 

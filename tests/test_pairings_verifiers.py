@@ -383,6 +383,26 @@ CHAR_P_WINDOWED = (("Fq((t)) p=2 f=1", 9), ("Fq((t)) p=3 f=1", 6), ("Fq((t)) p=2
 BENCHMARK_FIELDS = [(desc, None) for desc in CHAR0_MU_P] + list(CHAR_P_WINDOWED)
 
 
+def _stored(x):
+    """Every stored part of an element: (num, t, P) resp. (v, X, P)."""
+    return (x.num, x.t, x.P) if x.ctx.characteristic == 0 else (x.v, x.X, x.P)
+
+
+@pytest.mark.parametrize("desc, window", BENCHMARK_FIELDS + [("Qp p=5 f=1 eis=5,10,10,5,1", None)])
+def test_catalog_lines_hold_their_basis_combination(desc, window):
+    """line_catalog shares prefix products between lex-ordered vectors; each
+    line's representative must still be basis.combination(vec), stored
+    digit for digit the same.  F3((t)) w6 has p^d = 3^5, past the budget,
+    so its catalog is the sampled, sorted one."""
+    ctx = parse_field(desc)
+    basis = adapted_basis(ctx, "add" if ctx.characteristic else "mult", window)
+    catalog = line_catalog(ctx, window)
+    if desc == "Fq((t)) p=3 f=1":
+        assert len(catalog) < (3**basis.dim() - 1) // 2
+    for cl in catalog:
+        assert _stored(cl.a) == _stored(basis.combination(cl.vec)), (desc, cl.label)
+
+
 @functools.lru_cache(maxsize=None)
 def walked_norm_groups(desc, window):
     """{catalog vector: the norm group walked from its own extension} for
