@@ -29,8 +29,8 @@ Two implementations sit behind one interface:
   exact values.  A product is one integer product and one slot-wise
   reduction; inversion is the only operation that truncates on its own,
   and callers that read a bounded number of digits cut their operands
-  first.  A digit read returns the interned, table-coded element of
-  residues.ResidueField.
+  first.  A digit is read as the residues.ResidueElement whose code is the
+  digit's integer, with no translation.
 
 The class of a uniformizer is `pi` in both cases (x resp. t).
 
@@ -41,7 +41,6 @@ derives sub, powi, residue, is_zero_to_precision and eq_to_precision from
 those, the same way in both characteristics.
 """
 
-import functools
 import math
 from itertools import chain
 
@@ -52,7 +51,7 @@ from .errors import (
     PrecisionError,
     UnsupportedCaseError,
 )
-from .residues import ResidueField, _prime_factors
+from .residues import ResidueElement, ResidueField
 
 INF = math.inf
 
@@ -91,7 +90,7 @@ class FieldContext:
         eisenstein_poly=None,
         default_precision=DEFAULT_PRECISION,
     ):
-        if _prime_factors(p) != [p]:
+        if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
             raise MalformedInputError("p must be prime, got %r" % (p,))
         if f < 1:
             raise MalformedInputError("f must be >= 1")
@@ -186,8 +185,8 @@ class FieldContext:
 
     def _num_from_residue(self, r):
         num = [[0] * self.e for _ in range(self.f)]
-        for a in range(self.f):
-            num[a][0] = r.coords[a] % self.pmod
+        for a, c in enumerate(r.coords):
+            num[a][0] = c
         return num
 
     def _num_add(self, A, B):
@@ -341,8 +340,8 @@ class FieldContext:
         if r.is_zero():
             raise DomainError("teichmuller lift of zero")
         if self.characteristic == self.p:
-            return LaurentElement(self, 0, self._layout.code(r), INF)
-        key = r.coords
+            return LaurentElement(self, 0, r.code, INF)
+        key = r.code
         if key not in self._teich_cache:
             num = self._num_from_residue(r)
             # Newton on g(y) = y^q - y with the derivative at the root,
@@ -383,17 +382,6 @@ class FieldContext:
     def _lprec(self, prec):
         # char-p constructors give exact values; truncation only enters via inv
         return INF if prec is None else prec
-
-    @functools.cached_property
-    def _layout(self):
-        """How this char-p field packs its series (packing.Layout).
-
-        Made, and its module imported, on the field's first series, so that
-        `import lfk` and making a field compile and build none of it.
-        """
-        from .packing import Layout
-
-        return Layout(self.k)
 
     def _make(self, num, t, prec):
         P = self.default_precision if prec is None else prec
@@ -722,7 +710,7 @@ class ZqElement(_Element):
 
 def _laurent(ctx, v, X, P):
     """The series t^v * X cut below t^P, its low zero digits moved into v."""
-    L = ctx._layout
+    L = ctx.k.layout
     if P != INF and X.bit_length() > (P - v) * L.D:
         X = X & ((1 << ((P - v) * L.D)) - 1) if P > v else 0
     if not X:
@@ -762,7 +750,7 @@ class LaurentElement(_Element):
         ctx = self.ctx
         if ctx is not other.ctx:
             raise DomainError("elements from different fields")
-        P, L = min(self.P, other.P), ctx._layout
+        P, L = min(self.P, other.P), ctx.k.layout
         X1, X2, v1, v2 = self.X, other.X, self.v, other.v
         if not X2:
             return self.truncate(P)
@@ -778,11 +766,11 @@ class LaurentElement(_Element):
         ctx = self.ctx
         if ctx.p == 2:
             return self
-        return LaurentElement(ctx, self.v, ctx._layout.store.reduce(self.X * (ctx.p - 1)), self.P)
+        return LaurentElement(ctx, self.v, ctx.k.layout.store.reduce(self.X * (ctx.p - 1)), self.P)
 
     def scale(self, r):
-        L = self.ctx._layout
-        X = L.product(self.X, L.code(self.ctx.k.elt(r)), INF)
+        L = self.ctx.k.layout
+        X = L.product(self.X, self.ctx.k.elt(r).code, INF)
         return LaurentElement(self.ctx, self.v if X else INF, X, self.P)
 
     def scale_int(self, s):
@@ -797,14 +785,14 @@ class LaurentElement(_Element):
         P = min(self.P + v2, other.P + v1)
         if not (self.X and other.X):
             return LaurentElement(ctx, INF, 0, P)
-        return LaurentElement(ctx, v1 + v2, ctx._layout.product(self.X, other.X, P - v1 - v2), P)
+        return LaurentElement(ctx, v1 + v2, ctx.k.layout.product(self.X, other.X, P - v1 - v2), P)
 
     def inv(self):
         ctx, v, X = self.ctx, self.v, self.X
         if not X:
             raise DomainError("inverse of (truncated) zero")
-        L = ctx._layout
-        lead = L.code(L.dec[X & L.dmask].inv())
+        L = ctx.k.layout
+        lead = ResidueElement(ctx.k, X & L.dmask).inv().code
         rel = self.P - v  # relative precision of the input
         if rel == INF:
             if X.bit_length() <= L.D:
@@ -829,29 +817,30 @@ class LaurentElement(_Element):
 
     def derivative(self):
         """Formal d/dt."""
-        L, p = self.ctx._layout, self.ctx.p
-        X = sum(L.code(c.scale(i % p)) << (i - self.v) * L.D for i, c in self.digits())
+        L, p = self.ctx.k.layout, self.ctx.p
+        X = sum(c.scale(i % p).code << (i - self.v) * L.D for i, c in self.digits())
         return _laurent(self.ctx, self.v - 1, X, self.P - 1)
 
     def digit(self, m):
         if m >= self.P:
             raise PrecisionError("digit at t^%d unknown: precision is %s" % (m, self.P))
-        L = self.ctx._layout
+        L = self.ctx.k.layout
         if m < self.v:
             return self.ctx.k.zero()
-        return L.dec[self.X >> (m - self.v) * L.D & L.dmask]
+        return ResidueElement(self.ctx.k, self.X >> (m - self.v) * L.D & L.dmask)
 
     def digits(self, lo=None, hi=None):
         if not self.X:
             return []
-        L, v = self.ctx._layout, self.v
+        k, v = self.ctx.k, self.v
+        L = k.layout
         nb, n = L.D // 8, -(-self.X.bit_length() // L.D)  # bytes a digit, digits
         data = self.X.to_bytes(n * nb, "little")
         out = []
         for j in range(0 if lo is None else max(0, lo - v), n if hi is None else min(n, hi - v)):
             d = int.from_bytes(data[j * nb:(j + 1) * nb], "little")
             if d:
-                out.append((v + j, L.dec[d]))
+                out.append((v + j, ResidueElement(k, d)))
         return out
 
     def truncate(self, P):

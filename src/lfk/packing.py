@@ -14,12 +14,13 @@ shorter factor has up to _STORE_DIGITS digits.  A longer product moves its
 factors to wider slots, and its result back, so exact series of any length
 share the one layout.
 
-local_arith.LaurentElement keeps its series in this layout and imports the
-module on a field's first series, so that `import lfk` and making a field
-compile and build none of it.
+A residues.ResidueElement is one stored digit, and
+local_arith.LaurentElement keeps its series in the same layout.  A
+residue field imports this module when one of its elements first needs
+the layout, so `import lfk` builds none of it.
 """
 
-from .residues import _Interned, _poly_mod
+from .residues import _poly_mod
 
 _STORE_DIGITS = 16
 
@@ -83,8 +84,9 @@ class Layout:
     """The packed layout of the series over one residue field k.
 
     D is the width of a stored digit in bits and dmask selects its
-    coordinates; code() and dec translate between a digit and its interned
-    residue element.
+    coordinates; encode() and decode() translate between a digit and its
+    coordinates.  A stored digit is the code of its residues.ResidueElement,
+    which computes on one digit with combine() and store.reduce().
     """
 
     def __init__(self, k):
@@ -97,12 +99,20 @@ class Layout:
         self.widths = {}
         self.store = S = self.slots(self._bytes_for(_STORE_DIGITS))
         self.D, self.fit_bits = S.D, ((1 << S.cap) - 1) // self._bound(1) * S.D
-        w = S.w
-        self.dmask = (1 << (f * w)) - 1
-        self.dec = _Interned(
-            lambda d: k._elts[sum((d >> (s * w) & ((1 << w) - 1)) * p**s for s in range(f))]
-        )
-        self._codes = _Interned(lambda i: sum((i // p**s % p) << (s * w) for s in range(f)))
+        self.dmask = (1 << (f * S.w)) - 1
+        self._shifts, self._smask = range(0, f * S.w, S.w), (1 << S.w) - 1
+
+    def encode(self, coords):
+        """The stored digit whose F_p coordinates are coords (taken mod p)."""
+        d, w, p = 0, self.store.w, self.p
+        for c in reversed(coords):
+            d = d << w | c % p
+        return d
+
+    def decode(self, d):
+        """The f F_p coordinates of the stored digit d."""
+        m = self._smask
+        return tuple([d >> s & m for s in self._shifts])
 
     def slots(self, b):
         if b not in self.widths:
@@ -120,9 +130,6 @@ class Layout:
         while self.slots(b).cap < self._bound(n).bit_length():
             b += 1
         return b
-
-    def code(self, r):
-        return self._codes[r.index]
 
     def combine(self, A, B, c):
         """A + c*B slot-wise, c in F_p."""

@@ -1,22 +1,17 @@
 """The residue field k = F_q, q = p^f, as F_p[u]/(residue_poly).
 
-Elements are coordinate tuples in the power basis 1, u, ..., u^(f-1).  Each
-field holds exactly one element object per value, numbered by its index: the
-coordinates read as a base-p numeral, constant digit lowest (so 0 is zero and
-1 is one).  Arithmetic is table lookup in the Zech-logarithm representation
-(as in FLINT's fq_zech): with g a primitive element, every element carries
-its log, log(x) = j for x = g^j and a sentinel for zero, and
-
-    x * y = g^(log x + log y),    x + y = x * (1 + y/x) = g^(log x + Z(log y - log x)),
-
-where Z(d) = log(1 + g^d) is the Zech table.  Inverses, powers, Frobenius
-and p-th roots are exponent arithmetic modulo q - 1; the trace is the sum of
-Frobenius powers.  The tables take O(q) memory and are built the first time
-an element is made, by polynomial arithmetic, which is otherwise used only
-to test irreducibility.
+An element is its packed digit: one integer that holds its coordinates in
+the power basis 1, u, ..., u^(f-1) in the slots of the field's
+packing.Layout, the same integer a char-p Laurent series over k stores for
+one digit.  Arithmetic is that layout's kernel on one digit: a sum is a
+slot-wise combine, a product one integer product folded by the residue
+polynomial and reduced slot-wise mod p, and a power square-and-multiply
+with the exponent taken mod q - 1.  Inverses, Frobenius and p-th roots are
+powers; the trace is the sum of Frobenius powers.  Nothing is tabulated
+over k, so a field of any size costs memory and time polynomial in f and
+log p.
 """
 
-import array
 import functools
 import itertools
 
@@ -28,17 +23,6 @@ def _poly_trim(c):
     while c and c[-1] == 0:
         c = c[:-1]
     return c
-
-
-def _poly_mul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_trim(out)
 
 
 def _poly_mod(a, m, p):
@@ -89,42 +73,6 @@ def default_residue_poly(p, f):
     raise DomainError("no irreducible polynomial found (impossible)")
 
 
-class _Interned(dict):
-    """A dict that makes a missing value from its key, once."""
-
-    def __init__(self, make):
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key):
-        value = self[key] = self.make(key)
-        return value
-
-
-def _prime_factors(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def _poly_powmod(a, n, m, p):
-    out = [1]
-    while n:
-        if n & 1:
-            out = _poly_mod(_poly_mul(out, a, p), m, p)
-        a = _poly_mod(_poly_mul(a, a, p), m, p)
-        n >>= 1
-    return out
-
-
 class ResidueField:
     """F_q with q = p^f, as F_p[u]/(poly)."""
 
@@ -140,6 +88,7 @@ class ResidueField:
         self.f = f
         self.q = p**f
         self.poly = poly
+        self._wp_solutions = {}  # a.code -> wp_preimage(a)
 
     def __eq__(self, other):
         return (
@@ -153,65 +102,16 @@ class ResidueField:
     def __repr__(self):
         return "ResidueField(p=%d, f=%d)" % (self.p, self.f)
 
-    # -- tables
-
-    def _index(self, coords):
-        return sum(c * self.p**s for s, c in enumerate(coords))
-
-    def _primitive(self):
-        """The first element, by index, whose multiplicative order is q - 1."""
-        p, poly, order = self.p, list(self.poly), self.q - 1
-        for index in range(1, self.q):
-            g = _poly_trim([(index // p**s) % p for s in range(self.f)])
-            if all(_poly_powmod(g, order // r, poly, p) != [1] for r in _prime_factors(order)):
-                return g
-        raise InternalError("F_%d has no primitive element (impossible)" % self.q)
-
     @functools.cached_property
-    def _elts(self):
-        """index -> element, each made once on first request.
+    def layout(self):
+        """The packing.Layout that stores this field's digits: one element is
+        one of its digits, and a char-p series over k is a string of them.
 
-        The first call builds the log, antilog and Zech tables, so every
-        element finds them in place when it operates.  The tables are arrays
-        of q machine integers; element objects exist only for values in use.
+        Made, and its module imported, when an element first needs it.
         """
-        p, f, order = self.p, self.f, self.q - 1
-        g = self._primitive()
-        # column s of multiplication by g: the coordinates of g * u^s
-        cols = []
-        for s in range(f):
-            col = _poly_mod(_poly_mul([0] * s + [1], g, p), list(self.poly), p)
-            cols.append(col + [0] * (f - len(col)))
-        antilog = array.array("q")  # antilog[j] = index of g^j
-        cur = [1] + [0] * (f - 1)
-        for _ in range(order):
-            index = 0
-            for c in reversed(cur):
-                index = index * p + c
-            antilog.append(index)
-            nxt = [0] * f
-            for c, col in zip(cur, cols):
-                if c:
-                    for i, m in enumerate(col):
-                        nxt[i] += c * m
-            cur = [c % p for c in nxt]
-        # zero's log is a sentinel past every sum of two real logs (at most
-        # 2(q - 2)); the exponent table sends it, plus any log, to zero
-        zero_log = 2 * order - 1
-        log = array.array("q", [zero_log]) * self.q
-        for j, index in enumerate(antilog):
-            log[index] = j
-        self._log = log
-        elts = _Interned(lambda index: ResidueElement(self, index))
-        self._by_log = _Interned(
-            lambda j: elts[antilog[j % order]] if j < zero_log else elts[0]
-        )
-        # Z(d) = log(1 + g^d); adding 1 changes only the constant digit
-        self._zech = array.array(
-            "q", (log[a - a % p + (a + 1) % p] for a in antilog)
-        )
-        self._neg_one_log = log[p - 1]
-        return elts
+        from .packing import Layout
+
+        return Layout(self)
 
     # -- constructors
 
@@ -221,17 +121,17 @@ class ResidueField:
                 raise DomainError("%r is an element of another residue field" % (coords,))
             return coords
         if isinstance(coords, int):
-            return self._elts[coords % self.p]
+            return ResidueElement(self, coords % self.p)
         coords = list(coords)
         if len(coords) > self.f:
             coords = _poly_mod(coords, list(self.poly), self.p)
-        return self._elts[self._index([c % self.p for c in coords])]
+        return ResidueElement(self, self.layout.encode(coords))
 
     def zero(self):
-        return self._elts[0]
+        return ResidueElement(self, 0)
 
     def one(self):
-        return self._elts[1]
+        return ResidueElement(self, 1)
 
     def gen(self):
         """The class of u (equals 0 when f = 1 and poly = u)."""
@@ -241,12 +141,12 @@ class ResidueField:
 
     def basis(self):
         """The power basis 1, u, ..., u^(f-1) as elements."""
-        return [self._elts[self.p**s] for s in range(self.f)]
+        return [self.elt((0,) * s + (1,)) for s in range(self.f)]
 
     def elements(self):
         """All q elements, in lexicographic coordinate order."""
         for coords in itertools.product(range(self.p), repeat=self.f):
-            yield self._elts[self._index(coords)]
+            yield self.elt(coords)
 
     def wp_preimage(self, a):
         """Solve x^p - x = a in k, or None when no x exists (trace of a nonzero).
@@ -257,84 +157,90 @@ class ResidueField:
         the solution whose constant coordinate is 0, which is also the
         lexicographically first.
         """
-        return self._wp_solutions[a]
+        if a.code not in self._wp_solutions:
+            x = solve(self._wp_columns, a.fp_vector())
+            self._wp_solutions[a.code] = None if x is None else self.elt((0,) + x)
+        return self._wp_solutions[a.code]
 
     @functools.cached_property
-    def _wp_solutions(self):
-        cols = [b.pow(self.p).sub(b).fp_vector() for b in self.basis()[1:]]
-
-        def solve_for(a):
-            x = solve(cols, a.fp_vector())
-            return None if x is None else self.elt((0,) + x)
-
-        return _Interned(solve_for)
+    def _wp_columns(self):
+        return [b.pow(self.p).sub(b).fp_vector() for b in self.basis()[1:]]
 
 
 class ResidueElement:
-    """One element of a ResidueField, made once per value by the field.
+    """One element of a ResidueField: its packed digit in the field's layout.
 
-    index is the base-p numeral of coords (0 exactly for zero) and log the
-    Zech logarithm, so each operation below is a lookup in the field's
-    exponent table _by_log.
+    code is the stored digit (packing.Layout.encode) of the coordinates in
+    the basis 1, u, ..., u^(f-1).  The constant coordinate is its lowest
+    slot, so an integer c in [0, p) is the code of c, and equal values have
+    equal codes.
     """
 
-    __slots__ = ("field", "coords", "index", "log")
+    __slots__ = ("field", "code")
 
-    def __init__(self, field, index):
+    def __init__(self, field, code):
         self.field = field
-        self.coords = tuple(index // field.p**s % field.p for s in range(field.f))
-        self.index = index
-        self.log = field._log[index]
+        self.code = code
+
+    @property
+    def coords(self):
+        return self.field.layout.decode(self.code)
 
     def fp_vector(self):
         return FpVector(self.field.p, self.coords)
 
     def is_zero(self):
-        return not self.index
+        return not self.code
 
     def __eq__(self, other):
         return self is other or (
             isinstance(other, ResidueElement)
-            and self.index == other.index
-            and self.field == other.field
+            and self.code == other.code
+            and (self.field is other.field or self.field == other.field)
         )
 
     def __hash__(self):
-        return hash(self.index)
+        return hash(self.code)
 
     def __repr__(self):
         return "k(%s)" % (",".join(str(c) for c in self.coords))
 
     def add(self, other):
-        if not other.index:
-            return self
-        if not self.index:
-            return other
-        k = self.field
-        # a negative log difference indexes the Zech table from its end,
-        # which is reading it modulo q - 1
-        return k._by_log[self.log + k._zech[other.log - self.log]]
+        return ResidueElement(self.field, self.field.layout.combine(self.code, other.code, 1))
 
     def sub(self, other):
-        return self.add(other.neg())
+        k = self.field
+        return ResidueElement(k, k.layout.combine(self.code, other.code, k.p - 1))
 
     def neg(self):
         k = self.field
-        return k._by_log[self.log + k._neg_one_log]
+        return ResidueElement(k, k.layout.combine(0, self.code, k.p - 1))
 
     def scale(self, s):
-        return self.mul(self.field.elt(s))
+        # not combine(0, code, s): at p = 2 it ignores s
+        k = self.field
+        return ResidueElement(k, k.layout.store.reduce(self.code * (s % k.p)))
 
     def mul(self, other):
-        return self.field._by_log[self.log + other.log]
+        k = self.field
+        return ResidueElement(k, k.layout.store.reduce(self.code * other.code))
 
     def pow(self, n):
         k = self.field
-        if not self.index:
+        if not self.code:
             if n < 0:
                 raise DomainError("inverse of zero in residue field")
             return self if n else k.one()
-        return k._by_log[self.log * n % (k.q - 1)]
+        n %= k.q - 1
+        if not n:
+            return k.one()
+        reduce, base = k.layout.store.reduce, self.code
+        out = base
+        for bit in bin(n)[3:]:  # left to right, below the leading 1
+            out = reduce(out * out)
+            if bit == "1":
+                out = reduce(out * base)
+        return ResidueElement(k, out)
 
     def inv(self):
         return self.pow(-1)
@@ -354,6 +260,6 @@ class ResidueElement:
         for _ in range(k.f):
             acc = acc.add(cur)
             cur = cur.frobenius()
-        if any(acc.coords[1:]):
+        if acc.code >= k.p:  # a slot above the constant one is nonzero
             raise InternalError("trace of %r landed outside F_%d" % (self, k.p))
-        return acc.coords[0]
+        return acc.code

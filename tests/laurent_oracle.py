@@ -18,7 +18,7 @@ class DictSeries:
 
     def __init__(self, ctx, coeffs, P):
         self.ctx = ctx
-        self.coeffs = {i: c for i, c in coeffs.items() if c.index and i < P}
+        self.coeffs = {i: c for i, c in coeffs.items() if not c.is_zero() and i < P}
         self.P = P
 
     @classmethod

@@ -511,7 +511,7 @@ def test_teichmuller_newton_lift_is_the_fixed_point_of_the_q_th_power(monkeypatc
         ctx.teichmuller(r)
     assert len(powers) <= len(units) * (ctx.coeff_prec.bit_length() + 1), text
     monkeypatch.undo()
-    assert ctx._teich_cache == {r.coords: teichmuller_by_iteration(ctx, r) for r in units}, text
+    assert ctx._teich_cache == {r.code: teichmuller_by_iteration(ctx, r) for r in units}, text
 
 
 # ---------------------------------------------------------------- zeta
@@ -640,7 +640,7 @@ def test_packed_series_match_the_dict_oracle(p, f):
     ctx = parse_field("Fq((t)) p=%d f=%d" % (p, f))
     rng = random.Random(1000 * p + f)
     pool = _series_pool(ctx, rng)
-    store = ctx._layout.store.b
+    store = ctx.k.layout.store.b
     for want, x in pool:
         _agree(want, x, "construction")
         _agree(want.neg(), x.neg(), "neg")
@@ -671,8 +671,8 @@ def test_packed_series_match_the_dict_oracle(p, f):
         _agree(want.add(want2), x.add(y), "add")
         _agree(want.sub(want2), x.sub(y), "sub")
     # the long products moved to wider slots and back
-    assert any(b > store and w.cover for b, w in ctx._layout.widths.items())
-    assert ctx._layout.store.b == store
+    assert any(b > store and w.cover for b, w in ctx.k.layout.widths.items())
+    assert ctx.k.layout.store.b == store
 
 
 @pytest.mark.parametrize("p, f", ORACLE_FIELDS)
