@@ -340,11 +340,10 @@ class DegreePExtension:
 
 
 def _pi_scaled(ctx, coef, n):
-    """coef pi^n, stripped so that no negative t compounds through products;
-    coef None is an exact 1, and stays None when n = 0."""
+    """coef pi^n, coef None being an exact 1, which stays None when n = 0."""
     if coef is None and n == 0:
         return None
-    return (ctx.one(INF) if coef is None else coef).shift(n)._stripped()
+    return (ctx.one(INF) if coef is None else coef).shift(n)
 
 
 def _kind(line):

@@ -15,13 +15,17 @@ Two implementations sit behind one interface:
   are exact because the x-degrees are distinct modulo e, so no cross-term
   cancellation can hide the leading monomial.
 
-  The p-content rule: num may be divisible by p, and operations leave it
-  so (a product keeps the p-content of both factors' nums).  Whatever
-  reads num as a unit or a residue — inv, a digit read, to_literal and
-  zeta's Newton lift — first calls _stripped(), which moves the p-content
-  of num into t and keeps P.  The product of two nums is straight-line
-  code that each field writes and compiles for its own (f, e, m, E) when
-  it is made (FieldContext._build_mul).
+  The normal form: num has a coefficient prime to p, or is 0, and the
+  element stores b, the pi-valuation of num (b < e, INF for a zero num),
+  so its valuation is e*t + b.  Two nums whose b's sum to e or more have a
+  product divisible by p, and mul and shift divide that p out at once.  A
+  sum takes the lower operand's (t, b); only a sum of two operands of the
+  same valuation, and _make, scan num again.  num is carried modulo
+  p^coeff_prec, and a product whose p is divided out loses its top
+  p-digit, so P is capped relative to the valuation: P <= e*t + b +
+  rel_cap.  The product of two nums is straight-line code that each field
+  writes and compiles for its own (f, e, m, E) when it is made
+  (FieldContext._build_mul).
 
 * characteristic p — K = k((t)); an element is t^v * X with X one
   integer that packs the F_p coordinates of its digits in fixed-width
@@ -63,6 +67,14 @@ def bp_index(p, i):
     if i < 1:
         raise DomainError("bp_index needs i >= 1, got %r" % (i,))
     return i + (i - 1) // (p - 1)
+
+
+def _p_split(n, p):
+    """(u, k) with n = p^k * u and u prime to p; (0, 0) for n = 0."""
+    k = 0
+    while n and n % p == 0:
+        n, k = n // p, k + 1
+    return n, k
 
 
 def _powers_mod(poly, count):
@@ -131,10 +143,14 @@ class FieldContext:
             # coefficient arithmetic is exact modulo p^coeff_prec throughout
             self.coeff_prec = default_precision + 2 * self.e + 16
             self.pmod = p**self.coeff_prec
+            # pi-digits a num holds above its valuation: a product of nums
+            # known modulo p^coeff_prec has valuation at most 2e - 2, and
+            # dividing its p out leaves it known modulo p^(coeff_prec - 1)
+            self.rel_cap = self.e * (self.coeff_prec - 2) + 2
             self._m_int = tuple(int(c) for c in self.k.poly)
-            self._num_mul = self._build_mul()
-            self._xinv_num = self._build_xinv()
-            self._pi_pow_cache = {0: (self._const_num(1), 0), 1: (self.pi().num, 0)}
+            self._num_mul, self._num_mul_p = self._build_mul()
+            self._pi_pow_cache = {0: self.one(INF), 1: self.pi(INF)}
+            self._pi_pow_cache[-1] = self._make(self._build_xinv(), -1, INF)
             if (self.p - 1) and self.e % (self.p - 1) == 0:
                 self.c = self.e // (self.p - 1)
                 self.pc = self.e + self.c
@@ -200,7 +216,9 @@ class FieldContext:
 
     def _build_mul(self):
         """This field's product of two numerators, compiled once as
-        straight-line code: ctx._num_mul(A, B) -> num.
+        straight-line code: ctx._num_mul(A, B) -> num, and ctx._num_mul_p,
+        the same product with each output divided by p, for operands whose
+        product is divisible by p.
 
         The operands are unpacked into locals a0.. and b0.. (w^a x^b at
         index a*e + b), and slot (a, b) of their convolution is one sum of
@@ -241,12 +259,12 @@ class FieldContext:
                             if c:
                                 term = "r%d_%d" % (a, b) + ("*%#x" % abs(c) if abs(c) > 1 else "")
                                 out[a2 * e + b2] += (" + " if c > 0 else " - ") + term
-        rows = ("[%s]" % ", ".join("(%s) %% M" % s for s in out[a * e:(a + 1) * e]) for a in range(f))
-        body.append("return [%s]" % ", ".join(rows))
-        scope = {"M": self.pmod}
-        text = "def mul(A, B):\n    " + "\n    ".join(body) + "\n"
+        scope, text = {"M": self.pmod, "p": self.p}, ""
+        for name, red in (("mul", "% M"), ("mul_p", "% M // p")):
+            rows = ("[%s]" % ", ".join("(%s) %s" % (s, red) for s in out[a * e:(a + 1) * e]) for a in range(f))
+            text += "def %s(A, B):\n    " % name + "\n    ".join(body + ["return [%s]" % ", ".join(rows)]) + "\n"
         exec(compile(text, "<num_mul p=%d f=%d e=%d>" % (self.p, f, e), "exec"), scope)
-        return scope["mul"]
+        return scope["mul"], scope["mul_p"]
 
     def _build_xinv(self):
         """num with x^(-1) = p^(-1) * xinv_num, from the Eisenstein relation."""
@@ -266,7 +284,7 @@ class FieldContext:
         return num
 
     def _pi_pow(self, i):
-        """(num, t) with pi^i = p^t * num, for any integer i; cached.
+        """pi^i for any integer i, exact to the representation's cap; cached.
 
         The cache holds every power between its least and greatest exponent,
         so a new one is built from the nearest, one factor of pi (or of
@@ -274,32 +292,23 @@ class FieldContext:
         """
         cache = self._pi_pow_cache
         if i not in cache:
-            step, factor, dt = (1, cache[1][0], 0) if i > 0 else (-1, self._xinv_num, -1)
+            step = 1 if i > 0 else -1
             j = i
             while j not in cache:
                 j -= step
-            num, t = cache[j]
+            z = cache[j]
             while j != i:
                 j += step
-                num, t = self._num_mul(num, factor), t + dt
-                cache[j] = num, t
+                z = cache[j] = z.mul(cache[step])
         return cache[i]
 
-    def _num_pival(self, A):
-        """Exact pi-valuation of a num (INF if zero mod p^coeff_prec)."""
-        best = INF
-        for b in range(self.e):
-            for a in range(self.f):
-                c = A[a][b]
-                if c:
-                    w = 0
-                    while c % self.p == 0:
-                        c //= self.p
-                        w += 1
-                    v = self.e * w + b
-                    if v < best:
-                        best = v
-        return best
+    def _product(self, A, B, t, b, P):
+        """p^t * A * B known modulo pi^P, for nums A and B whose
+        pi-valuations sum to b: when b >= e the product is divisible by p,
+        and that p moves into t."""
+        if b >= self.e:
+            return ZqElement(self, self._num_mul_p(A, B), t + 1, b - self.e, P)
+        return ZqElement(self, self._num_mul(A, B), t, b, P)
 
     # ------------------------------------------------------------ constructors
 
@@ -313,7 +322,8 @@ class FieldContext:
 
     def from_int(self, n, prec=None):
         if self.characteristic == 0:
-            return self._make(self._const_num(n), 0, prec)
+            u, k = _p_split(n, self.p)
+            return self._make(self._const_num(u), k, prec)
         return _laurent(self, 0, n % self.p, self._lprec(prec))
 
     def pi(self, prec=None):
@@ -384,8 +394,21 @@ class FieldContext:
         return INF if prec is None else prec
 
     def _make(self, num, t, prec):
+        """p^t * num in normal form, known modulo pi^prec (None: the
+        default precision): a column scan finds b, and only a num with no
+        coefficient prime to p has its p-content divided out first."""
         P = self.default_precision if prec is None else prec
-        return ZqElement(self, num, t, P)
+        p = self.p
+        while True:  # at most twice: num is p-primitive after one division
+            for b in range(self.e):
+                for row in num:
+                    if row[b] % p:
+                        return ZqElement(self, num, t, b, P)
+            g = math.gcd(*chain.from_iterable(num))
+            if not g:
+                return ZqElement(self, num, t, INF, P)
+            k = _p_split(g, p)[1]
+            num, t = [[c // p**k for c in row] for row in num], t + k
 
     # ------------------------------------------------------------ mu_p
 
@@ -414,9 +437,9 @@ class FieldContext:
         """Newton-refine 1 + tau(theta)*pi^c to a primitive p-th root of unity.
 
         z = zeta - 1 is a root of F(z) = ((1 + z)^p - 1)/z, and one Horner
-        pass gives F(z) and F'(z).  Each iterate is stripped: a product of
-        iterates with negative t and p-content in num would double both at
-        every step and cap the precision that num can hold.
+        pass gives F(z) and F'(z).  Each iterate is in normal form, so no
+        p-content in num compounds through the products of iterates and caps
+        the precision that num can hold.
         """
         p = self.p
         binom = [math.comb(p, j + 1) for j in range(p)]  # F(z) = sum binom[j] z^j
@@ -440,7 +463,7 @@ class FieldContext:
             if v <= last_v:
                 raise InternalError("Newton iteration for zeta stalled at v=%s" % v)
             last_v = v
-            z = z.sub(fv.mul(dv.inv()))._stripped()
+            z = z.sub(fv.mul(dv.inv()))
         raise PrecisionError("zeta refinement did not converge at current precision")
 
     # ------------------------------------------------------------ char-p helpers
@@ -503,92 +526,70 @@ class _Element:
 
 
 class ZqElement(_Element):
-    """z = p^t * num, num a polynomial in (w, x); known modulo pi^P."""
+    """z = p^t * num, num a polynomial in (w, x) with a coefficient prime to
+    p, or 0; b < e is num's pi-valuation (INF for 0).  Known modulo pi^P."""
 
-    __slots__ = ("ctx", "num", "t", "P", "_val")
+    __slots__ = ("ctx", "num", "t", "b", "P")
 
-    def __init__(self, ctx, num, t, P):
+    def __init__(self, ctx, num, t, b, P):
         self.ctx = ctx
         self.num = num
         self.t = t
-        # coefficients are carried modulo p^coeff_prec, which bounds how much
-        # absolute precision the representation can actually hold
-        self.P = min(P, ctx.e * (t + ctx.coeff_prec))
-        self._val = None
+        self.b = b
+        self.P = min(P, ctx.e * t + b + ctx.rel_cap)
 
     # -- valuation
 
     def valuation(self):
         """Exact valuation, or INF when indistinguishable from 0 at precision P."""
-        if self._val is None:
-            pv = self.ctx._num_pival(self.num)
-            v = INF if pv == INF else self.ctx.e * self.t + pv
-            self._val = INF if v >= self.P else v
-        return self._val
-
-    def _stripped(self):
-        """The same element with the p-content of num moved into t; P is kept.
-
-        Stripping a stripped element (or a zero num) returns it unchanged.
-        """
-        p = self.ctx.p
-        g, k = math.gcd(*chain.from_iterable(self.num)), 0
-        while g and g % p == 0:
-            g, k = g // p, k + 1
-        if not k:
-            return self
-        pk = p**k
-        out = ZqElement(self.ctx, [[c // pk for c in row] for row in self.num], self.t + k, self.P)
-        out._val = self._val
-        return out
+        v = self.ctx.e * self.t + self.b
+        return v if v < self.P else INF
 
     # -- ring operations
 
-    def _aligned(self, other):
-        if self.ctx is not other.ctx:
-            raise DomainError("elements from different fields")
-        t = min(self.t, other.t)
-        a = self.num if self.t == t else self.ctx._num_scale(self.num, self.ctx.p ** (self.t - t))
-        b = other.num if other.t == t else self.ctx._num_scale(other.num, self.ctx.p ** (other.t - t))
-        return a, b, t
-
     def add(self, other):
-        a, b, t = self._aligned(other)
-        return ZqElement(self.ctx, self.ctx._num_add(a, b), t, min(self.P, other.P))
+        ctx = self.ctx
+        if ctx is not other.ctx:
+            raise DomainError("elements from different fields")
+        P = min(self.P, other.P)
+        if other.b == INF:
+            return ZqElement(ctx, self.num, self.t, self.b, P)
+        if self.b == INF:
+            return ZqElement(ctx, other.num, other.t, other.b, P)
+        lo, hi = (self, other) if (self.t, self.b) <= (other.t, other.b) else (other, self)
+        num = hi.num if hi.t == lo.t else ctx._num_scale(hi.num, ctx.p ** (hi.t - lo.t))
+        num = ctx._num_add(lo.num, num)
+        if (lo.t, lo.b) == (hi.t, hi.b):  # the leading terms may cancel
+            return ctx._make(num, lo.t, P)
+        return ZqElement(ctx, num, lo.t, lo.b, P)
 
     def neg(self):
-        return ZqElement(self.ctx, self.ctx._num_scale(self.num, -1), self.t, self.P)
+        return ZqElement(self.ctx, self.ctx._num_scale(self.num, -1), self.t, self.b, self.P)
 
     def scale_int(self, s):
         """The product by the exact integer s = p^k * u: P gains e*k, as in mul."""
-        k = 0
-        while s and s % self.ctx.p ** (k + 1) == 0:
-            k += 1
-        P = self.P + self.ctx.e * k if s else INF
-        return ZqElement(self.ctx, self.ctx._num_scale(self.num, s), self.t, P)
+        ctx = self.ctx
+        if not s:
+            return ctx.zero(INF)
+        s, k = _p_split(s, ctx.p)
+        return ZqElement(ctx, ctx._num_scale(self.num, s), self.t + k, self.b, self.P + ctx.e * k)
 
     def mul(self, other):
         ctx = self.ctx
         if ctx is not other.ctx:
             raise DomainError("elements from different fields")
+        # a truncated zero enters as its P
         v1 = min(self.valuation(), self.P)
         v2 = min(other.valuation(), other.P)
         P = min(self.P + v2, other.P + v1)
-        if P == INF:
-            P = min(self.P, other.P)  # both truncated zeros: keep a finite bound
-        out = ZqElement(ctx, ctx._num_mul(self.num, other.num), self.t + other.t, P)
-        # Below its precision a product's valuation is the sum: a truncated
-        # zero enters as its P, which puts the sum at or past out.P.
-        v = v1 + v2
-        out._val = v if v < out.P else INF
-        return out
+        return ctx._product(self.num, other.num, self.t + other.t, self.b + other.b, P)
 
     def inv(self):
         ctx = self.ctx
         v = self.valuation()
         if v == INF:
             raise DomainError("inverse of (truncated) zero")
-        U = self.shift(-v)._stripped().num  # a unit numerator: t = 0
+        U = self.shift(-v).num  # a unit numerator: t = b = 0
         # Newton: V <- V(2 - U V), starting from the residue inverse
         r = ctx.k.elt([U[a][0] % ctx.p for a in range(ctx.f)])
         V = ctx._num_from_residue(r.inv())
@@ -597,8 +598,7 @@ class ZqElement(_Element):
         for _ in range(steps):
             UV = ctx._num_mul(U, V)
             V = ctx._num_mul(V, ctx._num_add(two, ctx._num_scale(UV, -1)))
-        out = ZqElement(ctx, V, 0, self.P - v)
-        return out.shift(-v)
+        return ZqElement(ctx, V, 0, 0, self.P - v).shift(-v)
 
     @staticmethod
     def _log_steps(n):
@@ -612,9 +612,8 @@ class ZqElement(_Element):
         """Multiply by pi^i (exact; i may be negative)."""
         if i == 0:
             return self
-        ctx = self.ctx
-        num, t = ctx._pi_pow(i)
-        return ZqElement(ctx, ctx._num_mul(self.num, num), self.t + t, self.P + i)
+        z = self.ctx._pi_pow(i)
+        return self.ctx._product(self.num, z.num, self.t + z.t, self.b + z.b, self.P + i)
 
     # -- digits
 
@@ -629,8 +628,8 @@ class ZqElement(_Element):
     def _leading_digit(self, m):
         """The pi^m digit of an element of valuation >= m: the residue of z/pi^m.
 
-        z/pi^m, stripped, has t >= 0; its residue is column 0 of num mod p
-        when t = 0 and zero when t > 0.
+        z/pi^m has t >= 0; its residue is column 0 of num mod p when t = 0
+        and zero when t > 0.
         """
         ctx = self.ctx
         if m >= self.P:
@@ -638,7 +637,7 @@ class ZqElement(_Element):
         v = self.valuation()
         if v == INF or m < v:
             return ctx.k.zero()
-        w = self.shift(-m)._stripped()
+        w = self.shift(-m)
         if w.t > 0:
             return ctx.k.zero()
         return ctx.k.elt([w.num[a][0] % ctx.p for a in range(ctx.f)])
@@ -670,7 +669,7 @@ class ZqElement(_Element):
     def truncate(self, P):
         if P > self.P:
             raise PrecisionError("cannot raise precision from %s to %s" % (self.P, P))
-        return ZqElement(self.ctx, self.num, self.t, P)
+        return ZqElement(self.ctx, self.num, self.t, self.b, P)
 
     def __repr__(self):
         v = self.valuation()
@@ -685,8 +684,7 @@ class ZqElement(_Element):
         v = self.valuation()
         if v == INF:
             return "0"
-        z = self._stripped()  # so printed integers stay small
-        num, t = z.num, z.t
+        num, t = self.num, self.t
         mod = ctx.p ** max(1, -(-(self.P - ctx.e * t) // ctx.e) + 1)
         terms = []
         for a in range(ctx.f):
@@ -810,10 +808,6 @@ class LaurentElement(_Element):
 
     def shift(self, i):
         return LaurentElement(self.ctx, self.v + i, self.X, self.P + i)
-
-    def _stripped(self):
-        """A series has no p-content to move (ZqElement._stripped)."""
-        return self
 
     def derivative(self):
         """Formal d/dt."""
@@ -1016,17 +1010,6 @@ def _parse_expr(ctx, toks):
         acc = acc.add(term if kind == "+" else term.neg())
 
 
-def _nonvanishing(out, *factors):
-    """out, a product or power of the factors: a truncated zero only if a
-    factor is one, else the value outgrew what the field's numerators hold."""
-    if out.is_zero_to_precision() and not any(x.is_zero_to_precision() for x in factors):
-        raise PrecisionError(
-            "element literal: a product or power of nonzero values vanishes at the "
-            "field's precision %d; give the field a larger prec=" % out.ctx.default_precision
-        )
-    return out
-
-
 def _parse_term(ctx, toks):
     acc = _parse_factor(ctx, toks)
     while True:
@@ -1037,7 +1020,7 @@ def _parse_term(ctx, toks):
             return acc
         # juxtaposition like "2 pi" reads as a product
         factor = _parse_factor(ctx, toks)
-        acc = _nonvanishing(acc.mul(factor), acc, factor)
+        acc = acc.mul(factor)
 
 
 def _parse_factor(ctx, toks):
@@ -1053,14 +1036,17 @@ def _parse_factor(ctx, toks):
         k3, v3 = toks.next()
         if k3 != "int":
             raise MalformedInputError("element literal: expected integer exponent")
-        return _nonvanishing(base.powi(sign * v3), base)
+        return base.powi(sign * v3)
     return base
 
 
 def _parse_atom(ctx, toks):
     kind, value = toks.next()
     if kind == "int":
-        return ctx.from_int(value)
+        # n = p^k * u in char 0 reads as the literal u*p^k, so its p-content
+        # counts toward its precision as a power of p does
+        u, k = _p_split(value, ctx.p) if ctx.characteristic == 0 else (value, 0)
+        return ctx.from_int(u).mul(ctx.from_int(ctx.p).powi(k)) if k else ctx.from_int(u)
     if kind == "(":
         inner = _parse_expr(ctx, toks)
         k, _ = toks.next()

@@ -31,6 +31,7 @@ from lfk.local_arith import INF, parse_element, parse_field, series_residue_and_
 
 Q2 = "Qp p=2 f=1"
 Q3Z = "Qp p=3 f=1 eis=3,3,1"
+Q3F2E2 = "Qp p=3 f=2 eis=3,3,1"
 Q11Z = "Qp p=11 f=1 eis=11,55,165,330,462,462,330,165,55,11,1"
 F2T = "Fq((t)) p=2 f=1"
 
@@ -336,20 +337,35 @@ def test_a_precision_error_names_the_prec_the_field_needs(capsys):
 
 
 @pytest.mark.parametrize(
-    "field, elt",
-    [(Q2, "p^100"), (Q2, "p^50*p^50"), ("Qp p=3 f=2 eis=3,3,1", "pi^200"), ("Qp p=3 f=2 eis=3,3,1", "pi^-200")],
+    "field, elt, want",
+    [
+        (Q2, "p^100", "class = 1"),
+        (Q2, "p^50*p^50", "class = 1"),
+        (Q2, "5*p^81", "class = pi*u2_*"),
+        (Q3F2E2, "pi^200", "class = pi^2"),
+        (Q3F2E2 + " prec=128", "pi^200", "class = pi^2"),
+        (Q3F2E2, "pi^-200", "class = pi"),
+    ],
 )
-def test_a_literal_that_outgrows_the_precision_is_not_zero(capsys, field, elt):
-    # a product or power of nonzero factors whose numerator wraps to 0 mod
-    # p^coeff_prec is a precision failure that names prec=, not a zero
-    code, _, err = run(capsys, "compute", "class", "--field", field, "--elt", elt)
-    assert code == 3
-    assert "element literal" in err and "larger prec=" in err
+def test_a_literal_that_outgrows_the_precision_is_not_zero(capsys, field, elt, want):
+    # the p-content of an element lives in its exponent of p, not in a
+    # numerator held modulo p^coeff_prec, so a power or product of nonzero
+    # factors keeps its value however large it grows; each answer is the
+    # one a field with a larger prec= gives
+    code, out, _ = run(capsys, "compute", "class", "--field", field, "--elt", elt)
+    assert code == 0 and out.splitlines()[-1] == want
     for zero in ("1-1", "0*pi", "(1-1)^3"):
         assert run(capsys, "compute", "class", "--field", field, "--elt", zero)[0] == 2
-    if elt == "pi^200":
-        code, out, _ = run(capsys, "compute", "class", "--field", field + " prec=256", "--elt", elt)
-        assert code == 0 and out.splitlines()[-1] == "class = pi^2"
+
+
+@pytest.mark.parametrize(
+    "elt, want",
+    [("18446744073709551616", "class = 1"), ("5*2417851639229258349412352", "class = pi*u2_*")],
+)
+def test_an_integer_literal_divisible_by_p_reads_as_a_power_of_p(capsys, elt, want):
+    # 2^64 and 5 * 2^81 written out in decimal read as p^64 and 5*p^81
+    code, out, _ = run(capsys, "compute", "class", "--field", Q2, "--elt", elt)
+    assert code == 0 and out.splitlines()[-1] == want
 
 
 def test_lfk_prec_env_var(capsys, monkeypatch):

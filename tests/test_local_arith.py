@@ -24,7 +24,6 @@ import lfk
 from lfk.errors import DomainError, MalformedInputError, PrecisionError
 from lfk.local_arith import (
     INF,
-    ZqElement,
     bp_index,
     parse_element,
     parse_field,
@@ -318,8 +317,18 @@ def test_num_mul_matches_schoolbook(desc):
             assert ctx._num_mul(A, B) == oracle_num_mul(ctx, A, B), (desc, A, B)
 
 
-def _fresh_val(z):
-    return ZqElement(z.ctx, z.num, z.t, z.P).valuation()
+def _assert_normal_form(z):
+    """num is 0 with b = INF, or column b holds a unit and no column below
+    does; the valuation is e*t + b below P; P is within the relative cap."""
+    ctx = z.ctx
+    units = [b for b in range(ctx.e) if any(row[b] % ctx.p for row in z.num)]
+    if z.b == INF:
+        assert not any(chain.from_iterable(z.num)), z
+    else:
+        assert units[:1] == [z.b], z
+    v = ctx.e * z.t + z.b
+    assert z.valuation() == (v if v < z.P else INF), z
+    assert z.P <= v + ctx.rel_cap, z
 
 
 POOL_FIELDS = [
@@ -327,13 +336,14 @@ POOL_FIELDS = [
     "Qp p=2 f=2",
     "Qp p=3 f=1 eis=3,3,1",
     "Qp p=3 f=2 eis=3,3,1",
-    # zeta comes out of a Newton lift: stripped, with t = 0 and P = 63
+    # zeta comes out of a Newton lift, with t = 0 and P = 63
     "Qp p=3 f=1 eis=3,0,1",
 ]
 
 
 def _element_pool(desc):
-    # negative t, inverses, truncated zeros, zeta and p^k near the cap
+    # negative t, inverses, truncated zeros, zeta and p^k past the
+    # coefficient precision
     ctx = parse_field(desc)
     rng = random.Random(desc)
     pool = [_random_element(ctx, rng) for _ in range(6)]
@@ -351,45 +361,51 @@ def _element_pool(desc):
 
 @pytest.mark.parametrize("desc", POOL_FIELDS)
 def test_product_valuation_equals_recomputation(desc):
-    # ZqElement.mul derives the product's valuation from its operands';
-    # it must equal what _num_pival reads off the product's numerator
-    _, pool = _element_pool(desc)
+    # mul divides out the p that two nums whose b's sum to e or more hold;
+    # a fresh normalization of the product's num must find the same (t, b),
+    # and below its precision the product's valuation is the sum
+    ctx, pool = _element_pool(desc)
     for a in pool:
         for b in pool:
             prod = a.mul(b)
-            assert prod._val is not None
-            assert prod._val == _fresh_val(prod), (a, b)
+            fresh = ctx._make(prod.num, prod.t, prod.P)
+            assert (fresh.num, fresh.t, fresh.b, fresh.P) == (prod.num, prod.t, prod.b, prod.P), (a, b)
+            v = min(val(a), a.P) + min(val(b), b.P)
+            assert val(prod) == (v if v < prod.P else INF), (a, b)
 
 
 @pytest.mark.parametrize("desc", POOL_FIELDS)
-def test_stripped_moves_the_p_content_of_num_into_t(desc):
+def test_elements_are_in_normal_form(desc):
     ctx, pool = _element_pool(desc)
-    stripped = 0
     for z in pool:
-        s = z._stripped()
-        coeffs = list(chain.from_iterable(s.num))
-        assert s.P == z.P and s.valuation() == _fresh_val(s) == z.valuation(), z
-        assert s.sub(z).is_zero_to_precision(), z
-        assert any(c % ctx.p for c in coeffs) or not any(coeffs), z
-        assert s._stripped() is s, z
-        stripped += s is not z
-    assert stripped >= 3
-    assert ctx.zeta is None or ctx.zeta._stripped() is ctx.zeta
+        _assert_normal_form(z)
+        assert ctx._make(z.num, z.t, z.P).sub(z).is_zero_to_precision(), z
+        if val(z) != INF:
+            _assert_normal_form(z.inv())
+    for a in pool:
+        for b in pool:
+            for z in (a.mul(b), a.add(b), a.sub(b)):
+                _assert_normal_form(z)
+    # a sum whose leading terms cancel: 1 + p and p - 1 differ by 2
+    two = ctx.one().add(ctx.from_int(ctx.p)).sub(ctx.from_int(ctx.p).sub(ctx.one()))
+    _assert_normal_form(two)
+    assert (two.t, two.b) == (int(ctx.p == 2), 0)
 
 
 def test_product_valuation_at_the_precision_cap(q2u2):
-    # coefficients live mod p^coeff_prec, so P is capped at e * coeff_prec
-    # for t = 0: a product whose valuation reaches the cap is a truncated zero
+    # num is held modulo p^coeff_prec, but a power of p lives in t: a product
+    # whose valuation passes e * coeff_prec keeps it, and P is capped
+    # relative to the valuation, at e*t + b + rel_cap
     ctx = q2u2
-    cap = ctx.e * ctx.coeff_prec
-    k = ctx.coeff_prec // 2
+    N, R = ctx.coeff_prec, ctx.rel_cap
+    assert R == ctx.e * (N - 2) + 2
+    k = N // 2
     x = ctx.from_int(2**k, prec=10**9)
-    assert x.P == cap
-    below = x.mul(ctx.from_int(2 ** (ctx.coeff_prec - k - 1), prec=10**9))
-    at = x.mul(ctx.from_int(2 ** (ctx.coeff_prec - k), prec=10**9))
-    assert below.P == at.P == cap
-    assert below._val == _fresh_val(below) == cap - ctx.e
-    assert at._val == _fresh_val(at) == INF
+    assert (x.t, x.b, x.P) == (k, 0, ctx.e * k + R)
+    below = x.mul(ctx.from_int(2 ** (N - k - 1), prec=10**9))
+    at = x.mul(ctx.from_int(2 ** (N - k), prec=10**9))
+    assert val(below) == ctx.e * (N - 1) and below.P == val(below) + R
+    assert val(at) == ctx.e * N and at.P == val(at) + R
 
 
 # ---------------------------------------------------------------- digits
@@ -454,13 +470,14 @@ def test_shift_is_a_product_by_a_power_of_pi(desc):
     ctx = parse_field(desc)
     rng = random.Random(desc)
     e = ctx.e
-    # the last two sit at the representation cap e * (t + coeff_prec)
+    # the last two ask for more precision than num holds: one gets the
+    # relative cap, and a zero num has none
     samples = [_random_element(ctx, rng) for _ in range(4)]
     samples += [ctx.one(prec=10**6), ctx.zero(prec=10**6)]
     for x in samples:
         for i in range(-3 * e, 3 * e + 1):
             y = x.shift(i)
-            assert y.P == min(x.P + i, e * (y.t + ctx.coeff_prec)), (desc, x, i)
+            assert y.P == min(x.P + i, e * y.t + y.b + ctx.rel_cap), (desc, x, i)
             v = val(x) + i
             assert val(y) == (v if v < y.P else INF), (desc, x, i)
             if i > 0:
@@ -468,6 +485,11 @@ def test_shift_is_a_product_by_a_power_of_pi(desc):
                 assert y.eq_to_precision(x.mul(ctx.pi().powi(i))), (desc, x, i)
             elif i < 0:
                 assert y.shift(-i).eq_to_precision(x), (desc, x, i)
+    # the two products divide out p at every e-th step: each keeps the
+    # precision that num holds
+    one = ctx.one(prec=10**6)
+    back = one.shift(-4).shift(4)
+    assert back.P == one.P and back.eq_to_precision(one), desc
 
 
 def test_teichmuller_is_root_of_unity(q2u2, q3z):
