@@ -8,7 +8,7 @@ Two implementations sit behind one interface:
 
       z = p^t * sum_{a<f, b<e} c[a][b] * w^a * x^b
 
-  with integer coefficients kept exactly modulo p^Np for a generous,
+  with integer coefficients kept modulo at most p^Np for a generous,
   context-wide Np.  The logical precision P ("known modulo pi^P") is
   tracked separately and never silently decreased: a digit that is not
   determined raises PrecisionError instead of being invented.  Valuations
@@ -21,11 +21,13 @@ Two implementations sit behind one interface:
   product divisible by p, and mul and shift divide that p out at once.  A
   sum takes the lower operand's (t, b); only a sum of two operands of the
   same valuation, and _make, scan num again.  num is carried modulo
-  p^coeff_prec, and a product whose p is divided out loses its top
+  p^coeff_prec at most, and a product whose p is divided out loses its top
   p-digit, so P is capped relative to the valuation: P <= e*t + b +
-  rel_cap.  The product of two nums is straight-line code that each field
-  writes and compiles for its own (f, e, m, E) when it is made
-  (FieldContext._build_mul).
+  rel_cap.  A sum, negation or product reduces num modulo the power of p
+  that its P needs (_mod), so an element of low precision holds small
+  integers however large coeff_prec is.  The product of two nums is
+  straight-line code that each field writes and compiles for its own
+  (f, e, m, E) when it is made (FieldContext._build_mul).
 
 * characteristic p — K = k((t)); an element is t^v * X with X one
   integer that packs the F_p coordinates of its digits in fixed-width
@@ -147,6 +149,8 @@ class FieldContext:
             # known modulo p^coeff_prec has valuation at most 2e - 2, and
             # dividing its p out leaves it known modulo p^(coeff_prec - 1)
             self.rel_cap = self.e * (self.coeff_prec - 2) + 2
+            # _mods[r]: the modulus of a num known to r pi-digits (_mod)
+            self._mods = [p ** max(2, (r - 1) // self.e + 2) for r in range(self.rel_cap)]
             self._m_int = tuple(int(c) for c in self.k.poly)
             self._num_mul, self._num_mul_p = self._build_mul()
             self._pi_pow_cache = {0: self.one(INF), 1: self.pi(INF)}
@@ -205,20 +209,24 @@ class FieldContext:
             num[a][0] = c
         return num
 
-    def _num_add(self, A, B):
-        return [
-            [(A[a][b] + B[a][b]) % self.pmod for b in range(self.e)]
-            for a in range(self.f)
-        ]
+    def _num_add(self, A, B, M):
+        return [[(x + y) % M for x, y in zip(ra, rb)] for ra, rb in zip(A, B)]
 
-    def _num_scale(self, A, s):
-        return [[(s * A[a][b]) % self.pmod for b in range(self.e)] for a in range(self.f)]
+    def _num_scale(self, A, s, M):
+        return [[(s * x) % M for x in row] for row in A]
+
+    def _mod(self, P, t):
+        """The modulus p^k of a num at p^t known modulo pi^P: k counts the
+        p-digits below pi^P and one more, at least 2, at most coeff_prec."""
+        r = P - self.e * t
+        return self._mods[r] if 0 <= r < self.rel_cap else self.pmod if r > 0 else self._mods[0]
 
     def _build_mul(self):
         """This field's product of two numerators, compiled once as
-        straight-line code: ctx._num_mul(A, B) -> num, and ctx._num_mul_p,
-        the same product with each output divided by p, for operands whose
-        product is divisible by p.
+        straight-line code: ctx._num_mul(A, B, M) -> num modulo M, and
+        ctx._num_mul_p, the same product with each output divided by p, for
+        operands whose product is divisible by p (modulo M / p).  M is a
+        power of p, at most p^coeff_prec.
 
         The operands are unpacked into locals a0.. and b0.. (w^a x^b at
         index a*e + b), and slot (a, b) of their convolution is one sum of
@@ -227,10 +235,10 @@ class FieldContext:
         onto the block: w^a x^b is congruent to (w^a mod m(w)) * (x^b mod
         E(x)), and the two factors live in separate variables, so it adds
         its value times one integer to each output it reaches.  Each output
-        is reduced once.  The source holds only local names, the name M for
-        p^coeff_prec and those fold integers, written in hex (Python limits
-        the length of decimal literals only); it is built from the parsed
-        integer polynomials, never from descriptor text.
+        is reduced once.  The source holds only local names, p and those
+        fold integers, written in hex (Python limits the length of decimal
+        literals only); it is built from the parsed integer polynomials,
+        never from descriptor text.
         """
         f, e = self.f, self.e
         wpow = _powers_mod(self._m_int, 2 * f - 1)
@@ -259,10 +267,10 @@ class FieldContext:
                             if c:
                                 term = "r%d_%d" % (a, b) + ("*%#x" % abs(c) if abs(c) > 1 else "")
                                 out[a2 * e + b2] += (" + " if c > 0 else " - ") + term
-        scope, text = {"M": self.pmod, "p": self.p}, ""
+        scope, text = {"p": self.p}, ""
         for name, red in (("mul", "% M"), ("mul_p", "% M // p")):
             rows = ("[%s]" % ", ".join("(%s) %s" % (s, red) for s in out[a * e:(a + 1) * e]) for a in range(f))
-            text += "def %s(A, B):\n    " % name + "\n    ".join(body + ["return [%s]" % ", ".join(rows)]) + "\n"
+            text += "def %s(A, B, M):\n    " % name + "\n    ".join(body + ["return [%s]" % ", ".join(rows)]) + "\n"
         exec(compile(text, "<num_mul p=%d f=%d e=%d>" % (self.p, f, e), "exec"), scope)
         return scope["mul"], scope["mul_p"]
 
@@ -284,15 +292,18 @@ class FieldContext:
         return num
 
     def _pi_pow(self, i):
-        """pi^i for any integer i, exact to the representation's cap; cached.
+        """pi^i for any integer i, exact to the representation's cap.
 
-        The cache holds every power between its least and greatest exponent,
-        so a new one is built from the nearest, one factor of pi (or of
-        pi^(-1) = p^(-1) * xinv_num) at a time.
+        Powers with |i| <= rel_cap are cached, and the cache holds every
+        power between its least and greatest exponent, so a new one is built
+        from the nearest, one factor of pi (or of pi^(-1)) at a time.  A
+        larger power is built by squaring and not kept.
         """
         cache = self._pi_pow_cache
         if i not in cache:
             step = 1 if i > 0 else -1
+            if abs(i) > self.rel_cap:
+                return cache[step].powi(abs(i))
             j = i
             while j not in cache:
                 j -= step
@@ -305,10 +316,13 @@ class FieldContext:
     def _product(self, A, B, t, b, P):
         """p^t * A * B known modulo pi^P, for nums A and B whose
         pi-valuations sum to b: when b >= e the product is divisible by p,
-        and that p moves into t."""
+        and that p moves into t.  The product keeps the digits its
+        precision needs (_mod): the modulus for p^t leaves, once p is
+        divided out, the one for p^(t + 1)."""
+        M = self._mod(P, t)
         if b >= self.e:
-            return ZqElement(self, self._num_mul_p(A, B), t + 1, b - self.e, P)
-        return ZqElement(self, self._num_mul(A, B), t, b, P)
+            return ZqElement(self, self._num_mul_p(A, B, M), t + 1, b - self.e, P)
+        return ZqElement(self, self._num_mul(A, B, M), t, b, P)
 
     # ------------------------------------------------------------ constructors
 
@@ -374,8 +388,8 @@ class FieldContext:
         base = A
         while n:
             if n & 1:
-                out = self._num_mul(out, base)
-            base = self._num_mul(base, base)
+                out = self._num_mul(out, base, self.pmod)
+            base = self._num_mul(base, base, self.pmod)
             n >>= 1
         return out
 
@@ -557,14 +571,16 @@ class ZqElement(_Element):
         if self.b == INF:
             return ZqElement(ctx, other.num, other.t, other.b, P)
         lo, hi = (self, other) if (self.t, self.b) <= (other.t, other.b) else (other, self)
-        num = hi.num if hi.t == lo.t else ctx._num_scale(hi.num, ctx.p ** (hi.t - lo.t))
-        num = ctx._num_add(lo.num, num)
+        M = ctx._mod(P, lo.t)
+        num = hi.num if hi.t == lo.t else ctx._num_scale(hi.num, pow(ctx.p, hi.t - lo.t, M), M)
+        num = ctx._num_add(lo.num, num, M)
         if (lo.t, lo.b) == (hi.t, hi.b):  # the leading terms may cancel
             return ctx._make(num, lo.t, P)
         return ZqElement(ctx, num, lo.t, lo.b, P)
 
     def neg(self):
-        return ZqElement(self.ctx, self.ctx._num_scale(self.num, -1), self.t, self.b, self.P)
+        ctx = self.ctx
+        return ZqElement(ctx, ctx._num_scale(self.num, -1, ctx._mod(self.P, self.t)), self.t, self.b, self.P)
 
     def scale_int(self, s):
         """The product by the exact integer s = p^k * u: P gains e*k, as in mul."""
@@ -572,7 +588,8 @@ class ZqElement(_Element):
         if not s:
             return ctx.zero(INF)
         s, k = _p_split(s, ctx.p)
-        return ZqElement(ctx, ctx._num_scale(self.num, s), self.t + k, self.b, self.P + ctx.e * k)
+        num = ctx._num_scale(self.num, s, ctx._mod(self.P, self.t))
+        return ZqElement(ctx, num, self.t + k, self.b, self.P + ctx.e * k)
 
     def mul(self, other):
         ctx = self.ctx
@@ -594,10 +611,10 @@ class ZqElement(_Element):
         r = ctx.k.elt([U[a][0] % ctx.p for a in range(ctx.f)])
         V = ctx._num_from_residue(r.inv())
         steps = ZqElement._log_steps(ctx.e * ctx.coeff_prec)
-        two = ctx._const_num(2)
+        two, M = ctx._const_num(2), ctx._mod(self.P - v, 0)
         for _ in range(steps):
-            UV = ctx._num_mul(U, V)
-            V = ctx._num_mul(V, ctx._num_add(two, ctx._num_scale(UV, -1)))
+            UV = ctx._num_mul(U, V, M)
+            V = ctx._num_mul(V, ctx._num_add(two, ctx._num_scale(UV, -1, M), M), M)
         return ZqElement(ctx, V, 0, 0, self.P - v).shift(-v)
 
     @staticmethod

@@ -10,6 +10,7 @@ import io
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -359,6 +360,31 @@ def test_a_literal_that_outgrows_the_precision_is_not_zero(capsys, field, elt, w
 
 
 @pytest.mark.parametrize(
+    "field, elt, want",
+    [
+        (Q2, "p^100000000", "class = 1"),
+        (Q2, "1+p^100000000000", "class = 1"),
+        (Q2, "pi^-100000000", "class = 1"),
+        (Q3F2E2, "pi^1000000001", "class = pi^2"),
+        (Q3F2E2, "pi^-1000000001", "class = pi"),
+    ],
+)
+def test_a_literal_with_a_huge_exponent_answers_promptly(field, elt, want):
+    # a power of pi past the cached range is built by squaring, and a sum
+    # scales its higher term by p^k modulo p^coeff_prec, so neither time nor
+    # memory grows with the exponent; the child's address space is capped so
+    # that a regression fails here instead of filling the machine's memory
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(lfk.__file__)))
+    limit = (1 << 30, 1 << 30)
+    proc = subprocess.run(
+        [sys.executable, "-m", "lfk.cli", "compute", "class", "--field", field, "--elt", elt],
+        capture_output=True, text=True, env=env, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, limit),
+    )
+    assert proc.returncode == 0 and proc.stdout.splitlines()[-1] == want, proc.stderr
+
+
+@pytest.mark.parametrize(
     "elt, want",
     [("18446744073709551616", "class = 1"), ("5*2417851639229258349412352", "class = pi*u2_*")],
 )
@@ -606,8 +632,8 @@ SWEEP = [
     for f in (1, 2, 3)
     for eis in ("",) + lists
 ] + [("Fq((t)) p=%d f=%d" % (p, f), w) for p in (2, 3, 5) for f in (1, 2) for w in (3, 6)]
-# mu_p shapes whose zeta comes out of a Newton lift: unless each iterate is
-# stripped, its p-content doubles at every step and a norm vanishes to
+# mu_p shapes whose zeta comes out of a Newton lift: unless each iterate is in
+# normal form, its p-content doubles at every step and a norm vanishes to
 # working precision
 SWEEP_MU_P = {
     "Qp p=3 f=1 eis=3,0,1",

@@ -314,7 +314,15 @@ def test_num_mul_matches_schoolbook(desc):
     for density in (1.0, 0.5, 0.25):
         for _ in range(60):
             A, B = operand(density), operand(density)
-            assert ctx._num_mul(A, B) == oracle_num_mul(ctx, A, B), (desc, A, B)
+            want = oracle_num_mul(ctx, A, B)
+            assert ctx._num_mul(A, B, mod) == want, (desc, A, B)
+            # a smaller modulus reduces the same product further
+            M = ctx.p ** rng.randrange(1, ctx.coeff_prec + 1)
+            assert ctx._num_mul(A, B, M) == [[c % M for c in row] for row in want], (desc, A, B)
+            # a product divisible by p: _num_mul_p divides it out exactly
+            pB = [[c * ctx.p % mod for c in row] for row in B]
+            want = oracle_num_mul(ctx, A, pB)
+            assert ctx._num_mul_p(A, pB, mod) == [[c // ctx.p for c in row] for row in want], (desc, A, B)
 
 
 def _assert_normal_form(z):
@@ -363,11 +371,13 @@ def _element_pool(desc):
 def test_product_valuation_equals_recomputation(desc):
     # mul divides out the p that two nums whose b's sum to e or more hold;
     # a fresh normalization of the product's num must find the same (t, b),
-    # and below its precision the product's valuation is the sum
+    # below its precision the product's valuation is the sum, and its num
+    # holds no more p-digits than that precision needs
     ctx, pool = _element_pool(desc)
     for a in pool:
         for b in pool:
             prod = a.mul(b)
+            assert max(chain.from_iterable(prod.num)) < ctx._mod(prod.P, prod.t), (a, b)
             fresh = ctx._make(prod.num, prod.t, prod.P)
             assert (fresh.num, fresh.t, fresh.b, fresh.P) == (prod.num, prod.t, prod.b, prod.P), (a, b)
             v = min(val(a), a.P) + min(val(b), b.P)
