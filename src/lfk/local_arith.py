@@ -1061,9 +1061,9 @@ def _parse_atom(ctx, toks):
     kind, value = toks.next()
     if kind == "int":
         # n = p^k * u in char 0 reads as the literal u*p^k, so its p-content
-        # counts toward its precision as a power of p does
-        u, k = _p_split(value, ctx.p) if ctx.characteristic == 0 else (value, 0)
-        return ctx.from_int(u).mul(ctx.from_int(ctx.p).powi(k)) if k else ctx.from_int(u)
+        # counts toward its precision as a power of p does: p^(k - 1) more
+        k = _p_split(value, ctx.p)[1] if ctx.characteristic == 0 else 0
+        return ctx.from_int(value, ctx.default_precision + ctx.e * (k - 1)) if k else ctx.from_int(value)
     if kind == "(":
         inner = _parse_expr(ctx, toks)
         k, _ = toks.next()

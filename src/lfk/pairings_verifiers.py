@@ -52,12 +52,13 @@ tests compare the two breaks on every line of the bundled fields.
 
 A note on S7.31.  Each catalog line's row x.G is formed once, x the
 line's catalog vector.  The perturbations u = 1 + tau(d) pi^(i + r) of part
-(c) take few values, so the coordinates y of each distinct product b u are
-read once per claim, and every bit is the length-d product of the row with
-y.  Part (d) asks whether the U_i classes lie in the line's norm group,
-ker(x.G); that is the row vanishing on the mult slots of level >= i, the
-same set as _complement(ctx, w, i, "first").  The seeded draws do not
-depend on the memo, so neither does the report.
+(c) take few values, so each distinct u is descended once per claim, and
+b u has coordinates y = coords(b) + coords(u), the class map being a
+homomorphism; every bit is the length-d product of the row with y.  Part
+(d) asks whether the U_i classes lie in the line's norm group, ker(x.G);
+that is the row vanishing on the mult slots of level >= i, the same set
+as _complement(ctx, w, i, "first").  The seeded draws do not depend on
+the memo, so neither does the report.
 """
 
 import itertools
@@ -286,12 +287,18 @@ def _steinberg_matrix(ctx):
     appendix), so the bilinear forms on K*/(K*)^p with (x, 1 - x) = 1 for
     every x != 0, 1 form one line, which the Hilbert pairing spans.  A draw
     x = combination(v) z^p has coordinates v with no descent, z^p being a
-    p-th power; one descent of 1 - x gives its coordinates y and the
-    equation v.G.y = 0 in the d^2 entries of G.  Draws stop when the
-    equations reach rank d^2 - 1, and G is the solution.  Running out of
-    draws first is an InternalError that names the rank reached.
+    p-th power, and one descent gives those of 1 - x, y.  With c =
+    coords(-1), read once, that gives the relation at the six points of the
+    anharmonic orbit of x, each an equation a.G.b = 0 in the d^2 entries of
+    G, a the coordinates of the point and b of one minus it: (v, y) at x,
+    (y, v) at 1 - x, (-v, c + y - v) at 1/x, (-y, c + v - y) at 1/(1 - x),
+    (c + v - y, -y) at x/(x - 1), (c + y - v, -v) at (x - 1)/x.  A sign
+    does not change an equation's span, so the minus signs are dropped.
+    Draws stop when the equations reach rank d^2 - 1, and G is the solution.
+    Running out of draws first is an InternalError that names the rank
+    reached.
 
-    A draw whose equation is 0 skips its arithmetic: v = 0, or v(x) =
+    A draw whose equations are 0 skips its arithmetic: v = 0, or v(x) =
     v[0] + p v(z) at or past first_trivial_level, where 1 - x is a p-th
     power and y = 0.  Its digits are still drawn, so the draws after it
     stay the same.
@@ -301,6 +308,7 @@ def _steinberg_matrix(ctx):
     basis = adapted_basis(ctx)
     p, d = ctx.p, basis.dim()
     top = first_trivial_level(ctx)
+    c = coordinates(basis, ctx.one().neg()).coords
     rng = random.Random(_STEINBERG_SEED)
     system = rref([], p=p, ambient_dim=d * d)
     draws = _STEINBERG_DRAWS_PER_ENTRY * d * d
@@ -313,7 +321,10 @@ def _steinberg_matrix(ctx):
         z = ctx.from_digits(digits)
         x = basis.combination(v).mul(z.powi(p))
         y = coordinates(basis, ctx.one().sub(x)).coords
-        system = extend(system, FpVector(p, [a * b for a in v for b in y]))
+        cyv = [k + b - a for k, a, b in zip(c, v, y)]
+        cvy = [k + a - b for k, a, b in zip(c, v, y)]
+        for a, b in ((v, y), (y, v), (v, cyv), (y, cvy), (cvy, y), (cyv, v)):
+            system = extend(system, FpVector(p, [r * s for r in a for s in b]))
         if system.dim() == d * d - 1:
             break
     else:
@@ -717,28 +728,28 @@ def verify_reciprocity(ctx, window=None, seed=0):
     witnesses.append({"uniformizers_checked": frob_ok})
     rows = [_row_times(cl.vec, G, p) for cl in catalog]  # x.G, for (c) and (d)
 
-    # (c) pairing bits depend only on b modulo U_(level+1).  The coordinates
-    # of the samples are read once, and those of a perturbed product b u,
-    # u = 1 + tau(d) pi^(i + r), once per distinct (b, d, i + r)
+    # (c) pairing bits depend only on b modulo U_(level+1).  A perturbed
+    # product b u, u = 1 + tau(d) pi^(i + r), has coordinates coords(b) +
+    # coords(u), those of each distinct (d, i + r) read once
     if counterexample is None:
         ys = [coordinates(basis, b).coords for b in sample_b]
-        products = {}
+        perturbations = {}
 
-        def perturbed(k, i):  # (u, b u, coordinates of b u) for sample k
-            key = (k, _random_nonzero_digit(ctx, rng), i + rng.randrange(0, 2))
-            if key not in products:
-                u = ctx.one().add(ctx.teichmuller(key[1]).shift(key[2]))
-                bu = sample_b[k].mul(u)
-                products[key] = (u, bu, coordinates(basis, bu).coords)
-            return products[key]
+        def perturbed(i):  # (u, coordinates of u)
+            key = (_random_nonzero_digit(ctx, rng), i + rng.randrange(0, 2))
+            if key not in perturbations:
+                u = ctx.one().add(ctx.teichmuller(key[0]).shift(key[1]))
+                perturbations[key] = (u, coordinates(basis, u).coords)
+            return perturbations[key]
 
         stable = 0
         for cl, row in zip(catalog, rows):
             i = cl.level + 1
-            for k, (b, y) in enumerate(zip(sample_b, ys)):
+            for b, y in zip(sample_b, ys):
                 base_bit = _row_dot(row, y, p) == 0
                 for _ in range(2):
-                    u, bu, yu = perturbed(k, i)
+                    u, cu = perturbed(i)
+                    yu = [(a + s) % p for a, s in zip(y, cu)]
                     if (_row_dot(row, yu, p) == 0) != base_bit:
                         counterexample = {
                             "part": "perturbation",

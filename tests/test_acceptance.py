@@ -534,3 +534,46 @@ def test_q5_zeta5_verify_all_matches_recorded_digests():
     # 3906 lines; about 1 s
     reports = verify_all(parse_field("Qp p=5 f=1 eis=5,10,10,5,1"), seed=0)
     assert {rep.claim_id: _digest(rep) for rep in reports} == Q5_ZETA5_DIGESTS
+
+
+# Seed-0 `verify all` digests on three more char-0 fields no benchmark
+# workload runs, recorded before the Steinberg system took the equations
+# of each draw's whole anharmonic orbit and S7.31 read a perturbed product
+# as coords(b) + coords(u).  At p = 2, -1 is not a square, so its
+# coordinates c enter three of the six orbit points.
+UNBENCHED_DIGESTS = {
+    "Qp p=2 f=3": {
+        "S2.10": "de5f6fae9f005850dd69f10e5d7c9c2d8ad12d59e2cfe2656b8ad41b2bd15c4e",
+        "S4.22": "d051b29396c42b8031534f00ec5fd9b49d775c3c6b9b7f89fdf8cb82294b53a1",
+        "S5.27": "481616b12b395825577b64a34b9d3303131a73250d2c42d57a483e476671cb3c",
+        "S6.29": "b548e5d6e322f8dea9050bc8d15118562dbae9d4f7264e1144819e5151a6a756",
+        "S7.31": "432bd26a4c42bcc59d0dd76b7c080d7aae8e03605331c7c0d911c8e25ea94d9b",
+        "S8.33": "4979a2392445a655c171665447501bbf2d38caabf824d1a5dd8e9239d7ce5995",
+    },
+    "Qp p=2 f=4": {
+        "S2.10": "de48b3804380b4b8de8891af9eaee29dd5bc3ca3a7df869074bd7678470098d8",
+        "S4.22": "869f73f2a5802638a112299ae26075dea8c093e6764dcf6e6f74049bb3355105",
+        "S5.27": "1d6f3022c0f9bfb858ce59d6c6d7e5c33e52325693033bc4fccc6deb792b04ed",
+        "S6.29": "cf8a18c039025d6e12d8396efbfb31ba74311d9d85bb57ab64ad98ec0932a4d9",
+        "S7.31": "7a74157538fe57c42350c62b38f9e3f11a0f4a773ae763092db7860eb5657b04",
+        "S8.33": "7c83be409f7e48806cf3875d87c24482b570a59ab50e5914e70fd38a41aa9a0e",
+    },
+    "Qp p=3 f=4 eis=3,3,1": {
+        "S2.10": "8097d4d4f5e856dbe22e0cf44a79b8b900c0a1422a734e2a54ceabe8b81fb1e2",
+        "S4.22": "b72c059803b6f4f08409075f6497c9df2087fcdaf6d456034431b1124e01258e",
+        "S5.27": "d517e1c1b7bae3e10dcf0746f42b95d21d67be920fe9f0b1da2119d8769539ca",
+        "S6.29": "9921af152cec5bc536d441a86ca970048e39916f5579df162842da70fa5ca9ce",
+        "S7.31": "8572e2170a8bfd6544d42f246767b5b6b36bb4a60fc8c0d8288e2c54a4828414",
+        "S8.33": "d2402d73106980bf875873965079a2d89106bb9b21bdd898fd20540054e00b86",
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "desc",
+    # well under 1 s each at p = 2; d = 10 at p = 3, f = 4 takes about 3 s
+    ["Qp p=2 f=3", "Qp p=2 f=4", pytest.param("Qp p=3 f=4 eis=3,3,1", marks=pytest.mark.slow)],
+)
+def test_unbenched_char0_verify_all_matches_recorded_digests(desc):
+    reports = verify_all(parse_field(desc), seed=0)
+    assert {rep.claim_id: _digest(rep) for rep in reports} == UNBENCHED_DIGESTS[desc]

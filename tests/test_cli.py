@@ -394,6 +394,23 @@ def test_an_integer_literal_divisible_by_p_reads_as_a_power_of_p(capsys, elt, wa
     assert code == 0 and out.splitlines()[-1] == want
 
 
+@pytest.mark.parametrize("field", [Q2, Q3Z, Q3F2E2, "Qp p=2 f=1 eis=-2,0,0,1"])
+def test_an_integer_token_answers_as_its_u_times_p_power_literal(capsys, field):
+    # an int token n = p^k * u is one constructor call at the precision of
+    # the product u*p^k: the same t, b and P, the same value to precision,
+    # and the same class as the literal written as that product
+    ctx = parse_field(field)
+    p = ctx.p
+    for k in (1, 2, 5):
+        for u in (1, p + 1, p**3 - 1):
+            token, product = str(u * p**k), "%d*p^%d" % (u, k)
+            x, y = parse_element(ctx, token), parse_element(ctx, product)
+            assert (x.t, x.b, x.P) == (y.t, y.b, y.P) and x.eq_to_precision(y), (field, token)
+            answers = [run(capsys, "compute", "class", "--field", field, "--elt", elt)
+                       for elt in (token, product)]
+            assert answers[0] == answers[1] and answers[0][0] == 0, (field, token)
+
+
 def test_lfk_prec_env_var(capsys, monkeypatch):
     monkeypatch.setenv("LFK_PREC", "4")
     code, _, _ = run(capsys, "verify", "--field", Q2, "S2.10")

@@ -770,19 +770,23 @@ def test_char0_pairing_matrix_walks_only_its_certificate(monkeypatch):
 
 
 def test_a_rank_deficient_steinberg_system_is_an_internal_error(monkeypatch):
-    # every 1 - x read as the class of pi: the equations v.G.y = 0 then span
-    # at most d = 3 of the 8 dimensions the solution needs
+    # every descent read as the trivial class, -1 and each 1 - x: the orbit
+    # equations a.G.b = 0 then have a = +-v and b = +-v or 0, so they span
+    # only the symmetric tensors v.v, d(d + 1)/2 = 6 of the 8 dimensions
+    # the solution needs
     ctx = parse_field("Qp p=2 f=1")
-    y = coordinates(adapted_basis(ctx), ctx.pi())
-    monkeypatch.setattr(pairings_verifiers, "coordinates", lambda basis, x: y)
-    with pytest.raises(InternalError, match="reached rank 3 of 8"):
+    zero = FpVector(2, [0] * adapted_basis(ctx).dim())
+    monkeypatch.setattr(pairings_verifiers, "coordinates", lambda basis, x: zero)
+    with pytest.raises(InternalError, match="reached rank 6 of 8"):
         pairings_verifiers._pairing_matrix(ctx)
     assert "pairing" not in ctx.cache
 
 
 def test_steinberg_draws_that_cannot_add_rank_take_no_descent(monkeypatch):
-    # on Q3f2e2, 17 of the 53 draws have v = 0 or v(x) >= first_trivial_level,
-    # so 1 - x is a p-th power; they skip the descent, and G stays the same
+    # draws with v = 0 or v(x) >= first_trivial_level, where 1 - x is a p-th
+    # power, skip the descent, and each other draw's one descent gives the
+    # equations of its whole anharmonic orbit: on Q3f2e2, 17 descents and
+    # the one of -1, where one equation per descent took 36; G stays the same
     ctx = parse_field("Qp p=3 f=2 eis=3,3,1")
     real = pairings_verifiers.coordinates
     reads = []
@@ -793,7 +797,7 @@ def test_steinberg_draws_that_cannot_add_rank_take_no_descent(monkeypatch):
 
     monkeypatch.setattr(pairings_verifiers, "coordinates", counting)
     G = pairings_verifiers._steinberg_matrix(ctx)
-    assert len(reads) == 36
+    assert len(reads) == 18
     monkeypatch.setattr(pairings_verifiers, "coordinates", real)
     assert pairings_verifiers._pairing_matrix(ctx) == G
 
@@ -1004,8 +1008,9 @@ def test_reciprocity_counterexample_names_a_deep_perturbation(monkeypatch):
 def test_reciprocity_reads_each_perturbed_product_once(monkeypatch):
     # with the pairing matrix built, as verify all builds it before S7.31,
     # S7.31 on Q3f2e2 reads coordinates 3 times for its samples, 10 times
-    # in parts (a) and (b), and once per distinct perturbed product: 110
-    # reads, against 2197 when every product was reduced again per line
+    # in parts (a) and (b), and once per distinct perturbation u, a product
+    # b u reading as coords(b) + coords(u): 48 reads, against 110 once per
+    # distinct product b u and 2197 when every product was reduced per line
     ctx = parse_field("Qp p=3 f=2 eis=3,3,1")
     pairings_verifiers._pairing_matrix(ctx)
     real = pairings_verifiers.coordinates
@@ -1017,7 +1022,7 @@ def test_reciprocity_reads_each_perturbed_product_once(monkeypatch):
 
     monkeypatch.setattr(pairings_verifiers, "coordinates", counting)
     assert verify_claim(ctx, "S7.31").passed()
-    assert len(reads) <= 120
+    assert len(reads) == 48
 
 
 @pytest.mark.parametrize("desc, window", BENCHMARK_FIELDS)
@@ -1100,6 +1105,47 @@ def test_pairing_satisfies_the_steinberg_relation(desc):
 @pytest.mark.slow
 def test_pairing_satisfies_the_steinberg_relation_q5_zeta5():
     assert_steinberg_relation("Qp p=5 f=1 eis=5,10,10,5,1")
+
+
+@pytest.mark.parametrize("desc", STEINBERG_FIELDS)
+def test_steinberg_orbit_coordinates_follow_the_table(desc):
+    # Oracle for _steinberg_matrix, which reads the relation at the six
+    # points of the anharmonic orbit of x off one descent of 1 - x: each
+    # point, and one minus it, is built and descended here, and its
+    # coordinates must be the sums of +-v, +-y and c = coords(-1) that the
+    # construction uses; then every pair must pair trivially under G.  The
+    # draws x = combination(v) z^p take a seed the construction does not.
+    seed = 0x0B17
+    assert seed != pairings_verifiers._STEINBERG_SEED
+    ctx = parse_field(desc)
+    basis = adapted_basis(ctx)
+    G = pairings_verifiers._pairing_matrix(ctx)
+    p, d, one = ctx.p, basis.dim(), ctx.one()
+    c = coordinates(basis, one.neg()).coords
+    assert any(c) == (p == 2)  # -1 is a p-th power at odd p, and no square here
+    rng = random.Random(seed)
+    for _ in range(12):
+        v = [rng.randrange(p) for _ in range(d)]
+        t = rng.randrange(-1, 2)
+        z = ctx.from_digits([(t + j, _random_nonzero_digit(ctx, rng)) for j in range(12)])
+        x = basis.combination(v).mul(z.powi(p))
+        y = coordinates(basis, one.sub(x)).coords
+        cyv = [k + b - a for k, a, b in zip(c, v, y)]
+        cvy = [k + a - b for k, a, b in zip(c, v, y)]
+        neg_v, neg_y = [-a for a in v], [-b for b in y]
+        omx = one.sub(x)
+        orbit = [  # (point, coordinates of the point, coordinates of 1 - point)
+            (x, v, y),
+            (omx, y, v),
+            (x.inv(), neg_v, cyv),
+            (omx.inv(), neg_y, cvy),
+            (x.mul(omx.neg().inv()), cvy, neg_y),
+            (x.sub(one).mul(x.inv()), cyv, neg_v),
+        ]
+        for point, a, b in orbit:
+            got = coordinates(basis, point), coordinates(basis, one.sub(point))
+            assert got == (FpVector(p, a), FpVector(p, b)), (desc, x.to_literal(), point.to_literal())
+            assert sum(a[r] * G[r][s] * b[s] for r in range(d) for s in range(d)) % p == 0
 
 
 @pytest.mark.parametrize("claim_id", ["S2.10", "S6.29", "S7.31", "S8.33"])
